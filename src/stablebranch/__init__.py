@@ -5,43 +5,19 @@ formulas, and regime-gated statistical experiments for occupation-time
 laws of large numbers.
 """
 
-from .branching import (
-    DEFAULT_POPULATION_CAP,
-    FieldTrajectory,
-    SimConfig,
-    replicate_stream,
-    simulate_field,
-    simulate_tree,
-    survival_probability_estimate,
-)
-from .errors import (
-    ConfigError,
-    PopulationCapError,
-    QuadratureError,
-    RegimeError,
-    StableBranchError,
-)
+from .branching import simulate_field, simulate_tree
+from .errors import ConfigError, QuadratureError, RegimeError, StableBranchError
 from .experiments import (
     CheckRow,
-    EXPERIMENT_KINDS,
     ExperimentConfig,
     ResultRow,
-    VALIDATION_CHECKS,
-    check_regime,
-    fit_decay_slope,
-    predicted_decay_exponent,
-    run_covariance_comparison,
     run_experiment,
-    run_lln_experiment,
-    run_occupancy_experiment,
-    run_tree_moment_comparison,
     run_validation_suite,
-    window_half_side,
     write_check_rows,
     write_result_rows,
 )
-from .fastsim import BatchResult, field_batch, tree_batch
-from .lifetimes import Exponential, Gamma, LifetimeLaw, ParetoTail, make_pareto_tail
+from .fastsim import BatchResult, field_batch, obs_grid, replicate_stream, tree_batch
+from .lifetimes import Exponential, Gamma, ParetoTail, make_pareto_tail
 from .moments import (
     CovarianceSpec,
     decay_exponent_prediction,
@@ -49,100 +25,56 @@ from .moments import (
     occupation_mean,
     occupation_variance,
     pair_correlation,
-    pair_correlation_realspace,
     tree_second_moment,
 )
-from .occupation import (
-    Ball,
-    OccupationRecord,
-    TestFunction,
-    lebesgue_integral,
-    occupancy_fraction,
-    occupation_integral,
-    occupation_from_series,
-    rescaled_occupation,
-)
-from .renewal import (
-    RenewalTable,
-    build_renewal,
-    elementary_renewal_check,
-    renewal_measure_integral,
-)
+from .occupation import Ball, TestFunction, lebesgue_integral
+from .renewal import RenewalTable, build_renewal
 from .stable_motion import (
     StableKernel,
     radial_fourier_inverse,
-    sample_increment,
     sample_increments,
     semigroup_apply,
-    support_quadrature,
-    transition_density,
     transition_density_radial,
 )
 
 __all__ = [
-    "BatchResult",
     "Ball",
+    "BatchResult",
     "CheckRow",
     "ConfigError",
     "CovarianceSpec",
-    "DEFAULT_POPULATION_CAP",
-    "EXPERIMENT_KINDS",
     "ExperimentConfig",
     "Exponential",
-    "FieldTrajectory",
     "Gamma",
-    "LifetimeLaw",
-    "OccupationRecord",
     "ParetoTail",
-    "PopulationCapError",
     "QuadratureError",
     "RegimeError",
     "RenewalTable",
     "ResultRow",
-    "SimConfig",
     "StableBranchError",
     "StableKernel",
     "TestFunction",
-    "VALIDATION_CHECKS",
     "build_renewal",
-    "check_regime",
     "decay_exponent_prediction",
-    "elementary_renewal_check",
     "field_batch",
     "field_covariance",
-    "fit_decay_slope",
     "lebesgue_integral",
     "make_pareto_tail",
-    "occupancy_fraction",
-    "occupation_from_series",
-    "occupation_integral",
+    "obs_grid",
     "occupation_mean",
     "occupation_variance",
     "pair_correlation",
-    "pair_correlation_realspace",
-    "predicted_decay_exponent",
     "radial_fourier_inverse",
-    "renewal_measure_integral",
     "replicate_stream",
-    "rescaled_occupation",
-    "run_covariance_comparison",
     "run_experiment",
-    "run_lln_experiment",
-    "run_occupancy_experiment",
-    "run_tree_moment_comparison",
     "run_validation_suite",
-    "sample_increment",
     "sample_increments",
     "semigroup_apply",
     "simulate_field",
     "simulate_tree",
-    "support_quadrature",
-    "survival_probability_estimate",
-    "transition_density",
     "transition_density_radial",
     "tree_batch",
     "tree_second_moment",
-    "window_half_side",
     "write_check_rows",
     "write_result_rows",
 ]

@@ -1,312 +1,155 @@
 """Critical binary branching particle systems, event-driven reference engine.
 
 Particles move by stable increments, live a random lifetime, and at
-death either vanish or split into two newborns at the death site, each
-with probability one half.  The engine processes deaths through a
-priority queue ordered by death time, materialising positions lazily:
-only at observation checkpoints and at death times.
+death split into two newborns at the death site with probability
+`p_two`, or vanish otherwise.  The engine processes deaths through a
+priority queue ordered by death time, one particle at a time,
+materialising positions lazily: only at observation checkpoints and at
+death times.
 
-Two entry points: `simulate_tree` starts one ancestor in free space,
-`simulate_field` starts a Poisson(Lebesgue) population on a window
-[-L, L]^d whose boundary is either a torus (default; jumps wrap) or an
-absorbing buffer (particles leaving the window are discarded).
+`simulate_tree` starts one free-space ancestor per row of `x0s`;
+`simulate_field` starts a Poisson(intensity x Lebesgue) population on
+the torus [-L, L)^d.  Both take the arguments of their `fastsim`
+counterparts, less the chunking controls, and return the same
+`BatchResult`, so tests compare the two engines on one functional.
+Replicate i draws from `replicate_stream(seed, i)`.
 
-This engine favours auditability over speed; the batched engine in
-`fastsim` reproduces the same law for the large experiment campaigns.
+This engine favours auditability over speed; `fastsim` reproduces the
+same law for the experiment campaigns.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PopulationCapError
-from .lifetimes import LifetimeLaw
+from .fastsim import (
+    DEFAULT_POPULATION_CAP,
+    BatchResult,
+    _start_points,
+    _wrap,
+    replicate_stream,
+)
 from .stable_motion import StableKernel, sample_increments
 
-DEFAULT_POPULATION_CAP = 10**7
+
+class _CapExceeded(Exception):
+    """A replicate created more particles than its population cap."""
 
 
-def replicate_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based RNG stream for one replicate.
+class _Population:
+    """One replicate: its death queue and its positions per checkpoint."""
 
-    Streams are derived from (seed, index) through a Philox key, so any
-    subset of replicates can run in any order, or in parallel, and still
-    produce identical results.
-    """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Field-simulation parameters.
-
-    The initial population is Poisson with Lebesgue intensity on the
-    window, i.e. mean count (2 L)^d.  `initial_age_mode` chooses between
-    newborn ancestors ("zero") and ages drawn from the lifetime law with
-    the matching residual lifetimes ("stationary").
-    """
-
-    kernel: StableKernel
-    law: LifetimeLaw
-    half_side: float
-    horizon: float
-    obs_step: float
-    boundary: str = "torus"
-    initial_age_mode: str = "zero"
-    population_cap: int = DEFAULT_POPULATION_CAP
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.half_side <= 0.0:
-            raise ValueError("half_side must be positive")
-        if self.horizon <= 0.0 or self.obs_step <= 0.0:
-            raise ValueError("horizon and obs_step must be positive")
-        n = self.horizon / self.obs_step
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError("horizon must be a multiple of obs_step")
-        if self.boundary not in ("torus", "buffer"):
-            raise ValueError("boundary must be 'torus' or 'buffer'")
-        if self.initial_age_mode not in ("zero", "stationary"):
-            raise ValueError("initial_age_mode must be 'zero' or 'stationary'")
-        if self.population_cap < 1:
-            raise ValueError("population_cap must be positive")
-
-    def obs_times(self) -> np.ndarray:
-        n = int(round(self.horizon / self.obs_step))
-        return np.linspace(0.0, self.horizon, n + 1)
-
-
-@dataclass
-class Particle:
-    """One particle's bookkeeping, kept when record_particles is set."""
-
-    id: int
-    parent: int
-    birth_time: float
-    lifetime: float
-    birth_position: np.ndarray
-    checkpoint_times: np.ndarray
-    checkpoint_positions: np.ndarray
-
-
-@dataclass
-class FieldTrajectory:
-    """Snapshots of a simulated population on a fixed observation grid."""
-
-    obs_times: np.ndarray
-    positions: list  # per obs time: array (n_i, dim)
-    birth_times: list  # per obs time: array (n_i,)
-    ids: list  # per obs time: array (n_i,) of particle ids
-    initial_count: int
-    event_count: int
-    max_live: int
-    kernel: StableKernel
-    law: LifetimeLaw
-    horizon: float
-    boundary: str | None = None
-    half_side: float | None = None
-    particles: list | None = None
-
-    def counts(self) -> np.ndarray:
-        return np.array([len(p) for p in self.positions])
-
-    def ages(self, i: int) -> np.ndarray:
-        return self.obs_times[i] - self.birth_times[i]
-
-
-def _wrap(pos: np.ndarray, half_side: float) -> np.ndarray:
-    return np.mod(pos + half_side, 2.0 * half_side) - half_side
-
-
-class _Engine:
-    def __init__(self, kernel, law, horizon, obs_times, rng, *, boundary=None,
-                 half_side=None, population_cap=DEFAULT_POPULATION_CAP,
-                 p_two=0.5, record_particles=False):
+    def __init__(self, kernel, law, obs, horizon, rng, half_side, p_two, cap):
         self.kernel = kernel
         self.law = law
+        self.obs = obs
         self.horizon = horizon
-        self.obs = np.asarray(obs_times, dtype=float)
         self.rng = rng
-        self.boundary = boundary
         self.half_side = half_side
-        self.cap = population_cap
         self.p_two = p_two
-        m = len(self.obs)
-        self.snap_pos = [[] for _ in range(m)]
-        self.snap_birth = [[] for _ in range(m)]
-        self.snap_ids = [[] for _ in range(m)]
+        self.cap = cap
+        self.snaps = [[] for _ in obs]
         self.heap = []
-        self.next_id = 0
-        self.live = 0
-        self.events = 0
-        self.max_live = 0
-        self.particles = [] if record_particles else None
-        self.death_pos = {}
+        self.born = 0
 
-    def spawn(self, birth_time, start_time, position, parent, lifetime=None):
-        """Create a particle, materialise its checkpoints, queue its death."""
-        pid = self.next_id
-        self.next_id += 1
-        self.live += 1
-        self.max_live = max(self.max_live, self.live)
-        if self.live > self.cap or self.next_id > self.cap:
-            raise PopulationCapError(
-                "population cap exceeded", events=self.events, live=self.live
-            )
+    def spawn(self, birth_time, position, lifetime=None):
+        """Create a particle, record it at its checkpoints, queue its death."""
+        pid = self.born
+        self.born += 1
+        if self.born > self.cap:
+            raise _CapExceeded
         if lifetime is None:
             lifetime = float(self.law.sample(self.rng))
         death_time = birth_time + lifetime
-
-        i0 = int(np.searchsorted(self.obs, start_time, side="left"))
+        i0 = int(np.searchsorted(self.obs, birth_time, side="left"))
         i1 = int(np.searchsorted(self.obs, death_time, side="left"))
-        cp_times = self.obs[i0:i1]
-        needs_death_pos = death_time <= self.horizon
-        seg_ends = list(cp_times) + ([death_time] if needs_death_pos else [])
-        prev = start_time
-        dts = []
-        for t in seg_ends:
-            dts.append(t - prev)
-            prev = t
-        pos = np.asarray(position, dtype=float)
-        path = []
-        if dts:
-            incs = sample_increments(self.kernel, np.array(dts), self.rng)
-            path = pos + np.cumsum(incs, axis=0)
-        alive_through = len(cp_times)
-        for j, t_idx in enumerate(range(i0, i1)):
-            p = path[j]
-            if self.boundary == "torus":
-                p = _wrap(p, self.half_side)
-            elif self.boundary == "buffer" and np.any(np.abs(p) > self.half_side):
-                alive_through = j
-                needs_death_pos = False
-                death_time = self.obs[t_idx]  # killed at the exit checkpoint
-                break
-            self.snap_pos[t_idx].append(p)
-            self.snap_birth[t_idx].append(birth_time)
-            self.snap_ids[t_idx].append(pid)
-        if needs_death_pos:
-            dp = path[-1] if len(path) else pos
-            if self.boundary == "torus":
-                dp = _wrap(dp, self.half_side)
-            if self.boundary == "buffer" and np.any(np.abs(dp) > self.half_side):
-                needs_death_pos = False
-        if self.particles is not None:
-            kept = min(alive_through, len(cp_times))
-            self.particles.append(Particle(
-                id=pid, parent=parent, birth_time=birth_time, lifetime=lifetime,
-                birth_position=pos.copy(),
-                checkpoint_times=np.array(cp_times[:kept]),
-                checkpoint_positions=np.array([path[j] for j in range(kept)])
-                if kept else np.empty((0, self.kernel.dim)),
-            ))
-        if needs_death_pos:
-            self.death_pos[pid] = dp
-            heapq.heappush(self.heap, (death_time, pid))
-        else:
-            self.live -= 1 if death_time <= self.horizon else 0
+        breeds = death_time <= self.horizon
+        ends = self.obs[i0:i1]
+        if breeds:
+            ends = np.append(ends, death_time)
+        if len(ends) == 0:
+            return
+        dts = np.diff(ends, prepend=birth_time)
+        path = position + np.cumsum(sample_increments(self.kernel, dts, self.rng),
+                                    axis=0)
+        if self.half_side is not None:
+            path = _wrap(path, self.half_side)
+        for j in range(i1 - i0):
+            self.snaps[i0 + j].append(path[j])
+        if breeds:
+            heapq.heappush(self.heap, (death_time, pid, path[-1]))
 
     def run(self):
         while self.heap:
-            death_time, pid = heapq.heappop(self.heap)
-            self.events += 1
-            self.live -= 1
-            if self.events > self.cap:
-                raise PopulationCapError(
-                    "population cap exceeded", events=self.events, live=self.live
-                )
-            dp = self.death_pos.pop(pid)
+            death_time, _, site = heapq.heappop(self.heap)
             if self.rng.random() < self.p_two:
-                for _ in range(2):
-                    self.spawn(death_time, death_time, dp, parent=pid)
-
-    def trajectory(self, initial_count, **echo) -> FieldTrajectory:
-        d = self.kernel.dim
-        pos = [
-            np.array(p) if p else np.empty((0, d)) for p in self.snap_pos
-        ]
-        births = [np.array(b) for b in self.snap_birth]
-        ids = [np.array(i, dtype=int) for i in self.snap_ids]
-        return FieldTrajectory(
-            obs_times=self.obs, positions=pos, birth_times=births, ids=ids,
-            initial_count=initial_count, event_count=self.events,
-            max_live=self.max_live, kernel=self.kernel, law=self.law,
-            horizon=self.horizon, particles=self.particles, **echo,
-        )
+                self.spawn(death_time, site)
+                self.spawn(death_time, site)
 
 
-def _obs_grid(horizon: float, obs_step: float | None) -> np.ndarray:
-    if obs_step is None:
-        return np.array([0.0, horizon])
-    n = round(horizon / obs_step)
-    if abs(horizon / obs_step - n) > 1e-9:
-        raise ValueError("horizon must be a multiple of obs_step")
-    return np.linspace(0.0, horizon, int(n) + 1)
+def _simulate(kernel, law, ancestors, *, replicates, obs_times, half_side,
+              seed, weights, p_two, population_cap) -> BatchResult:
+    """Run each replicate on its own stream and sum the weights per checkpoint.
 
-
-def simulate_tree(kernel: StableKernel, law, x0, horizon: float, rng, *,
-                  obs_step: float | None = None,
-                  population_cap: int = DEFAULT_POPULATION_CAP,
-                  p_two: float = 0.5,
-                  record_particles: bool = False) -> FieldTrajectory:
-    """Simulate the descendant tree of a single ancestor in free space.
-
-    Without `obs_step` only the endpoints {0, horizon} are observed.
+    `ancestors(rng, i)` draws replicate i's initial positions and
+    lifetimes (None: drawn at spawn).
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    obs = _obs_grid(horizon, obs_step)
-    eng = _Engine(kernel, law, horizon, obs, rng, population_cap=population_cap,
-                  p_two=p_two, record_particles=record_particles)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (kernel.dim,):
-        raise ValueError(f"x0 must have shape ({kernel.dim},)")
-    eng.spawn(0.0, 0.0, x0, parent=-1)
-    eng.run()
-    return eng.trajectory(initial_count=1)
+    obs = np.asarray(obs_times, dtype=float)
+    horizon = float(obs[-1])
+    weights = {**(weights or {}), "count": lambda p: np.ones(len(p))}
+    series = {name: np.zeros((replicates, len(obs))) for name in weights}
+    initial = np.zeros(replicates, dtype=np.int64)
+    born = np.zeros(replicates, dtype=np.int64)
+    aborted = np.zeros(replicates, dtype=bool)
+    for i in range(replicates):
+        rng = replicate_stream(seed, i)
+        pop = _Population(kernel, law, obs, horizon, rng, half_side, p_two,
+                          population_cap)
+        starts, lifetimes = ancestors(rng, i)
+        initial[i] = len(starts)
+        try:
+            for x, life in zip(starts, lifetimes):
+                pop.spawn(0.0, x, life)
+            pop.run()
+        except _CapExceeded:
+            aborted[i] = True
+        born[i] = pop.born
+        for j, snap in enumerate(pop.snaps):
+            if snap:
+                pts = np.array(snap)
+                for name, w in weights.items():
+                    series[name][i, j] = np.sum(w(pts))
+    return BatchResult(obs_times=obs, series=series, initial_counts=initial,
+                       event_counts=born, aborted=aborted)
 
 
-def simulate_field(config: SimConfig, rng) -> FieldTrajectory:
-    """Simulate the windowed Poisson field under the given config."""
-    kernel, law = config.kernel, config.law
-    d, half = kernel.dim, config.half_side
-    obs = config.obs_times()
-    eng = _Engine(kernel, law, config.horizon, obs, rng,
-                  boundary=config.boundary, half_side=half,
-                  population_cap=config.population_cap)
-    count = int(rng.poisson((2.0 * half) ** d))
-    starts = rng.uniform(-half, half, size=(count, d))
-    if config.initial_age_mode == "stationary":
-        ages = np.asarray(law.sample(rng, size=count), dtype=float)
-        residuals = np.asarray(law.sample_residual(rng, ages), dtype=float)
-        lifetimes = ages + residuals
-        birth_times = -ages
-    else:
-        lifetimes = np.asarray(law.sample(rng, size=count), dtype=float)
-        birth_times = np.zeros(count)
-    for i in range(count):
-        eng.spawn(float(birth_times[i]), 0.0, starts[i], parent=-1,
-                  lifetime=float(lifetimes[i]))
-    eng.run()
-    return eng.trajectory(initial_count=count, boundary=config.boundary,
-                          half_side=half)
+def simulate_tree(kernel: StableKernel, law, x0s, *, obs_times, seed: int,
+                  weights: dict | None = None, p_two: float = 0.5,
+                  population_cap: int = DEFAULT_POPULATION_CAP) -> BatchResult:
+    """Reference `tree_batch`: one free-space tree per row of `x0s`."""
+    x0s = _start_points(x0s, kernel.dim)
+    return _simulate(kernel, law, lambda rng, i: (x0s[i : i + 1], [None]),
+                     replicates=len(x0s), obs_times=obs_times, half_side=None,
+                     seed=seed, weights=weights, p_two=p_two,
+                     population_cap=population_cap)
 
 
-def survival_probability_estimate(kernel: StableKernel, law, x0, ball, t: float,
-                                  replicates: int, rng) -> tuple[float, float]:
-    """MC estimate (with binomial SE) of P_x(the tree charges the ball at time t)."""
-    if replicates < 1:
-        raise ValueError("replicates must be positive")
-    hits = 0
-    for _ in range(replicates):
-        traj = simulate_tree(kernel, law, x0, t, rng)
-        pos = traj.positions[-1]
-        if len(pos) and ball.contains(pos).any():
-            hits += 1
-    p = hits / replicates
-    se = float(np.sqrt(p * (1.0 - p) / replicates))
-    return p, se
+def simulate_field(kernel: StableKernel, law, *, replicates: int, obs_times,
+                   half_side: float, seed: int, intensity: float = 1.0,
+                   weights: dict | None = None, p_two: float = 0.5,
+                   population_cap: int = DEFAULT_POPULATION_CAP) -> BatchResult:
+    """Reference `field_batch`: Poisson fields on the torus [-L, L)^d."""
+    d = kernel.dim
+    mean_n0 = intensity * (2.0 * half_side) ** d
+
+    def ancestors(rng, i):
+        count = int(rng.poisson(mean_n0))
+        starts = rng.uniform(-half_side, half_side, size=(count, d))
+        return starts, law.sample(rng, size=count)
+
+    return _simulate(kernel, law, ancestors, replicates=replicates,
+                     obs_times=obs_times, half_side=half_side, seed=seed,
+                     weights=weights, p_two=p_two,
+                     population_cap=population_cap)

@@ -8,7 +8,8 @@ Carlo, ``renewal`` and ``density`` tabulate the numerical kernels, and
 
 Every command writes CSV to ``--out`` (or stdout) and returns exit code
 0 on success, 1 when a statistical check or experiment row fails, and 2
-on configuration errors.  Seeds resolve as: ``--seed`` flag, then the
+on configuration errors, among them any config key the subcommand does
+not read.  Seeds resolve as: ``--seed`` flag, then the
 config file, then the ``STABLEBRANCH_SEED`` environment variable, then
 0.
 """
@@ -32,12 +33,28 @@ from .experiments import (
     write_result_rows,
     _write_table,
 )
-from .fastsim import field_batch
+from .fastsim import field_batch, obs_grid
 from .lifetimes import Exponential, Gamma, ParetoTail, make_pareto_tail
 from .occupation import Ball, TestFunction
 from .stable_motion import StableKernel, transition_density_radial
 
 ENV_SEED = "STABLEBRANCH_SEED"
+
+_LAW_KEYS = {"exponential": {"rate"}, "gamma": {"shape", "rate"},
+             "pareto": {"gamma", "scale"}}
+_PHI_KEYS = {"shape", "center", "radius"}
+_BALL_KEYS = {"center", "radius"}
+_SYSTEM_KEYS = {"alpha", "dim", "lifetime"}
+_EXPERIMENT_KEYS = _SYSTEM_KEYS | {
+    "kind", "phi", "ball", "horizons", "replicates", "half_side",
+    "window_scale", "obs_step", "seed", "intensity", "label"}
+_COVARIANCE_KEYS = _SYSTEM_KEYS | {
+    "phi", "psi", "pairs", "half_side", "replicates", "seed", "n_images"}
+_RENEWAL_KEYS = {"lifetime", "horizon", "grid_step"}
+_DENSITY_KEYS = {"alpha", "dim", "t", "r_max", "points"}
+_SIMULATE_KEYS = _SYSTEM_KEYS | {
+    "horizon", "obs_step", "half_side", "phi", "replicates", "seed",
+    "intensity"}
 
 
 def _resolve_seed(cli_seed, cfg: dict | None) -> int:
@@ -54,7 +71,18 @@ def _resolve_seed(cli_seed, cfg: dict | None) -> int:
     return 0
 
 
-def _load_config(path: str) -> dict:
+def _check_keys(obj, allowed: set, where: str) -> None:
+    """Refuse a non-object, or any key the subcommand would not read."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} keys {unknown}; valid keys: {sorted(allowed)}"
+        )
+
+
+def _load_config(path: str, allowed: set) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -62,8 +90,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+    _check_keys(cfg, allowed, "config")
     return cfg
 
 
@@ -77,6 +104,8 @@ def _parse_law(obj: dict):
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigError('lifetime must be an object with a "type" key')
     kind = obj["type"]
+    if kind in _LAW_KEYS:
+        _check_keys(obj, {"type"} | _LAW_KEYS[kind], "lifetime")
     if kind == "exponential":
         return Exponential(rate=float(obj.get("rate", 1.0)))
     if kind == "gamma":
@@ -93,6 +122,7 @@ def _parse_law(obj: dict):
 
 
 def _parse_phi(obj: dict, dim: int) -> TestFunction:
+    _check_keys(obj, _PHI_KEYS, "phi")
     return TestFunction(
         shape=obj.get("shape", "bump"),
         center=np.asarray(obj.get("center", [0.0] * dim), dtype=float),
@@ -101,6 +131,7 @@ def _parse_phi(obj: dict, dim: int) -> TestFunction:
 
 
 def _parse_ball(obj: dict, dim: int) -> Ball:
+    _check_keys(obj, _BALL_KEYS, "ball")
     return Ball(center=np.asarray(obj.get("center", [0.0] * dim), dtype=float),
                 radius=float(obj.get("radius", 1.0)))
 
@@ -125,8 +156,6 @@ def _experiment_config(cfg: dict, args) -> ExperimentConfig:
             window_scale=float(cfg.get("window_scale", 1.0)),
             obs_step=float(cfg.get("obs_step", 0.5)),
             seed=_resolve_seed(args.seed, cfg),
-            boundary=cfg.get("boundary", "torus"),
-            initial_age_mode=cfg.get("initial_age_mode", "zero"),
             intensity=float(cfg.get("intensity", 1.0)),
             threads=args.threads,
             label=cfg.get("label", ""),
@@ -154,7 +183,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_lln(args) -> int:
-    config = _experiment_config(_load_config(args.config), args)
+    config = _experiment_config(_load_config(args.config, _EXPERIMENT_KEYS), args)
     rows = run_experiment(config)
     _emit(args, write_result_rows, rows)
     return 0 if all(r.passed for r in rows) else 1
@@ -164,7 +193,7 @@ cmd_occupancy = cmd_lln  # same flow; the config kind picks the runner
 
 
 def cmd_covariance(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _COVARIANCE_KEYS)
     dim = int(_require(cfg, "dim"))
     kernel = StableKernel(alpha=float(_require(cfg, "alpha")), dim=dim)
     law = _parse_law(_require(cfg, "lifetime"))
@@ -186,7 +215,7 @@ def cmd_covariance(args) -> int:
 
 
 def cmd_renewal(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _RENEWAL_KEYS)
     from .renewal import build_renewal
 
     law = _parse_law(_require(cfg, "lifetime"))
@@ -198,7 +227,7 @@ def cmd_renewal(args) -> int:
 
 
 def cmd_density(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _DENSITY_KEYS)
     kernel = StableKernel(alpha=float(_require(cfg, "alpha")),
                           dim=int(_require(cfg, "dim")))
     t = float(_require(cfg, "t"))
@@ -212,26 +241,23 @@ def cmd_density(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _SIMULATE_KEYS)
     dim = int(_require(cfg, "dim"))
     kernel = StableKernel(alpha=float(_require(cfg, "alpha")), dim=dim)
     law = _parse_law(_require(cfg, "lifetime"))
     horizon = float(_require(cfg, "horizon"))
-    obs_step = float(cfg.get("obs_step", 0.5))
-    n = round(horizon / obs_step)
-    if abs(horizon / obs_step - n) > 1e-9:
-        raise ConfigError("horizon must be a multiple of obs_step")
-    obs = np.linspace(0.0, horizon, int(n) + 1)
+    try:
+        obs = obs_grid(horizon, float(cfg.get("obs_step", 0.5)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     phi = _parse_phi(cfg["phi"], dim) if "phi" in cfg else None
     weights = {"phi": phi.evaluate} if phi is not None else {}
     replicates = args.replicates if args.replicates is not None else int(
         cfg.get("replicates", 1))
     batch = field_batch(
-        kernel, law, replicates=replicates, horizon=horizon, obs_times=obs,
+        kernel, law, replicates=replicates, obs_times=obs,
         half_side=float(_require(cfg, "half_side")),
         seed=_resolve_seed(args.seed, cfg),
-        boundary=cfg.get("boundary", "torus"),
-        initial_age_mode=cfg.get("initial_age_mode", "zero"),
         intensity=float(cfg.get("intensity", 1.0)), weights=weights,
         threads=args.threads,
     )

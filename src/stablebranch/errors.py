@@ -9,20 +9,6 @@ class QuadratureError(StableBranchError):
     """A numerical integral failed its internal convergence check."""
 
 
-class PopulationCapError(StableBranchError):
-    """A simulation exceeded its particle budget.
-
-    Carries enough context to report the abort instead of silently
-    truncating the replicate.
-    """
-
-    def __init__(self, message, *, replicate=None, events=None, live=None):
-        super().__init__(message)
-        self.replicate = replicate
-        self.events = events
-        self.live = live
-
-
 class RegimeError(StableBranchError):
     """Experiment parameters fall outside the regime the experiment claims."""
 

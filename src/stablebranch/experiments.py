@@ -25,12 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import DEFAULT_POPULATION_CAP, replicate_stream
 from .errors import ConfigError, RegimeError
-from .fastsim import field_batch, tree_batch
+from .fastsim import (
+    DEFAULT_POPULATION_CAP,
+    field_batch,
+    obs_grid,
+    replicate_stream,
+    tree_batch,
+)
 from .lifetimes import Exponential, Gamma, LifetimeLaw, make_pareto_tail
 from .moments import (
     CovarianceSpec,
+    classify_regime,
     decay_exponent_prediction,
     field_covariance,
     tree_second_moment,
@@ -70,8 +76,6 @@ class ExperimentConfig:
     window_scale: float = 1.0
     obs_step: float = 0.5
     seed: int = 0
-    boundary: str = "torus"
-    initial_age_mode: str = "zero"
     intensity: float = 1.0
     population_cap: int = DEFAULT_POPULATION_CAP
     threads: int = 1
@@ -94,10 +98,10 @@ class ExperimentConfig:
         if self.obs_step <= 0:
             raise ConfigError("obs_step must be positive")
         for h in horizons:
-            if abs(h / self.obs_step - round(h / self.obs_step)) > 1e-9:
-                raise ConfigError(
-                    f"horizon {h} is not a multiple of obs_step {self.obs_step}"
-                )
+            try:
+                obs_grid(h, self.obs_step)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if self.kind == "occupancy_subcritical":
             if self.ball is None:
                 raise ConfigError("occupancy experiments need a target ball")
@@ -148,61 +152,32 @@ def _zscore(mean: float, se: float, target: float) -> float:
     return 0.0 if mean == target else math.inf
 
 
+_REGIME_OF_KIND = {
+    "lln_finite_mean": ("finite_mean", "transient migration d > alpha"),
+    "lln_heavy_intermediate": ("heavy_intermediate", "alpha*gamma < d < 2*alpha"),
+    "lln_heavy_large_d": ("heavy_large_d", "d >= 2*alpha"),
+    "occupancy_subcritical": ("local_extinction",
+                              "d < alpha*gamma (local extinction)"),
+}
+
+
 def check_regime(kind: str, kernel: StableKernel, law: LifetimeLaw) -> None:
     """Refuse experiment tags whose hypotheses the parameters violate."""
-    d, a = kernel.dim, kernel.alpha
     if kind == "mean_identity":
         return
-    if kind == "lln_finite_mean":
-        if not math.isfinite(law.mean()):
-            raise RegimeError(
-                "lln_finite_mean requires a finite-mean lifetime law"
-            )
-        if d == a:
-            raise RegimeError(
-                "d = alpha is an open boundary case between recurrent and "
-                "transient migration; refusing rather than mislabel the run"
-            )
-        if d < a:
-            raise RegimeError(
-                f"lln_finite_mean requires transient migration d > alpha; "
-                f"got d={d}, alpha={a}"
-            )
-        return
+    if kind not in _REGIME_OF_KIND:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    regime, hypothesis = _REGIME_OF_KIND[kind]
+    d, a = kernel.dim, kernel.alpha
     g = getattr(law, "gamma", None)
-    if g is None:
+    if regime == "finite_mean":
+        if not math.isfinite(law.mean()):
+            raise RegimeError("lln_finite_mean requires a finite-mean lifetime law")
+    elif g is None:
         raise RegimeError(f"{kind} requires a heavy-tailed (ParetoTail) lifetime law")
-    if kind == "lln_heavy_intermediate":
-        if d == a * g:
-            raise RegimeError(
-                "d = alpha*gamma is the open boundary between local extinction "
-                "and persistence; refusing rather than mislabel the run"
-            )
-        if not a * g < d < 2 * a:
-            raise RegimeError(
-                f"lln_heavy_intermediate requires alpha*gamma < d < 2*alpha; "
-                f"got d={d}, alpha={a}, gamma={g}"
-            )
-        return
-    if kind == "lln_heavy_large_d":
-        if d < 2 * a:
-            raise RegimeError(
-                f"lln_heavy_large_d requires d >= 2*alpha; got d={d}, alpha={a}"
-            )
-        return
-    if kind == "occupancy_subcritical":
-        if d == a * g:
-            raise RegimeError(
-                "d = alpha*gamma is the open boundary between local extinction "
-                "and persistence; refusing rather than mislabel the run"
-            )
-        if d > a * g:
-            raise RegimeError(
-                f"occupancy_subcritical requires d < alpha*gamma (local "
-                f"extinction); got d={d}, alpha={a}, gamma={g}"
-            )
-        return
-    raise ConfigError(f"unknown experiment kind {kind!r}")
+    if classify_regime(d, a, g) != regime:
+        got = f"d={d}, alpha={a}" + ("" if g is None else f", gamma={g}")
+        raise RegimeError(f"{kind} requires {hypothesis}; got {got}")
 
 
 def window_half_side(config: ExperimentConfig, horizon: float) -> float:
@@ -222,11 +197,6 @@ def predicted_decay_exponent(config: ExperimentConfig) -> float | None:
     return None
 
 
-def _obs_grid(horizon: float, obs_step: float) -> np.ndarray:
-    m = int(round(horizon / obs_step))
-    return np.linspace(0.0, horizon, m + 1)
-
-
 def run_lln_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Rescaled-occupation mean test per horizon, with variance columns.
 
@@ -242,13 +212,12 @@ def run_lln_experiment(config: ExperimentConfig) -> list[ResultRow]:
     target = lebesgue_integral(phi)
     rows = []
     for ti, horizon in enumerate(config.horizons):
-        obs = _obs_grid(horizon, config.obs_step)
+        obs = obs_grid(horizon, config.obs_step)
         batch = field_batch(
             config.kernel, config.law, replicates=config.replicates,
-            horizon=horizon, obs_times=obs,
-            half_side=window_half_side(config, horizon), seed=config.seed,
-            boundary=config.boundary, initial_age_mode=config.initial_age_mode,
-            intensity=config.intensity, weights={"phi": phi.evaluate},
+            obs_times=obs, half_side=window_half_side(config, horizon),
+            seed=config.seed, intensity=config.intensity,
+            weights={"phi": phi.evaluate},
             population_cap=config.population_cap, stream_key=ti + 1,
             threads=config.threads,
         )
@@ -296,13 +265,11 @@ def run_occupancy_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
     stats = []
     for ti, horizon in enumerate(config.horizons):
-        obs = _obs_grid(horizon, config.obs_step)
+        obs = obs_grid(horizon, config.obs_step)
         batch = field_batch(
             config.kernel, config.law, replicates=config.replicates,
-            horizon=horizon, obs_times=obs,
-            half_side=window_half_side(config, horizon), seed=config.seed,
-            boundary=config.boundary, initial_age_mode=config.initial_age_mode,
-            intensity=config.intensity,
+            obs_times=obs, half_side=window_half_side(config, horizon),
+            seed=config.seed, intensity=config.intensity,
             weights={"ball": lambda p: ball.contains(p).astype(float)},
             population_cap=config.population_cap, stream_key=ti + 1,
             threads=config.threads,
@@ -382,7 +349,7 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
         table = default_renewal_table(law, tmax)
     obs = np.unique(np.array([0.0] + [s for s, _ in pairs] + [t for _, t in pairs]))
     batch = field_batch(
-        kernel, law, replicates=replicates, horizon=tmax, obs_times=obs,
+        kernel, law, replicates=replicates, obs_times=obs,
         half_side=half_side, seed=seed,
         weights={"phi": phi.evaluate, "psi": psi.evaluate},
         p_two=p_two, stream_key=stream_key, threads=threads,
@@ -419,7 +386,7 @@ def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
     x0 = np.asarray(x0, dtype=float)
     obs = np.unique(np.array([s, t]))
     batch = tree_batch(
-        kernel, law, np.tile(x0, (replicates, 1)), horizon=t, obs_times=obs,
+        kernel, law, np.tile(x0, (replicates, 1)), obs_times=obs,
         seed=seed, weights={"phi": phi.evaluate, "psi": psi.evaluate},
         stream_key=stream_key, threads=threads,
     )
@@ -526,9 +493,8 @@ def _check_elementary_renewal(seed, p_two, threads):
 def _check_poisson_counts(seed, p_two, threads):
     kernel = StableKernel(alpha=2.0, dim=1)
     batch = field_batch(
-        kernel, Exponential(rate=1.0), replicates=5000, horizon=0.5,
-        obs_times=[0.0, 0.5], half_side=4.0, seed=seed, p_two=p_two,
-        stream_key=101, threads=threads,
+        kernel, Exponential(rate=1.0), replicates=5000, obs_times=[0.0, 0.5],
+        half_side=4.0, seed=seed, p_two=p_two, stream_key=101, threads=threads,
     )
     counts = batch.initial_counts.astype(float)
     n = len(counts)
@@ -547,9 +513,8 @@ def _check_criticality(seed, p_two, threads):
     kernel = StableKernel(alpha=2.0, dim=1)
     obs = np.linspace(0.0, 5.0, 6)
     batch = field_batch(
-        kernel, Exponential(rate=1.0), replicates=3000, horizon=5.0,
-        obs_times=obs, half_side=5.0, seed=seed, p_two=p_two,
-        stream_key=102, threads=threads,
+        kernel, Exponential(rate=1.0), replicates=3000, obs_times=obs,
+        half_side=5.0, seed=seed, p_two=p_two, stream_key=102, threads=threads,
     )
     counts = batch.ok("count")
     drift = counts[:, -1] - counts[:, 0]
@@ -563,12 +528,11 @@ def _check_occupation_mean(seed, p_two, threads):
     kernel = StableKernel(alpha=2.0, dim=1)
     phi = TestFunction(shape="bump", center=np.zeros(1), radius=1.0)
     horizon = 10.0
-    obs = _obs_grid(horizon, 0.5)
+    obs = obs_grid(horizon, 0.5)
     batch = field_batch(
-        kernel, Exponential(rate=1.0), replicates=2000, horizon=horizon,
-        obs_times=obs, half_side=6.0, seed=seed,
-        weights={"phi": phi.evaluate}, p_two=p_two, stream_key=103,
-        threads=threads,
+        kernel, Exponential(rate=1.0), replicates=2000, obs_times=obs,
+        half_side=6.0, seed=seed, weights={"phi": phi.evaluate}, p_two=p_two,
+        stream_key=103, threads=threads,
     )
     occ = np.trapezoid(batch.ok("phi"), obs, axis=1) / horizon
     target = lebesgue_integral(phi)
@@ -599,7 +563,7 @@ def _check_poissonization(seed, p_two, threads):
     half = 6.0
     t = 1.0
     batch = field_batch(
-        kernel, law, replicates=20_000, horizon=t, obs_times=[0.0, t],
+        kernel, law, replicates=20_000, obs_times=[0.0, t],
         half_side=half, seed=seed, weights={"psi": psi.evaluate},
         p_two=p_two, stream_key=105, threads=threads,
     )
@@ -610,7 +574,7 @@ def _check_poissonization(seed, p_two, threads):
     n_tree = 100_000
     rng = replicate_stream(seed, _AUX + 2)
     x0s = rng.uniform(-half, half, size=(n_tree, 1))
-    tree = tree_batch(kernel, law, x0s, horizon=t, obs_times=[t], seed=seed,
+    tree = tree_batch(kernel, law, x0s, obs_times=[t], seed=seed,
                       weights={"psi": psi.evaluate}, p_two=p_two,
                       stream_key=106, threads=threads)
     q = 1.0 - np.exp(-tree.ok("psi")[:, 0])
@@ -674,8 +638,8 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

@@ -1,15 +1,16 @@
 """Batched generation-wave simulator.
 
-Same branching law as `branching`, organised for throughput: all
-replicates of a batch advance together, one generation per step, with
-every random draw vectorised.  Positions are only ever materialised at
-observation checkpoints and death times, exactly as in the reference
-engine, but as flat arrays indexed by (particle, checkpoint).
+All replicates of a batch advance together, one generation per step,
+with every random draw vectorised.  Positions are only ever
+materialised at observation checkpoints and death times, as flat
+arrays indexed by (particle, checkpoint).
 
 The output is not a trajectory; it is a set of per-replicate time
 series sum_i w(x_i(t)) for caller-chosen weight functions w, which is
 all the occupation statistics need.  A population-count series is
-always included under the name "count".
+always included under the name "count".  The event-driven engine in
+`branching` returns the same `BatchResult` and serves as the reference
+these batches are tested against.
 
 Replicates are grouped into fixed-size chunks, each driven by its own
 counter-based stream derived from (seed, chunk index).  Chunk size
@@ -24,10 +25,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import DEFAULT_POPULATION_CAP, _wrap, replicate_stream
 from .stable_motion import StableKernel, sample_increments
 
+DEFAULT_POPULATION_CAP = 10**7
 _CHUNK_TARGET = 150_000  # particles per chunk wave, roughly
+
+
+def replicate_stream(seed: int, index: int) -> np.random.Generator:
+    """Independent counter-based RNG stream for one replicate or chunk.
+
+    Streams are derived from (seed, index) through a Philox key, so any
+    subset of them can run in any order, or in parallel, and still
+    produce identical results.
+    """
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def obs_grid(horizon: float, obs_step: float) -> np.ndarray:
+    """Observation times 0, obs_step, ..., horizon.
+
+    Raises ValueError unless the horizon is a positive multiple of the
+    step, so the grid always ends exactly at the horizon.
+    """
+    if horizon <= 0.0 or obs_step <= 0.0:
+        raise ValueError("horizon and obs_step must be positive")
+    m = round(horizon / obs_step)
+    if abs(horizon / obs_step - m) > 1e-9:
+        raise ValueError(f"horizon {horizon} is not a multiple of obs_step {obs_step}")
+    return np.linspace(0.0, horizon, int(m) + 1)
+
+
+def _wrap(pos: np.ndarray, half_side: float) -> np.ndarray:
+    return np.mod(pos + half_side, 2.0 * half_side) - half_side
+
+
+def _start_points(x0s, dim: int) -> np.ndarray:
+    """Tree ancestors as an (R, dim) array with R >= 1, else ValueError."""
+    x0s = np.asarray(x0s, dtype=float)
+    if x0s.ndim != 2 or x0s.shape[0] < 1 or x0s.shape[1] != dim:
+        raise ValueError(f"x0s must have shape (R, {dim}), got {x0s.shape}")
+    return x0s
 
 
 @dataclass
@@ -37,7 +75,7 @@ class BatchResult:
     obs_times: np.ndarray
     series: dict  # name -> array (replicates, len(obs_times))
     initial_counts: np.ndarray
-    event_counts: np.ndarray
+    event_counts: np.ndarray  # particles created per replicate
     aborted: np.ndarray  # bool per replicate
 
     @property
@@ -78,18 +116,18 @@ def _map_chunks(fn, sizes, threads):
     return [fn(ci, reps) for ci, reps in enumerate(sizes)]
 
 
-def _wave(kernel, law, rng, obs, horizon, boundary, half_side, p_two,
-          state, weights, acc, m, reps):
-    """Advance one generation; returns the next generation's state."""
-    birth, anchor, pos, rep, preset = state
-    n = len(birth)
-    if preset is None:
-        lifetimes = np.asarray(law.sample(rng, size=n), dtype=float)
-    else:
-        lifetimes = preset
-    death = birth + lifetimes
+def _wave(kernel, law, rng, obs, horizon, half_side, p_two, state, weights,
+          acc, m, reps):
+    """Advance one generation; returns the next generation's state.
 
-    i0 = np.searchsorted(obs, anchor, side="left")
+    `state` is (birth times, birth positions, replicate index) of the
+    generation; positions wrap on the torus unless `half_side` is None.
+    """
+    birth, pos, rep = state
+    n = len(birth)
+    death = birth + np.asarray(law.sample(rng, size=n), dtype=float)
+
+    i0 = np.searchsorted(obs, birth, side="left")
     i1 = np.searchsorted(obs, death, side="left")
     k = i1 - i0
     starts = np.concatenate(([0], np.cumsum(k)))[:-1]
@@ -98,7 +136,7 @@ def _wave(kernel, law, rng, obs, horizon, boundary, half_side, p_two,
     ramp = np.arange(total) - np.repeat(starts, k)
     obs_idx = i0[pid] + ramp
     t_cp = obs[obs_idx]
-    prev_t = np.where(ramp == 0, anchor[pid], obs[np.maximum(obs_idx - 1, 0)])
+    prev_t = np.where(ramp == 0, birth[pid], obs[np.maximum(obs_idx - 1, 0)])
     dt = t_cp - prev_t
 
     inc = sample_increments(kernel, dt, rng)
@@ -106,32 +144,18 @@ def _wave(kernel, law, rng, obs, horizon, boundary, half_side, p_two,
     cs0 = cs - inc
     disp = cs - cs0[starts[pid]]
     flat_pos = pos[pid] + disp
-
-    record = np.ones(total, dtype=bool)
-    killed = np.zeros(n, dtype=bool)
-    if boundary == "torus":
-        flat_rec = _wrap(flat_pos, half_side)
-    elif boundary == "buffer":
-        outside = (np.abs(flat_pos) > half_side).any(axis=1).astype(float)
-        ocs = np.cumsum(outside)
-        seg_out = ocs - (ocs - outside)[starts[pid]]
-        record = seg_out < 1.0
-        killed = np.bincount(pid, weights=outside, minlength=n) > 0
-        flat_rec = flat_pos
-    else:
-        flat_rec = flat_pos
+    if half_side is not None:
+        flat_pos = _wrap(flat_pos, half_side)
 
     key = rep[pid] * m + obs_idx
-    rkey = key[record]
-    rpos = flat_rec[record]
     for name, w in weights.items():
-        acc[name] += np.bincount(rkey, weights=w(rpos), minlength=reps * m)
-    acc["count"] += np.bincount(rkey, minlength=reps * m)
+        acc[name] += np.bincount(key, weights=w(flat_pos), minlength=reps * m)
+    acc["count"] += np.bincount(key, minlength=reps * m)
 
-    breeds = (death <= horizon) & ~killed
+    breeds = death <= horizon
     if not breeds.any():
         return None
-    last_t = np.where(k > 0, obs[np.maximum(i1 - 1, 0)], anchor)
+    last_t = np.where(k > 0, obs[np.maximum(i1 - 1, 0)], birth)
     if total > 0:
         # clamp: particles with k = 0 contribute nothing, but np.where
         # still evaluates the taken-from-array branch at their slots
@@ -146,131 +170,113 @@ def _wave(kernel, law, rng, obs, horizon, boundary, half_side, p_two,
     dt_death = death[b_idx] - last_t[b_idx]
     inc_death = sample_increments(kernel, dt_death, rng)
     death_pos = last_pos[b_idx] + inc_death
-    if boundary == "torus":
+    if half_side is not None:
         death_pos = _wrap(death_pos, half_side)
     coins = rng.random(len(b_idx)) < p_two
-    if boundary == "buffer":
-        inside = ~(np.abs(death_pos) > half_side).any(axis=1)
-        coins &= inside
     parents = b_idx[coins]
     if len(parents) == 0:
         return None
-    nb = np.repeat(death[parents], 2)
-    np_pos = np.repeat(death_pos[coins], 2, axis=0)
-    np_rep = np.repeat(rep[parents], 2)
-    return nb, nb.copy(), np_pos, np_rep, None
+    return (np.repeat(death[parents], 2), np.repeat(death_pos[coins], 2, axis=0),
+            np.repeat(rep[parents], 2))
 
 
-def _run_chunk(kernel, law, rng, obs, horizon, boundary, half_side, p_two,
-               population_cap, initial_state, weights, reps):
+def _run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
+               population_cap, state, weights, reps):
     m = len(obs)
-    acc = {name: np.zeros(reps * m) for name in weights}
-    acc["count"] = np.zeros(reps * m)
+    acc = {name: np.zeros(reps * m) for name in [*weights, "count"]}
     cum = np.zeros(reps, dtype=np.int64)
     aborted = np.zeros(reps, dtype=bool)
-    state = initial_state
     while state is not None:
-        birth, anchor, pos, rep, preset = state
-        cum += np.bincount(rep, minlength=reps)
-        newly = (cum > population_cap) & ~aborted
-        if newly.any():
-            aborted |= newly
+        cum += np.bincount(state[2], minlength=reps)
+        aborted |= cum > population_cap
         if aborted.any():
-            keep = ~aborted[rep]
-            if not keep.all():
-                preset = preset[keep] if preset is not None else None
-                state = (birth[keep], anchor[keep], pos[keep], rep[keep], preset)
-                birth, anchor, pos, rep, preset = state
-        if len(birth) == 0:
+            keep = ~aborted[state[2]]
+            state = tuple(a[keep] for a in state)
+        if len(state[0]) == 0:
             break
-        state = _wave(kernel, law, rng, obs, horizon, boundary, half_side,
-                      p_two, state, weights, acc, m, reps)
+        state = _wave(kernel, law, rng, obs, horizon, half_side, p_two, state,
+                      weights, acc, m, reps)
     series = {name: a.reshape(reps, m) for name, a in acc.items()}
     return series, cum, aborted
 
 
-def field_batch(kernel: StableKernel, law, *, replicates: int, horizon: float,
-                obs_times, half_side: float, seed: int, boundary: str = "torus",
-                initial_age_mode: str = "zero", intensity: float = 1.0,
+def _batch(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
+           half_side, seed, weights, p_two, population_cap, stream_key, threads):
+    """Chunk the replicates, run the chunks, and join their series.
+
+    `ancestors(rng, first, reps)` draws one chunk's initial population as
+    (count per replicate, positions, replicate index per particle).
+    """
+    obs = np.asarray(obs_times, dtype=float)
+    horizon = float(obs[-1])
+    weights = weights or {}
+    step = obs[1] - obs[0] if len(obs) > 1 else max(horizon, 1.0)
+    sizes = _chunk_sizes(replicates,
+                         mean_n0 * (_truncated_mean(law, horizon) / step + 2.0))
+    firsts = np.cumsum([0, *sizes])
+
+    def _do(ci, reps):
+        rng = replicate_stream(seed, (stream_key << 20) + ci)
+        counts, pos, rep = ancestors(rng, firsts[ci], reps)
+        state = (np.zeros(len(rep)), pos, rep)
+        return (counts, *_run_chunk(kernel, law, rng, obs, horizon, half_side,
+                                    p_two, population_cap, state, weights, reps))
+
+    counts, series, cum, aborted = zip(*_map_chunks(_do, sizes, threads))
+    return BatchResult(
+        obs_times=obs,
+        series={k: np.concatenate([s[k] for s in series]) for k in series[0]},
+        initial_counts=np.concatenate(counts),
+        event_counts=np.concatenate(cum),
+        aborted=np.concatenate(aborted),
+    )
+
+
+def field_batch(kernel: StableKernel, law, *, replicates: int, obs_times,
+                half_side: float, seed: int, intensity: float = 1.0,
                 weights: dict | None = None, p_two: float = 0.5,
                 population_cap: int = DEFAULT_POPULATION_CAP,
                 stream_key: int = 0, threads: int = 1) -> BatchResult:
-    """Simulate `replicates` independent windowed Poisson fields.
+    """Simulate `replicates` independent Poisson fields on the torus [-L, L)^d.
 
+    The fields run from time 0 to the last of the increasing `obs_times`.
     `weights` maps series names to vectorised functions of particle
     positions; each yields a (replicates, observations) matrix of
     sums over the live population.  `stream_key` offsets the RNG chunk
     keys so several batches can share one seed without overlap.
     """
-    obs = np.asarray(obs_times, dtype=float)
-    weights = weights or {}
     d = kernel.dim
     mean_n0 = intensity * (2.0 * half_side) ** d
-    step = obs[1] - obs[0] if len(obs) > 1 else max(horizon, 1.0)
-    rows = mean_n0 * (_truncated_mean(law, horizon) / step + 2.0)
-    sizes = _chunk_sizes(replicates, rows)
 
-    def _do(ci, reps):
-        rng = replicate_stream(seed, (stream_key << 20) + ci)
+    def ancestors(rng, first, reps):
         counts = rng.poisson(mean_n0, size=reps)
-        total = int(counts.sum())
         rep = np.repeat(np.arange(reps), counts)
-        pos = rng.uniform(-half_side, half_side, size=(total, d))
-        if initial_age_mode == "stationary":
-            ages = np.asarray(law.sample(rng, size=total), dtype=float)
-            residual = np.asarray(law.sample_residual(rng, ages), dtype=float)
-            birth = -ages
-            preset = ages + residual
-        else:
-            birth = np.zeros(total)
-            preset = None
-        init = (birth, np.zeros(total), pos, rep, preset)
-        series, cum, ab = _run_chunk(kernel, law, rng, obs, horizon, boundary,
-                                     half_side, p_two, population_cap, init,
-                                     weights, reps)
-        return series, counts, cum, ab
+        pos = rng.uniform(-half_side, half_side, size=(len(rep), d))
+        return counts, pos, rep
 
-    parts = _map_chunks(_do, sizes, threads)
-    series = {
-        k: np.concatenate([p[0][k] for p in parts], axis=0)
-        for k in parts[0][0]
-    }
-    return BatchResult(
-        obs_times=obs, series=series,
-        initial_counts=np.concatenate([p[1] for p in parts]),
-        event_counts=np.concatenate([p[2] for p in parts]),
-        aborted=np.concatenate([p[3] for p in parts]),
-    )
+    return _batch(kernel, law, ancestors, replicates=replicates,
+                  mean_n0=mean_n0, obs_times=obs_times, half_side=half_side,
+                  seed=seed, weights=weights, p_two=p_two,
+                  population_cap=population_cap, stream_key=stream_key,
+                  threads=threads)
 
 
-def tree_batch(kernel: StableKernel, law, x0s, *, horizon: float, obs_times,
-               seed: int, weights: dict | None = None, p_two: float = 0.5,
+def tree_batch(kernel: StableKernel, law, x0s, *, obs_times, seed: int,
+               weights: dict | None = None, p_two: float = 0.5,
                population_cap: int = DEFAULT_POPULATION_CAP,
                stream_key: int = 0, threads: int = 1) -> BatchResult:
-    """Simulate one free-space tree per row of `x0s` (shape (R, dim))."""
-    obs = np.asarray(obs_times, dtype=float)
-    weights = weights or {}
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    replicates = x0s.shape[0]
-    step = obs[1] - obs[0] if len(obs) > 1 else max(horizon, 1.0)
-    sizes = _chunk_sizes(replicates, _truncated_mean(law, horizon) / step + 2.0)
-    starts = np.concatenate([[0], np.cumsum(sizes)])
+    """Simulate one free-space tree per row of `x0s` (shape (R, dim)).
 
-    def _do(ci, reps):
-        rng = replicate_stream(seed, (stream_key << 20) + ci)
-        pos = x0s[starts[ci] : starts[ci] + reps]
-        init = (np.zeros(reps), np.zeros(reps), pos, np.arange(reps), None)
-        return _run_chunk(kernel, law, rng, obs, horizon, None, None, p_two,
-                          population_cap, init, weights, reps)
+    The trees run from time 0 to the last of the increasing `obs_times`.
+    """
+    x0s = _start_points(x0s, kernel.dim)
 
-    parts = _map_chunks(_do, sizes, threads)
-    series = {
-        k: np.concatenate([p[0][k] for p in parts], axis=0)
-        for k in parts[0][0]
-    }
-    return BatchResult(
-        obs_times=obs, series=series,
-        initial_counts=np.ones(replicates, dtype=np.int64),
-        event_counts=np.concatenate([p[1] for p in parts]),
-        aborted=np.concatenate([p[2] for p in parts]),
-    )
+    def ancestors(rng, first, reps):
+        return (np.ones(reps, dtype=np.int64), x0s[first : first + reps],
+                np.arange(reps))
+
+    return _batch(kernel, law, ancestors, replicates=len(x0s), mean_n0=1.0,
+                  obs_times=obs_times, half_side=None, seed=seed,
+                  weights=weights, p_two=p_two,
+                  population_cap=population_cap, stream_key=stream_key,
+                  threads=threads)

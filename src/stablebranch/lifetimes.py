@@ -1,7 +1,7 @@
 """Particle lifetime laws.
 
 Three families cover the regimes of interest: Exponential (the
-memoryless classic), Gamma (finite mean, non-constant hazard), and
+memoryless classic), Gamma (finite mean, not memoryless), and
 ParetoTail (regularly varying survival with infinite mean).  The
 ParetoTail law is calibrated so that its survival function satisfies
 
@@ -43,16 +43,9 @@ class Exponential:
         u = _as_array(u)
         return np.where(u > 0.0, -np.expm1(-self.rate * u), 0.0)
 
-    def pdf(self, u):
-        u = _as_array(u)
-        return np.where(u >= 0.0, self.rate * np.exp(-self.rate * u), 0.0)
-
     def sf(self, u):
         u = _as_array(u)
         return np.where(u > 0.0, np.exp(-self.rate * u), 1.0)
-
-    def hazard(self, u):
-        return np.full_like(_as_array(u), self.rate)
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -60,10 +53,6 @@ class Exponential:
     def sample(self, rng, size=None):
         v = rng.random(size=size)
         return -np.log1p(-v) / self.rate
-
-    def sample_residual(self, rng, ages):
-        ages = _as_array(ages)
-        return self.sample(rng, size=ages.shape)  # memoryless
 
 
 @dataclass(frozen=True)
@@ -83,24 +72,9 @@ class Gamma:
         u = _as_array(u)
         return special.gammainc(self.shape, self.rate * np.clip(u, 0.0, None))
 
-    def pdf(self, u):
-        u = _as_array(u)
-        x = self.rate * u
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = (
-                self.rate
-                * x ** (self.shape - 1.0)
-                * np.exp(-x)
-                / special.gamma(self.shape)
-            )
-        return np.where(u > 0.0, val, 0.0)
-
     def sf(self, u):
         u = _as_array(u)
         return special.gammaincc(self.shape, self.rate * np.clip(u, 0.0, None))
-
-    def hazard(self, u):
-        return self.pdf(u) / self.sf(u)
 
     def mean(self) -> float:
         return self.shape / self.rate
@@ -109,20 +83,12 @@ class Gamma:
         v = rng.random(size=size)
         return special.gammaincinv(self.shape, v) / self.rate
 
-    def sample_residual(self, rng, ages):
-        ages = _as_array(ages)
-        v = rng.random(size=ages.shape)
-        target = self.sf(ages) * (1.0 - v)
-        return special.gammainccinv(self.shape, target) / self.rate - ages
-
 
 @dataclass(frozen=True)
 class ParetoTail:
     """Heavy-tailed lifetimes: sf(u) = (1 + u/scale)**(-gamma), gamma in (0,1).
 
-    The mean is infinite; the residual lifetime at age a is the same law
-    with scale inflated to scale + a, which makes exact stationary-age
-    initialisation cheap.
+    The mean is infinite.
     """
 
     gamma: float
@@ -140,18 +106,9 @@ class ParetoTail:
         u = _as_array(u)
         return np.where(u > 0.0, -np.expm1(-self.gamma * np.log1p(u / self.scale)), 0.0)
 
-    def pdf(self, u):
-        u = _as_array(u)
-        val = (self.gamma / self.scale) * (1.0 + u / self.scale) ** (-self.gamma - 1.0)
-        return np.where(u >= 0.0, val, 0.0)
-
     def sf(self, u):
         u = _as_array(u)
         return np.where(u > 0.0, (1.0 + u / self.scale) ** (-self.gamma), 1.0)
-
-    def hazard(self, u):
-        u = _as_array(u)
-        return self.gamma / (self.scale + u)
 
     def mean(self) -> float:
         return math.inf
@@ -159,11 +116,6 @@ class ParetoTail:
     def sample(self, rng, size=None):
         v = rng.random(size=size)
         return self.scale * np.expm1(-np.log1p(-v) / self.gamma)
-
-    def sample_residual(self, rng, ages):
-        ages = _as_array(ages)
-        v = rng.random(size=ages.shape)
-        return (self.scale + ages) * np.expm1(-np.log1p(-v) / self.gamma)
 
 
 def make_pareto_tail(gamma: float) -> ParetoTail:

@@ -31,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError, RegimeError
+from .errors import RegimeError
 from .occupation import TestFunction, lebesgue_integral
 from .renewal import RenewalTable
 from .stable_motion import (
+    _LOG_TRUNC,
     StableKernel,
     _check_tail,
     _default_nodes,
@@ -44,8 +45,6 @@ from .stable_motion import (
     support_quadrature,
     transition_density_radial,
 )
-
-_LOG_TRUNC = math.log(1e12)
 
 
 def occupation_mean(phi: TestFunction, t: float) -> float:
@@ -334,53 +333,51 @@ def occupation_variance(kernel: StableKernel, table: RenewalTable,
     return float(tw @ cov @ tw)
 
 
-def decay_exponent_prediction(dim: int, alpha: float, gamma: float | None = None,
-                              regime: str | None = None) -> float:
+def classify_regime(dim: int, alpha: float, gamma: float | None = None) -> str:
+    """Name the regime of (d, alpha) with lifetime tail exponent ``gamma``.
+
+    Finite-mean lifetimes (``gamma`` None) are "finite_mean" when d > alpha
+    and "recurrent" when d < alpha.  Heavy-tail lifetimes are
+    "local_extinction" for d < alpha*gamma, "heavy_intermediate" for
+    alpha*gamma < d < 2*alpha and "heavy_large_d" for d >= 2*alpha.  The
+    critical equalities d = alpha and d = alpha*gamma are open boundary
+    cases and raise RegimeError rather than land in a neighbouring regime.
+    """
+    if gamma is None:
+        if dim == alpha:
+            raise RegimeError(
+                "d = alpha is an open boundary case between recurrent and "
+                "transient migration; refusing rather than mislabel the run"
+            )
+        return "finite_mean" if dim > alpha else "recurrent"
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    if dim == alpha * gamma:
+        raise RegimeError(
+            "d = alpha*gamma is the open boundary between local extinction "
+            "and persistence; refusing rather than mislabel the run"
+        )
+    if dim < alpha * gamma:
+        return "local_extinction"
+    return "heavy_intermediate" if dim < 2.0 * alpha else "heavy_large_d"
+
+
+def decay_exponent_prediction(dim: int, alpha: float,
+                              gamma: float | None = None) -> float:
     """Dominant T-exponent of Var(T^{-1} <phi, J_T>) in the validated regimes.
 
     Heavy-tail lifetimes (tail exponent ``gamma``) require
     alpha*gamma < d < 2*alpha and give max(-2, -1, -d/alpha,
-    gamma - d/alpha); finite-mean lifetimes require d > alpha and give
-    max(-1, -d/alpha, 1 - d/alpha).  The critical equalities are
-    refused: they sit on open boundary cases the implemented
-    asymptotics do not cover.
+    gamma - d/alpha); finite-mean lifetimes (no ``gamma``) require
+    d > alpha and give max(-1, -d/alpha, 1 - d/alpha).  Any other
+    regime, and either critical equality, raises RegimeError.
     """
-    if regime is None:
-        regime = "heavy_tail" if gamma is not None else "finite_mean"
-    if regime == "heavy_tail":
-        if gamma is None:
-            raise ConfigError("heavy_tail prediction requires the tail exponent gamma")
-        if not 0.0 < gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-        if dim == alpha * gamma:
-            raise RegimeError(
-                "d = alpha*gamma is the interface between local extinction and "
-                "local persistence; it is an open boundary case and no decay "
-                "prediction is available"
-            )
-        if dim < alpha * gamma:
-            raise RegimeError(
-                "d < alpha*gamma is the local-extinction regime; the variance "
-                "decay prediction applies only for alpha*gamma < d < 2*alpha"
-            )
-        if dim >= 2.0 * alpha:
-            raise RegimeError(
-                "d >= 2*alpha is outside the window alpha*gamma < d < 2*alpha "
-                "covered by the heavy-tail decay prediction"
-            )
+    regime = classify_regime(dim, alpha, gamma)
+    if regime == "heavy_intermediate":
         return max(-2.0, -1.0, -dim / alpha, gamma - dim / alpha)
     if regime == "finite_mean":
-        if gamma is not None:
-            raise ConfigError("finite_mean prediction takes no tail exponent")
-        if dim == alpha:
-            raise RegimeError(
-                "d = alpha is an open boundary case for finite-mean lifetimes; "
-                "no decay prediction is available"
-            )
-        if dim < alpha:
-            raise RegimeError(
-                "the finite-mean decay prediction requires transient migration, "
-                "d > alpha"
-            )
         return max(-1.0, -dim / alpha, 1.0 - dim / alpha)
-    raise ConfigError(f"unknown regime {regime!r}")
+    raise RegimeError(
+        f"no variance decay prediction in the {regime} regime; it applies "
+        f"for alpha*gamma < d < 2*alpha (heavy tail) or d > alpha (finite mean)"
+    )

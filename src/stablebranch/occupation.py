@@ -1,15 +1,11 @@
-"""Test functions and pathwise occupation functionals.
+"""Test functions and target balls.
 
 Two compactly supported shapes are enough for every experiment here: a
 C^1 polynomial bump (1 - |x-c|^2/r^2)^2 on a ball, and the plain ball
 indicator.  Both have closed-form Lebesgue integrals and closed-form
 radial Fourier profiles (via Bessel functions), which the moment
-formulas exploit.
-
-Occupation functionals reduce a simulated trajectory to scalars: the
-time integral of <phi, X_s> over [0, T] (trapezoid on the observation
-grid), its T-normalised version, and the fraction of time a ball is
-occupied.
+formulas exploit.  The simulators sum `TestFunction.evaluate` over the
+live population; `Ball` is the occupancy target.
 """
 
 from __future__ import annotations
@@ -75,9 +71,6 @@ class TestFunction:
             return out
         return (q <= 1.0).astype(float)
 
-    def lebesgue_integral(self) -> float:
-        return lebesgue_integral(self)
-
     def fourier_profile(self, k) -> np.ndarray:
         """Fourier transform at |y| = k of the shape centered at the origin.
 
@@ -112,70 +105,3 @@ def lebesgue_integral(phi: TestFunction) -> float:
         return float(np.pi ** (d / 2.0) / special.gamma(d / 2.0 + 1.0) * r**d)
     surface = 2.0 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
     return float(surface * 8.0 / (d * (d + 2.0) * (d + 4.0)) * r**d)
-
-
-@dataclass(frozen=True)
-class OccupationRecord:
-    """Occupation integral of one trajectory up to a (grid) horizon."""
-
-    horizon: float
-    value: float
-    rescaled: float
-    obs_step: float
-
-
-def _snap_horizon(obs_times: np.ndarray, horizon: float) -> int:
-    """Index of the largest observation time not exceeding the horizon."""
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    idx = int(np.searchsorted(obs_times, horizon * (1.0 + 1e-12), side="right")) - 1
-    if idx < 1:
-        raise ValueError("horizon falls before the second observation time")
-    return idx
-
-
-def occupation_from_series(obs_times, series, horizon: float) -> OccupationRecord:
-    """Trapezoid integral of a sampled path s_i = <phi, X_{t_i}> up to the horizon.
-
-    The horizon is truncated down to the observation grid; the record
-    carries the horizon actually used.
-    """
-    obs_times = np.asarray(obs_times, dtype=float)
-    series = np.asarray(series, dtype=float)
-    idx = _snap_horizon(obs_times, horizon)
-    value = float(np.trapezoid(series[: idx + 1], obs_times[: idx + 1]))
-    t_used = float(obs_times[idx])
-    step = float(obs_times[1] - obs_times[0])
-    return OccupationRecord(horizon=t_used, value=value, rescaled=value / t_used,
-                            obs_step=step)
-
-
-def _series(traj, fn) -> np.ndarray:
-    return np.array([
-        float(np.sum(fn(pos))) if len(pos) else 0.0 for pos in traj.positions
-    ])
-
-
-def occupation_integral(traj, phi: TestFunction, horizon: float) -> OccupationRecord:
-    """Occupation integral Int_0^T <phi, X_s> ds of a simulated trajectory."""
-    series = _series(traj, phi.evaluate)
-    return occupation_from_series(traj.obs_times, series, horizon)
-
-
-def rescaled_occupation(traj, phi: TestFunction, horizon: float) -> float:
-    """T^{-1} Int_0^T <phi, X_s> ds, the quantity the strong laws concern."""
-    return occupation_integral(traj, phi, horizon).rescaled
-
-
-def occupancy_fraction(traj, ball: Ball, horizon: float) -> float:
-    """Fraction of [0, T] during which the ball holds at least one particle.
-
-    Computed as the trapezoid average of the indicator sampled on the
-    observation grid, so the result lies in [0, 1].
-    """
-    occupied = np.array([
-        1.0 if len(pos) and ball.contains(pos).any() else 0.0
-        for pos in traj.positions
-    ])
-    rec = occupation_from_series(traj.obs_times, occupied, horizon)
-    return rec.rescaled

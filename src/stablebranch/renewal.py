@@ -8,10 +8,9 @@ substitution:
 
     U_n = 1 + sum_{j=1..n} (U_{n-j} + U_{n-j+1})/2 * (F_j - F_{j-1}).
 
-Integrals against the renewal measure deliberately exclude the atom at
-zero; callers that need it add the boundary term themselves.  That
-convention keeps the second-moment formulas free of double counting at
-coincident times.
+Integrals against the renewal measure, taken by the moment formulas from
+differences of tabulated values, exclude the atom at zero; that keeps
+the second-moment formulas free of double counting at coincident times.
 """
 
 from __future__ import annotations
@@ -100,33 +99,6 @@ def build_renewal(law, horizon: float, grid_step: float, *,
                 )
     return RenewalTable(grid=grid, values=u, grid_step=grid_step, law=law,
                         error_estimate=err)
-
-
-def renewal_measure_integral(table: RenewalTable, g, s: float) -> float:
-    """Integral of g over (0, s] against dU, excluding the atom at 0.
-
-    ``g`` must accept an array of times; its value at 0 is used only as
-    the left endpoint of the first trapezoid (the limit from the right).
-    """
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
-    if s == 0.0:
-        return 0.0
-    if s > table.horizon * (1.0 + 1e-12):
-        raise ValueError("s exceeds the tabulated horizon")
-    step = table.grid_step
-    m = int(np.floor(s / step * (1.0 + 1e-12)))
-    m = min(m, len(table.grid) - 1)
-    pts = table.grid[: m + 1]
-    gv = np.asarray(g(pts), dtype=float)
-    du = np.diff(table.values[: m + 1])
-    total = float(np.dot((gv[:-1] + gv[1:]) / 2.0, du))
-    r_m = table.grid[m]
-    if s > r_m + 1e-12 * max(1.0, s):
-        g_pair = np.asarray(g(np.array([r_m, s])), dtype=float)
-        du_tail = float(table.value(s) - table.values[m])
-        total += (g_pair[0] + g_pair[1]) / 2.0 * du_tail
-    return total
 
 
 def elementary_renewal_check(law, horizon: float, grid_step: float | None = None):

@@ -88,13 +88,6 @@ def sample_increments(kernel: StableKernel, dts, rng) -> np.ndarray:
     return z * np.sqrt(2.0 * s)[:, None]
 
 
-def sample_increment(kernel: StableKernel, dt: float, rng) -> np.ndarray:
-    """Sample one increment over time ``dt``; returns a length-``dim`` vector."""
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    return sample_increments(kernel, np.array([float(dt)]), rng)[0]
-
-
 # ---------------------------------------------------------------------------
 # Radial Fourier inversion
 #
@@ -209,14 +202,6 @@ def transition_density_radial(kernel: StableKernel, t: float, radii) -> np.ndarr
     return radial_fourier_inverse(
         lambda k: np.exp(-t * k ** alpha), d, radii, _density_k_max(alpha, t)
     )
-
-
-def transition_density(kernel: StableKernel, t: float, x) -> float:
-    """Density at displacement ``x`` of the increment over time ``t``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (kernel.dim,):
-        raise ValueError(f"x must have shape ({kernel.dim},)")
-    return float(transition_density_radial(kernel, t, np.linalg.norm(x))[0])
 
 
 def _simpson_grid(lo, hi, n):

@@ -5,11 +5,30 @@ replays those lines in a terminal section after the run, so they stay
 visible even though pytest captures stdout of passing tests.
 """
 
+import pytest
+
+from stablebranch import fastsim
+
 ACCEPTANCE_LINES: list[str] = []
 
 
 def record_acceptance(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
+
+
+@pytest.fixture
+def chunk_counts(monkeypatch) -> list:
+    """How many chunks each batch run during the test is split into."""
+    counts = []
+    real = fastsim._chunk_sizes
+
+    def spy(*args):
+        sizes = real(*args)
+        counts.append(len(sizes))
+        return sizes
+
+    monkeypatch.setattr(fastsim, "_chunk_sizes", spy)
+    return counts
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -35,19 +35,21 @@ from stablebranch import (
     StableKernel,
     TestFunction,
     build_renewal,
-    fit_decay_slope,
     make_pareto_tail,
-    predicted_decay_exponent,
     radial_fourier_inverse,
     replicate_stream,
-    run_covariance_comparison,
-    run_lln_experiment,
-    run_occupancy_experiment,
-    run_tree_moment_comparison,
     run_validation_suite,
     sample_increments,
     transition_density_radial,
     write_result_rows,
+)
+from stablebranch.experiments import (
+    fit_decay_slope,
+    predicted_decay_exponent,
+    run_covariance_comparison,
+    run_lln_experiment,
+    run_occupancy_experiment,
+    run_tree_moment_comparison,
 )
 
 EXP1 = Exponential(rate=1.0)

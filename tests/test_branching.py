@@ -3,29 +3,24 @@
 The reference engine (branching.py) is an event-driven, per-particle
 implementation kept simple enough to audit by eye.  The batch engine
 (fastsim.py) is the vectorised generation-wave implementation used by the
-experiments.  The key test here is that the two agree in distribution on
-the same functionals.
+experiments.  Both return a `BatchResult` from the same arguments; the key
+test here is that the two agree in distribution on the same functionals.
 """
 
 import numpy as np
 import pytest
 
 from stablebranch import (
-    Ball,
     Exponential,
-    FieldTrajectory,
     Gamma,
-    ParetoTail,
-    SimConfig,
     StableKernel,
     TestFunction,
     field_batch,
     make_pareto_tail,
-    replicate_stream,
+    obs_grid,
     semigroup_apply,
     simulate_field,
     simulate_tree,
-    survival_probability_estimate,
     tree_batch,
 )
 
@@ -38,36 +33,30 @@ EXP1 = Exponential(rate=1.0)
 # ---------------------------------------------------------------------------
 
 
-def test_sim_config_validation():
-    good = dict(kernel=KERNEL_1D, law=EXP1, half_side=2.0, horizon=1.0,
-                obs_step=0.5)
-    SimConfig(**good)  # sanity: the base dict is valid
+def test_obs_grid():
+    assert np.allclose(obs_grid(2.0, 0.5), [0.0, 0.5, 1.0, 1.5, 2.0])
+    assert obs_grid(1.5, 0.1)[-1] == 1.5  # ends exactly at the horizon
     with pytest.raises(ValueError):
-        SimConfig(**{**good, "half_side": 0.0})
+        obs_grid(1.0, 0.3)  # horizon not a multiple
     with pytest.raises(ValueError):
-        SimConfig(**{**good, "horizon": -1.0})
+        obs_grid(-1.0, 0.5)
     with pytest.raises(ValueError):
-        SimConfig(**{**good, "obs_step": 0.3})  # horizon not a multiple
-    with pytest.raises(ValueError):
-        SimConfig(**{**good, "boundary": "reflecting"})
-    with pytest.raises(ValueError):
-        SimConfig(**{**good, "initial_age_mode": "uniform"})
-    with pytest.raises(ValueError):
-        SimConfig(**{**good, "population_cap": 0})
-
-
-def test_sim_config_obs_times():
-    cfg = SimConfig(kernel=KERNEL_1D, law=EXP1, half_side=2.0, horizon=2.0,
-                    obs_step=0.5)
-    assert np.allclose(cfg.obs_times(), [0.0, 0.5, 1.0, 1.5, 2.0])
+        obs_grid(1.0, 0.0)
 
 
 def test_simulate_tree_rejects_bad_inputs():
-    rng = replicate_stream(0, 0)
+    args = dict(obs_times=[0.0, 1.0], seed=0)
     with pytest.raises(ValueError):
-        simulate_tree(KERNEL_1D, EXP1, [0.0], -1.0, rng)
+        simulate_tree(KERNEL_1D, EXP1, [[0.0, 0.0]], **args)  # wrong dim
     with pytest.raises(ValueError):
-        simulate_tree(KERNEL_1D, EXP1, [0.0, 0.0], 1.0, rng)  # wrong dim
+        simulate_tree(KERNEL_1D, EXP1, np.zeros(5), **args)  # not (R, dim)
+
+
+@pytest.mark.parametrize("x0s", [np.zeros(5), np.zeros((5, 2)),
+                                 np.zeros((0, 1)), np.zeros((2, 1, 1))])
+def test_tree_batch_rejects_starts_not_shaped_r_by_dim(x0s):
+    with pytest.raises(ValueError, match="shape"):
+        tree_batch(KERNEL_1D, EXP1, x0s, obs_times=[0.0, 1.0], seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +66,9 @@ def test_simulate_tree_rejects_bad_inputs():
 
 def test_tree_counts_martingale():
     """Critical binary branching keeps the expected count at one."""
-    rng = replicate_stream(11, 0)
-    finals = [len(simulate_tree(KERNEL_1D, EXP1, [0.0], 3.0, rng).positions[-1])
-              for _ in range(1500)]
-    finals = np.array(finals, dtype=float)
+    res = simulate_tree(KERNEL_1D, EXP1, np.zeros((1500, 1)),
+                        obs_times=[0.0, 3.0], seed=11)
+    finals = res.ok("count")[:, -1]
     se = finals.std(ddof=1) / np.sqrt(len(finals))
     assert abs(finals.mean() - 1.0) <= 3.5 * se
 
@@ -89,16 +77,12 @@ def test_tree_mean_functional_matches_semigroup():
     """E[sum_i phi(X_i(t))] from one ancestor equals the migration
     semigroup applied to phi, because the branching is critical."""
     phi = TestFunction(shape="bump", center=np.zeros(1), radius=1.5)
-    x0 = np.array([0.5])
     t = 1.0
-    rng = replicate_stream(12, 0)
-    vals = []
-    for _ in range(3000):
-        traj = simulate_tree(KERNEL_1D, EXP1, x0, t, rng)
-        pos = traj.positions[-1]
-        vals.append(phi.evaluate(pos).sum() if len(pos) else 0.0)
-    vals = np.array(vals)
-    target = float(semigroup_apply(KERNEL_1D, phi, t, x0[None, :])[0])
+    res = simulate_tree(KERNEL_1D, EXP1, np.full((3000, 1), 0.5),
+                        obs_times=[0.0, t], seed=12,
+                        weights={"phi": phi.evaluate})
+    vals = res.ok("phi")[:, -1]
+    target = float(semigroup_apply(KERNEL_1D, phi, t, np.array([[0.5]]))[0])
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     z = (vals.mean() - target) / se
     assert abs(z) <= 3.5, (vals.mean(), target, z)
@@ -107,33 +91,21 @@ def test_tree_mean_functional_matches_semigroup():
 def test_tree_p_two_extremes_are_monotone():
     """p_two=0 is a pure death process, p_two=1 a pure birth process."""
     for p_two, sign in ((0.0, -1), (1.0, +1)):
-        rng = replicate_stream(13, int(p_two))
-        for _ in range(50):
-            traj = simulate_tree(KERNEL_1D, EXP1, [0.0], 2.0, rng,
-                                 obs_step=0.25, p_two=p_two,
-                                 population_cap=5000)
-            counts = traj.counts()
-            diffs = np.diff(counts)
-            assert np.all(sign * diffs >= 0), (p_two, counts)
+        res = simulate_tree(KERNEL_1D, EXP1, np.zeros((50, 1)),
+                            obs_times=obs_grid(2.0, 0.25), seed=13,
+                            p_two=p_two, population_cap=5000)
+        counts = res.ok("count")
+        assert len(counts) == 50
+        assert np.all(sign * np.diff(counts, axis=1) >= 0), p_two
 
 
-def test_tree_particle_records_are_consistent():
-    rng = replicate_stream(14, 0)
-    traj = simulate_tree(KERNEL_1D, EXP1, [0.25], 2.0, rng, obs_step=0.5,
-                         record_particles=True)
-    parts = traj.particles
-    assert parts is not None and parts[0].parent == -1
-    by_id = {p.id: p for p in parts}
-    for p in parts:
-        assert p.lifetime > 0.0
-        if p.parent >= 0:
-            parent = by_id[p.parent]
-            # children are born where and when the parent dies
-            assert p.birth_time == pytest.approx(
-                parent.birth_time + parent.lifetime)
-    # ids listed at each observation time refer to known particles
-    for ids in traj.ids:
-        assert all(int(i) in by_id for i in ids)
+def test_reference_population_cap_flags_aborted_replicates():
+    res = simulate_tree(KERNEL_1D, EXP1, np.zeros((8, 1)),
+                        obs_times=obs_grid(8.0, 1.0), seed=14,
+                        population_cap=20, p_two=1.0)
+    assert res.aborted.all()
+    assert np.all(res.event_counts == 21)  # stopped at the first particle over
+    assert res.series["count"].shape == (8, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -142,48 +114,24 @@ def test_tree_particle_records_are_consistent():
 
 
 def test_field_initial_counts_poisson_mean():
-    cfg = SimConfig(kernel=KERNEL_1D, law=EXP1, half_side=2.0, horizon=0.5,
-                    obs_step=0.5)
-    counts = np.array([
-        simulate_field(cfg, replicate_stream(15, i)).initial_count
-        for i in range(400)
-    ], dtype=float)
+    res = simulate_field(KERNEL_1D, EXP1, replicates=400,
+                         obs_times=[0.0, 0.5], half_side=2.0, seed=15)
+    counts = res.initial_counts.astype(float)
     mean = counts.mean()
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(mean - 4.0) <= 4.0 * se  # (2 L)^d = 4
+    assert np.array_equal(res.series["count"][:, 0], res.initial_counts)
 
 
 def test_field_torus_keeps_positions_in_window():
     kernel = StableKernel(alpha=1.5, dim=2)
-    cfg = SimConfig(kernel=kernel, law=EXP1, half_side=1.5, horizon=2.0,
-                    obs_step=0.5, boundary="torus")
-    traj = simulate_field(cfg, replicate_stream(16, 0))
-    for pos in traj.positions:
-        if len(pos):
-            assert np.all(np.abs(pos) <= 1.5 + 1e-12)
-
-
-def test_field_initial_age_modes():
-    base = dict(kernel=KERNEL_1D, law=make_pareto_tail(0.5), half_side=3.0,
-                horizon=1.0, obs_step=0.5)
-    zero = simulate_field(SimConfig(**base, initial_age_mode="zero"),
-                          replicate_stream(17, 0))
-    stat = simulate_field(SimConfig(**base, initial_age_mode="stationary"),
-                          replicate_stream(17, 1))
-    # newborn ancestors all have age 0 at time 0; stationary ones do not
-    assert np.all(zero.ages(0) == 0.0)
-    assert np.all(stat.ages(0) >= 0.0) and np.any(stat.ages(0) > 0.0)
-
-
-def test_survival_probability_estimate_range():
-    ball = Ball(center=np.zeros(1), radius=1.0)
-    rng = replicate_stream(18, 0)
-    p, se = survival_probability_estimate(KERNEL_1D, EXP1, [0.0], ball, 1.0,
-                                          200, rng)
-    assert 0.0 < p < 1.0 and se > 0.0
-    with pytest.raises(ValueError):
-        survival_probability_estimate(KERNEL_1D, EXP1, [0.0], ball, 1.0, 0,
-                                      rng)
+    outside = {"out": lambda p: (np.abs(p) > 1.5).any(axis=1).astype(float)}
+    for simulate in (simulate_field, field_batch):
+        res = simulate(kernel, EXP1, replicates=20,
+                       obs_times=obs_grid(2.0, 0.5), half_side=1.5, seed=16,
+                       weights=outside)
+        assert res.series["count"][:, 1:].sum() > 0
+        assert np.all(res.series["out"] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +139,7 @@ def test_survival_probability_estimate_range():
 # ---------------------------------------------------------------------------
 
 
-FIELD_ARGS = dict(replicates=64, horizon=2.0, obs_times=np.linspace(0, 2, 5),
+FIELD_ARGS = dict(replicates=64, obs_times=np.linspace(0, 2, 5),
                   half_side=2.0, seed=21, population_cap=10**6)
 
 
@@ -204,11 +152,32 @@ def test_field_batch_deterministic_and_stream_separated():
     assert not np.array_equal(a.series["count"], c.series["count"])
 
 
-def test_field_batch_thread_count_invariance():
-    a = field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, threads=1)
-    b = field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, threads=3)
-    assert np.array_equal(a.series["count"], b.series["count"])
+def _assert_same_batch(a, b):
+    assert a.series.keys() == b.series.keys()
+    for name in a.series:
+        assert np.array_equal(a.series[name], b.series[name]), name
+    assert np.array_equal(a.initial_counts, b.initial_counts)
     assert np.array_equal(a.event_counts, b.event_counts)
+    assert np.array_equal(a.aborted, b.aborted)
+
+
+def test_field_batch_thread_count_invariance(chunk_counts):
+    phi = {"phi": TestFunction(shape="bump", center=np.zeros(1),
+                               radius=1.0).evaluate}
+    args = dict(replicates=1000, obs_times=obs_grid(2.0, 0.5),
+                half_side=50.0, seed=21, weights=phi)
+    a = field_batch(KERNEL_1D, EXP1, **args, threads=1)
+    b = field_batch(KERNEL_1D, EXP1, **args, threads=3)
+    assert chunk_counts == [3, 3]  # so threads=3 runs the pool
+    _assert_same_batch(a, b)
+
+
+def test_tree_batch_thread_count_invariance(chunk_counts):
+    args = dict(obs_times=obs_grid(1.0, 0.01), seed=25)
+    a = tree_batch(KERNEL_1D, EXP1, np.zeros((4000, 1)), **args, threads=1)
+    b = tree_batch(KERNEL_1D, EXP1, np.zeros((4000, 1)), **args, threads=2)
+    assert chunk_counts[0] >= 2 and chunk_counts[0] == chunk_counts[1]
+    _assert_same_batch(a, b)
 
 
 def test_field_batch_shapes_and_weights():
@@ -226,7 +195,7 @@ def test_field_batch_shapes_and_weights():
 
 
 def test_field_batch_initial_counts_poisson():
-    res = field_batch(KERNEL_1D, EXP1, replicates=4000, horizon=0.5,
+    res = field_batch(KERNEL_1D, EXP1, replicates=4000,
                       obs_times=np.array([0.0, 0.5]), half_side=2.0, seed=22,
                       population_cap=10**6)
     counts = res.initial_counts.astype(float)
@@ -241,12 +210,12 @@ def test_field_batch_initial_counts_poisson():
 
 
 def test_field_batch_intensity_scales_initial_mean():
-    res = field_batch(KERNEL_1D, EXP1, replicates=2000, horizon=0.5,
+    res = field_batch(KERNEL_1D, EXP1, replicates=2000,
                       obs_times=np.array([0.0, 0.5]), half_side=2.0, seed=23,
                       population_cap=10**6, intensity=2.0)
     counts = res.initial_counts.astype(float)
     assert abs(counts.mean() - 8.0) <= 4.0 * np.sqrt(8.0 / len(counts))
-    empty = field_batch(KERNEL_1D, EXP1, replicates=50, horizon=0.5,
+    empty = field_batch(KERNEL_1D, EXP1, replicates=50,
                         obs_times=np.array([0.0, 0.5]), half_side=2.0,
                         seed=23, population_cap=10**6, intensity=0.0)
     assert np.all(empty.series["count"] == 0)
@@ -264,7 +233,7 @@ def test_field_batch_p_two_extremes():
 
 def test_field_batch_population_cap_abort_honesty():
     # supercritical offspring (p_two = 1) blows past a tiny cap
-    res = field_batch(KERNEL_1D, EXP1, replicates=32, horizon=8.0,
+    res = field_batch(KERNEL_1D, EXP1, replicates=32,
                       obs_times=np.linspace(0, 8, 9), half_side=2.0, seed=24,
                       population_cap=20, p_two=1.0)
     assert res.aborted.any()
@@ -276,9 +245,9 @@ def test_field_batch_population_cap_abort_honesty():
 def test_tree_batch_deterministic_and_shapes():
     x0s = np.zeros((40, 1))
     obs = np.array([0.0, 0.5, 1.0])
-    a = tree_batch(KERNEL_1D, EXP1, x0s, horizon=1.0, obs_times=obs, seed=25,
+    a = tree_batch(KERNEL_1D, EXP1, x0s, obs_times=obs, seed=25,
                    population_cap=10**6)
-    b = tree_batch(KERNEL_1D, EXP1, x0s, horizon=1.0, obs_times=obs, seed=25,
+    b = tree_batch(KERNEL_1D, EXP1, x0s, obs_times=obs, seed=25,
                    population_cap=10**6)
     assert np.array_equal(a.series["count"], b.series["count"])
     assert a.series["count"].shape == (40, 3)
@@ -290,7 +259,7 @@ def test_tree_batch_deterministic_and_shapes():
 def test_tree_batch_mean_functional_matches_semigroup():
     phi = TestFunction(shape="bump", center=np.zeros(1), radius=1.5)
     x0s = np.tile([[0.5]], (6000, 1))
-    res = tree_batch(KERNEL_1D, EXP1, x0s, horizon=1.0,
+    res = tree_batch(KERNEL_1D, EXP1, x0s,
                      obs_times=np.array([0.0, 1.0]), seed=26,
                      population_cap=10**6,
                      weights={"phi": phi.evaluate})
@@ -318,20 +287,11 @@ def test_engines_agree_on_field_functionals(kernel, law):
     obs = np.linspace(0.0, horizon, 5)
     phi = TestFunction(shape="bump", center=np.zeros(kernel.dim), radius=1.5)
 
-    n_ref = 300
-    ref_vals = np.empty(n_ref)
-    cfg = SimConfig(kernel=kernel, law=law, half_side=half, horizon=horizon,
-                    obs_step=0.5)
-    for i in range(n_ref):
-        traj = simulate_field(cfg, replicate_stream(27, i))
-        series = np.array([
-            phi.evaluate(p).sum() if len(p) else 0.0 for p in traj.positions
-        ])
-        ref_vals[i] = np.trapezoid(series, traj.obs_times)
-
-    fast = field_batch(kernel, law, replicates=3000, horizon=horizon,
-                       obs_times=obs, half_side=half, seed=28,
-                       population_cap=10**6, weights={"phi": phi.evaluate})
+    args = dict(obs_times=obs, half_side=half,
+                population_cap=10**6, weights={"phi": phi.evaluate})
+    ref = simulate_field(kernel, law, replicates=300, seed=27, **args)
+    fast = field_batch(kernel, law, replicates=3000, seed=28, **args)
+    ref_vals = np.trapezoid(ref.ok("phi"), obs, axis=1)
     fast_vals = np.trapezoid(fast.ok("phi"), obs, axis=1)
 
     m1, m2 = ref_vals.mean(), fast_vals.mean()
@@ -345,14 +305,11 @@ def test_engines_agree_on_field_functionals(kernel, law):
 def test_engines_agree_on_tree_counts():
     """Final-count distribution of a single tree: reference vs batch."""
     t = 2.0
-    ref = np.array([
-        len(simulate_tree(KERNEL_1D, EXP1, [0.0], t,
-                          replicate_stream(29, i)).positions[-1])
-        for i in range(1000)
-    ], dtype=float)
-    fast = tree_batch(KERNEL_1D, EXP1, np.zeros((8000, 1)), horizon=t,
-                      obs_times=np.array([0.0, t]), seed=30,
-                      population_cap=10**6).ok("count")[:, -1]
+    args = dict(obs_times=[0.0, t], population_cap=10**6)
+    ref = simulate_tree(KERNEL_1D, EXP1, np.zeros((1000, 1)), seed=29,
+                        **args).ok("count")[:, -1]
+    fast = tree_batch(KERNEL_1D, EXP1, np.zeros((8000, 1)), seed=30,
+                      **args).ok("count")[:, -1]
     z = (ref.mean() - fast.mean()) / np.sqrt(
         ref.var(ddof=1) / len(ref) + fast.var(ddof=1) / len(fast))
     assert abs(z) <= 3.5, (ref.mean(), fast.mean(), z)

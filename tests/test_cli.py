@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import csv
 import json
 
 import pytest
@@ -46,6 +47,16 @@ def test_validate_stdout_and_fault_injection(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "criticality" in captured.out and "false" in captured.out
+
+
+def test_validate_csv_numeric_fields_parse_as_floats(tmp_path):
+    out = tmp_path / "checks.csv"
+    main(["validate", "--seed", "0", "--out", str(out)])
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 11
+    for row in rows:
+        for column in ("target", "estimate", "z"):
+            float(row[column])  # e.g. no "np.float64(...)" reprs
 
 
 def test_validate_unknown_check_is_config_error(capsys):
@@ -128,6 +139,14 @@ def test_lln_regime_gate_maps_to_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "transient" in captured.err
+
+
+def test_lln_csv_identical_across_thread_counts(tmp_path, chunk_counts):
+    config = {**LLN_CONFIG, "half_side": 50.0, "replicates": 1000}
+    _, one = run_lln(tmp_path, "t1", ["--seed", "0", "--threads", "1"], config)
+    _, two = run_lln(tmp_path, "t2", ["--seed", "0", "--threads", "2"], config)
+    assert min(chunk_counts) >= 2  # so --threads 2 runs the pool
+    assert one == two
 
 
 def test_lln_missing_config_key_exit_2(tmp_path, capsys):
@@ -243,3 +262,80 @@ def test_simulate_command(tmp_path):
     assert len(lines) == 1 + 3 * 3  # 3 replicates x 3 observation times
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# unknown config keys
+# ---------------------------------------------------------------------------
+
+OCCUPANCY_CONFIG = {
+    "kind": "occupancy_subcritical",
+    "alpha": 2.0,
+    "dim": 1,
+    "lifetime": {"type": "pareto", "gamma": 0.7},
+    "ball": {"center": [0.0], "radius": 0.5},
+    "horizons": [2.0],
+    "half_side": 2.0,
+    "replicates": 10,
+}
+COVARIANCE_CONFIG = {
+    "alpha": 2.0, "dim": 1, "lifetime": {"type": "exponential"},
+    "phi": {"radius": 1.0}, "pairs": [[0.5, 1.0]], "half_side": 4.0,
+    "replicates": 10, "n_images": 1,
+}
+RENEWAL_CONFIG = {"lifetime": {"type": "gamma", "shape": 2.0},
+                  "horizon": 1.0, "grid_step": 0.01}
+DENSITY_CONFIG = {"alpha": 2.0, "dim": 1, "t": 0.5}
+SIMULATE_CONFIG = {"alpha": 2.0, "dim": 1, "lifetime": {"type": "exponential"},
+                   "horizon": 1.0, "half_side": 2.0, "phi": {"radius": 1.0}}
+
+
+def _with(config, path, value):
+    """Copy of `config` with `value` set at the key path."""
+    out = json.loads(json.dumps(config))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+UNKNOWN_KEY_CASES = [
+    ("lln", LLN_CONFIG, ("boundary",), "Torus"),
+    ("lln", LLN_CONFIG, ("initial_age_mode",), "zero"),
+    ("lln", LLN_CONFIG, ("window_scal",), 2.0),
+    ("lln", LLN_CONFIG, ("lifetime", "rat"), 2.0),
+    ("lln", LLN_CONFIG, ("phi", "raduis"), 2.0),
+    ("occupancy", OCCUPANCY_CONFIG, ("ball", "centre"), [0.0]),
+    ("occupancy", OCCUPANCY_CONFIG, ("lifetime", "rate"), 1.0),
+    ("covariance", COVARIANCE_CONFIG, ("n_image",), 2),
+    ("covariance", COVARIANCE_CONFIG, ("phi", "shap"), "bump"),
+    ("renewal", RENEWAL_CONFIG, ("lifetime", "scale"), 1.0),
+    ("renewal", RENEWAL_CONFIG, ("seed",), 3),
+    ("density", DENSITY_CONFIG, ("point",), 7),
+    ("simulate", SIMULATE_CONFIG, ("boundary",), "buffer"),
+    ("simulate", SIMULATE_CONFIG, ("phi", "centre"), [0.0]),
+]
+
+
+@pytest.mark.parametrize("command,config,path,value", UNKNOWN_KEY_CASES,
+                         ids=[f"{c[0]}-{'.'.join(c[2])}"
+                              for c in UNKNOWN_KEY_CASES])
+def test_unknown_config_keys_exit_2(tmp_path, capsys, command, config, path,
+                                    value):
+    cfg = write_config(tmp_path, "cfg.json", _with(config, path, value))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert path[-1] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("occupancy", OCCUPANCY_CONFIG), ("covariance", COVARIANCE_CONFIG),
+    ("renewal", RENEWAL_CONFIG), ("density", DENSITY_CONFIG),
+    ("simulate", SIMULATE_CONFIG),
+])
+def test_known_config_keys_are_accepted(tmp_path, command, config):
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert main([command, "--config", cfg, "--out",
+                 str(tmp_path / "out.csv")]) in (0, 1)

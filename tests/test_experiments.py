@@ -16,20 +16,22 @@ from stablebranch import (
     ResultRow,
     StableKernel,
     TestFunction,
-    check_regime,
-    fit_decay_slope,
     lebesgue_integral,
     make_pareto_tail,
+    run_experiment,
+    run_validation_suite,
+    write_check_rows,
+    write_result_rows,
+)
+from stablebranch.experiments import (
+    check_regime,
+    fit_decay_slope,
     predicted_decay_exponent,
     run_covariance_comparison,
-    run_experiment,
     run_lln_experiment,
     run_occupancy_experiment,
     run_tree_moment_comparison,
-    run_validation_suite,
     window_half_side,
-    write_check_rows,
-    write_result_rows,
 )
 
 EXP1 = Exponential(rate=1.0)

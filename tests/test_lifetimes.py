@@ -1,4 +1,4 @@
-"""Lifetime law distributions, samplers, and residual-age machinery."""
+"""Lifetime law distributions and samplers."""
 
 import math
 
@@ -27,20 +27,6 @@ def test_cdf_sf_complement(law):
     assert_allclose(law.cdf(u) + law.sf(u), 1.0, atol=1e-12)
     assert law.cdf(0.0) == 0.0
     assert law.sf(0.0) == 1.0
-
-
-@pytest.mark.parametrize("law", LAWS, ids=lambda l: l.name)
-def test_pdf_is_cdf_derivative(law):
-    u = np.linspace(0.05, 4.0, 25)
-    h = 1e-6
-    numeric = (law.cdf(u + h) - law.cdf(u - h)) / (2 * h)
-    assert_allclose(law.pdf(u), numeric, rtol=1e-4)
-
-
-@pytest.mark.parametrize("law", LAWS, ids=lambda l: l.name)
-def test_hazard_is_pdf_over_sf(law):
-    u = np.array([0.2, 1.0, 3.0])
-    assert_allclose(law.hazard(u), law.pdf(u) / law.sf(u), rtol=1e-10)
 
 
 def test_means():
@@ -78,41 +64,6 @@ def test_pareto_tail_calibration():
         assert abs(const - 1.0) < 1e-5
     # gamma = 1/2 has scale exactly 1/pi
     assert_allclose(make_pareto_tail(0.5).scale, 1.0 / math.pi, rtol=1e-12)
-
-
-def test_exponential_residual_is_memoryless():
-    law = Exponential(rate=1.3)
-    rng = replicate_stream(33, 0)
-    ages = np.full(150_000, 2.7)
-    res = law.sample_residual(rng, ages)
-    se = res.std(ddof=1) / math.sqrt(len(res))
-    assert abs(res.mean() - 1.0 / 1.3) < 4.0 * se
-
-
-def test_pareto_residual_law():
-    """Residual at age a is the same family with scale + a."""
-    law = ParetoTail(gamma=0.6, scale=0.5)
-    a = 3.0
-    rng = replicate_stream(34, 0)
-    res = law.sample_residual(rng, np.full(150_000, a))
-    shifted = ParetoTail(gamma=0.6, scale=0.5 + a)
-    for q in [1.0, 5.0, 20.0]:
-        p = shifted.cdf(q)
-        se = math.sqrt(p * (1 - p) / len(res))
-        assert abs(np.mean(res <= q) - p) < 4.0 * se
-
-
-def test_gamma_residual_law():
-    """P(residual > x | age a) = sf(a + x) / sf(a)."""
-    law = Gamma(shape=2.0, rate=2.0)
-    a = 1.5
-    rng = replicate_stream(35, 0)
-    res = law.sample_residual(rng, np.full(150_000, a))
-    assert np.all(res >= 0)
-    for q in [0.3, 1.0, 2.5]:
-        p = 1.0 - float(law.sf(a + q) / law.sf(a))
-        se = math.sqrt(p * (1 - p) / len(res))
-        assert abs(np.mean(res <= q) - p) < 4.0 * se
 
 
 def test_parameter_validation():

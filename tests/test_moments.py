@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from stablebranch import (
-    ConfigError,
     CovarianceSpec,
     Exponential,
     RegimeError,
@@ -29,11 +28,11 @@ from stablebranch import (
     occupation_mean,
     occupation_variance,
     pair_correlation,
-    pair_correlation_realspace,
     semigroup_apply,
     tree_batch,
     tree_second_moment,
 )
+from stablebranch.moments import pair_correlation_realspace
 
 EXP1 = Exponential(rate=1.0)
 
@@ -291,7 +290,7 @@ def test_tree_second_moment_matches_monte_carlo(exp_table):
     phi = bump(1, radius=1.5)
     s, t = 1.0, 2.0
     analytic = tree_second_moment(kernel, exp_table, [0.0], s, t, phi, phi)
-    res = tree_batch(kernel, EXP1, np.zeros((20000, 1)), horizon=t,
+    res = tree_batch(kernel, EXP1, np.zeros((20000, 1)),
                      obs_times=np.array([0.0, s, t]), seed=41,
                      population_cap=10**6, weights={"phi": phi.evaluate})
     series = res.ok("phi")
@@ -418,17 +417,9 @@ def test_decay_exponent_finite_mean_gates():
         decay_exponent_prediction(2, 2.0)  # d = alpha boundary
     with pytest.raises(RegimeError):
         decay_exponent_prediction(1, 2.0)  # recurrent migration
-    with pytest.raises(ConfigError):
-        decay_exponent_prediction(3, 2.0, 0.5, regime="finite_mean")
-    with pytest.raises(ConfigError):
-        decay_exponent_prediction(3, 2.0, regime="heavy_tail")
-    with pytest.raises(ConfigError):
-        decay_exponent_prediction(3, 2.0, regime="subcritical")
 
 
 def test_decay_exponent_infers_regime_from_gamma():
-    heavy = decay_exponent_prediction(1, 1.5, 0.5)
-    assert heavy == decay_exponent_prediction(1, 1.5, 0.5,
-                                              regime="heavy_tail")
-    finite = decay_exponent_prediction(3, 2.0)
-    assert finite == decay_exponent_prediction(3, 2.0, regime="finite_mean")
+    # same (d, alpha): a tail exponent selects the heavy-tail formula
+    assert decay_exponent_prediction(3, 2.0) == pytest.approx(-0.5)
+    assert decay_exponent_prediction(3, 2.0, 0.5) == pytest.approx(-1.0)

@@ -1,4 +1,4 @@
-"""Test functions, Fourier profiles, and occupation functionals."""
+"""Test functions, Fourier profiles, and target balls."""
 
 import math
 
@@ -8,15 +8,10 @@ from numpy.testing import assert_allclose
 
 from stablebranch import (
     Ball,
-    FieldTrajectory,
     TestFunction,
     lebesgue_integral,
-    occupancy_fraction,
-    occupation_from_series,
-    occupation_integral,
-    rescaled_occupation,
-    support_quadrature,
 )
+from stablebranch.stable_motion import support_quadrature
 
 
 def test_lebesgue_integral_closed_forms():
@@ -96,55 +91,3 @@ def test_ball_contains():
     assert ball.dim == 2
     with pytest.raises(ValueError):
         Ball(center=[0.0], radius=-1.0)
-
-
-def test_occupation_from_series_trapezoid():
-    obs = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
-    series = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
-    rec = occupation_from_series(obs, series, 2.0)
-    assert_allclose(rec.value, np.trapezoid(series, obs))
-    assert_allclose(rec.rescaled, rec.value / 2.0)
-    assert rec.horizon == 2.0
-    # horizon between grid points snaps down
-    rec = occupation_from_series(obs, series, 1.7)
-    assert rec.horizon == 1.5
-    assert_allclose(rec.value, np.trapezoid(series[:4], obs[:4]))
-    with pytest.raises(ValueError):
-        occupation_from_series(obs, series, 0.2)
-    with pytest.raises(ValueError):
-        occupation_from_series(obs, series, -1.0)
-
-
-def _toy_trajectory():
-    from stablebranch import Exponential, StableKernel
-
-    obs = np.array([0.0, 1.0, 2.0])
-    positions = [
-        np.array([[0.0], [5.0]]),
-        np.array([[0.3]]),
-        np.zeros((0, 1)),
-    ]
-    return FieldTrajectory(
-        obs_times=obs, positions=positions,
-        birth_times=[np.zeros(len(p)) for p in positions],
-        ids=[np.arange(len(p)) for p in positions],
-        initial_count=2, event_count=3, max_live=2,
-        kernel=StableKernel(alpha=2.0, dim=1), law=Exponential(rate=1.0),
-        horizon=2.0,
-    )
-
-
-def test_occupation_integral_on_trajectory():
-    traj = _toy_trajectory()
-    phi = TestFunction(shape="indicator", center=[0.0], radius=1.0)
-    rec = occupation_integral(traj, phi, 2.0)
-    # series: 1, 1, 0 -> trapezoid = 1.5
-    assert_allclose(rec.value, 1.5)
-    assert_allclose(rescaled_occupation(traj, phi, 2.0), 0.75)
-
-
-def test_occupancy_fraction_on_trajectory():
-    traj = _toy_trajectory()
-    ball = Ball(center=[0.0], radius=1.0)
-    # occupied indicator: 1, 1, 0 -> mean 0.75
-    assert_allclose(occupancy_fraction(traj, ball, 2.0), 0.75)

@@ -10,10 +10,9 @@ from stablebranch import (
     Exponential,
     Gamma,
     build_renewal,
-    elementary_renewal_check,
     make_pareto_tail,
-    renewal_measure_integral,
 )
+from stablebranch.renewal import elementary_renewal_check
 
 
 def test_exponential_renewal_is_linear():
@@ -64,30 +63,6 @@ def test_table_interpolation_and_range():
     with pytest.raises(ValueError):
         table.value(5.5)
     assert table.horizon == pytest.approx(5.0)
-
-
-def test_measure_integral_excludes_atom():
-    """Integrating 1 over (0, s] gives U(s) - 1: the unit atom stays out."""
-    table = build_renewal(Exponential(rate=2.0), 5.0, 0.005)
-    for s in [0.5, 1.0, 3.7]:
-        val = renewal_measure_integral(table, lambda r: np.ones_like(r), s)
-        assert abs(val - (table.value(s) - 1.0)) < 1e-10
-    assert renewal_measure_integral(table, lambda r: np.ones_like(r), 0.0) == 0.0
-
-
-def test_measure_integral_linear_weight():
-    """For Exp(rate), dU = rate dr on (0, s], so int r dU = rate s^2 / 2."""
-    rate = 1.5
-    table = build_renewal(Exponential(rate=rate), 4.0, 0.002)
-    s = 3.0
-    val = renewal_measure_integral(table, lambda r: r, s)
-    assert abs(val - rate * s**2 / 2.0) < 2e-3
-
-
-def test_measure_integral_off_grid_endpoint():
-    table = build_renewal(Exponential(rate=1.0), 4.0, 0.01)
-    a = renewal_measure_integral(table, lambda r: np.ones_like(r), 1.004)
-    assert abs(a - (table.value(1.004) - 1.0)) < 1e-9
 
 
 def test_coarse_grid_warns():

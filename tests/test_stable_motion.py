@@ -18,13 +18,11 @@ from stablebranch import (
     lebesgue_integral,
     radial_fourier_inverse,
     replicate_stream,
-    sample_increment,
     sample_increments,
     semigroup_apply,
-    support_quadrature,
-    transition_density,
     transition_density_radial,
 )
+from stablebranch.stable_motion import support_quadrature
 
 
 def test_kernel_validation():
@@ -76,14 +74,6 @@ def test_empirical_characteristic_function(alpha, dim):
         target = math.exp(-t * k**alpha)
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - target) < 3.5 * se, (alpha, dim, k)
-
-
-def test_sample_increment_single_draw():
-    kernel = StableKernel(alpha=1.5, dim=3)
-    rng = replicate_stream(0, 0)
-    x = sample_increment(kernel, 0.5, rng)
-    assert x.shape == (3,)
-    assert np.all(np.isfinite(x))
 
 
 def test_zero_time_increment_is_zero():
@@ -160,14 +150,8 @@ def test_tail_guard_rejects_premature_truncation():
         radial_fourier_inverse(lambda k: np.exp(-0.01 * k**2), 1, [0.0], 3.0)
 
 
-def test_transition_density_point_wrapper():
+def test_transition_density_rejects_nonpositive_time():
     kernel = StableKernel(alpha=2.0, dim=2)
-    x = np.array([0.3, -0.4])
-    val = transition_density(kernel, 0.5, x)
-    expected = transition_density_radial(kernel, 0.5, [0.5])[0]
-    assert_allclose(val, expected, rtol=1e-12)
-    with pytest.raises(ValueError):
-        transition_density(kernel, 0.5, np.zeros(3))
     with pytest.raises(ValueError):
         transition_density_radial(kernel, 0.0, [0.1])
 
