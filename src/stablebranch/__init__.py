@@ -27,7 +27,7 @@ from .moments import (
     pair_correlation,
     tree_second_moment,
 )
-from .occupation import Ball, TestFunction, lebesgue_integral
+from .occupation import TestFunction, lebesgue_integral
 from .renewal import RenewalTable, build_renewal
 from .stable_motion import (
     StableKernel,
@@ -38,7 +38,6 @@ from .stable_motion import (
 )
 
 __all__ = [
-    "Ball",
     "BatchResult",
     "CheckRow",
     "ConfigError",

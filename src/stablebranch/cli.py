@@ -9,9 +9,9 @@ Carlo, ``renewal`` and ``density`` tabulate the numerical kernels, and
 Every command writes CSV to ``--out`` (or stdout) and returns exit code
 0 on success, 1 when a statistical check or experiment row fails, and 2
 on configuration errors, among them any config key the subcommand does
-not read.  Seeds resolve as: ``--seed`` flag, then the
-config file, then the ``STABLEBRANCH_SEED`` environment variable, then
-0.
+not read and any out-of-range config value.  Seeds resolve as: ``--seed``
+flag, then the config file, then the ``STABLEBRANCH_SEED`` environment
+variable, then 0.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,7 +36,8 @@ from .experiments import (
 )
 from .fastsim import field_batch, obs_grid
 from .lifetimes import Exponential, Gamma, ParetoTail, make_pareto_tail
-from .occupation import Ball, TestFunction
+from .occupation import TestFunction
+from .renewal import build_renewal
 from .stable_motion import StableKernel, transition_density_radial
 
 ENV_SEED = "STABLEBRANCH_SEED"
@@ -100,6 +102,36 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+@contextmanager
+def _reading_config():
+    """Report a bad config value as a ConfigError.
+
+    Wraps only the turning of a config into inputs: a ValueError raised
+    later by the computation itself is a bug and keeps its traceback.
+    """
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config: {exc}") from exc
+
+
+def _positive(cfg: dict, key: str, default=None) -> float:
+    """A config number that must be positive; required when no default."""
+    value = float(_require(cfg, key) if default is None else cfg.get(key, default))
+    if not value > 0:
+        raise ConfigError(f"{key} must be positive, got {value}")
+    return value
+
+
+def _replicates(cfg: dict, args, default: int, least: int = 1) -> int:
+    """Replicate count: the --replicates flag, else the config, else default."""
+    n = args.replicates if args.replicates is not None else int(
+        cfg.get("replicates", default))
+    if n < least:
+        raise ConfigError(f"replicates must be at least {least}, got {n}")
+    return n
+
+
 def _parse_law(obj: dict):
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigError('lifetime must be an object with a "type" key')
@@ -121,155 +153,153 @@ def _parse_law(obj: dict):
     )
 
 
+def _system(cfg: dict) -> tuple:
+    """The migration kernel and lifetime law of a config."""
+    kernel = StableKernel(alpha=float(_require(cfg, "alpha")),
+                          dim=int(_require(cfg, "dim")))
+    return kernel, _parse_law(_require(cfg, "lifetime"))
+
+
 def _parse_phi(obj: dict, dim: int) -> TestFunction:
     _check_keys(obj, _PHI_KEYS, "phi")
-    return TestFunction(
+    phi = TestFunction(
         shape=obj.get("shape", "bump"),
         center=np.asarray(obj.get("center", [0.0] * dim), dtype=float),
         radius=float(obj.get("radius", 1.0)),
     )
+    if phi.center.shape != (dim,):
+        raise ConfigError(f"center must have {dim} coordinates")
+    return phi
 
 
-def _parse_ball(obj: dict, dim: int) -> Ball:
+def _parse_ball(obj: dict, dim: int) -> TestFunction:
+    """The occupancy target: the indicator of a closed ball."""
     _check_keys(obj, _BALL_KEYS, "ball")
-    return Ball(center=np.asarray(obj.get("center", [0.0] * dim), dtype=float),
-                radius=float(obj.get("radius", 1.0)))
+    return _parse_phi({**obj, "shape": "indicator"}, dim)
 
 
 def _experiment_config(cfg: dict, args) -> ExperimentConfig:
-    dim = int(_require(cfg, "dim"))
-    kernel = StableKernel(alpha=float(_require(cfg, "alpha")), dim=dim)
-    law = _parse_law(_require(cfg, "lifetime"))
-    replicates = args.replicates if args.replicates is not None else int(
-        cfg.get("replicates", 1000))
-    try:
-        return ExperimentConfig(
-            kind=_require(cfg, "kind"),
-            kernel=kernel,
-            law=law,
-            horizons=tuple(_require(cfg, "horizons")),
-            replicates=replicates,
-            phi=_parse_phi(cfg["phi"], dim) if "phi" in cfg else None,
-            ball=_parse_ball(cfg["ball"], dim) if "ball" in cfg else None,
-            half_side=(float(cfg["half_side"]) if cfg.get("half_side") is not None
-                       else None),
-            window_scale=float(cfg.get("window_scale", 1.0)),
-            obs_step=float(cfg.get("obs_step", 0.5)),
-            seed=_resolve_seed(args.seed, cfg),
-            intensity=float(cfg.get("intensity", 1.0)),
-            threads=args.threads,
-            label=cfg.get("label", ""),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad experiment config: {exc}") from exc
+    kind = _require(cfg, "kind")
+    # the occupancy target is a ball; every other kind reads phi
+    target = "ball" if kind == "occupancy_subcritical" else "phi"
+    _check_keys(cfg, _EXPERIMENT_KEYS - {"phi", "ball"} | {target}, "config")
+    kernel, law = _system(cfg)
+    parse = _parse_ball if target == "ball" else _parse_phi
+    return ExperimentConfig(
+        kind=kind,
+        kernel=kernel,
+        law=law,
+        horizons=tuple(_require(cfg, "horizons")),
+        replicates=_replicates(cfg, args, 1000),
+        phi=parse(cfg[target], kernel.dim) if target in cfg else None,
+        half_side=(float(cfg["half_side"]) if cfg.get("half_side") is not None
+                   else None),
+        window_scale=float(cfg.get("window_scale", 1.0)),
+        obs_step=float(cfg.get("obs_step", 0.5)),
+        seed=_resolve_seed(args.seed, cfg),
+        intensity=float(cfg.get("intensity", 1.0)),
+        threads=args.threads,
+        label=cfg.get("label", ""),
+    )
 
 
-def _emit(args, writer, rows) -> None:
-    if args.out:
-        writer(args.out, rows)
-    else:
-        writer(sys.stdout, rows)
+def _emit(args, header, records) -> None:
+    """Write a CSV table to --out, or to stdout."""
+    _write_table(args.out or sys.stdout, header, records)
 
 
 def cmd_validate(args) -> int:
-    checks = None
-    if args.checks is not None:
-        checks = [c for c in args.checks.split(",") if c]
     rows = run_validation_suite(_resolve_seed(args.seed, None),
-                                p_two=args.p_two, checks=checks,
+                                p_two=args.p_two, checks=args.checks,
                                 threads=args.threads)
-    _emit(args, write_check_rows, rows)
+    write_check_rows(args.out or sys.stdout, rows)
     return 0 if all(r.passed for r in rows) else 1
 
 
 def cmd_lln(args) -> int:
-    config = _experiment_config(_load_config(args.config, _EXPERIMENT_KEYS), args)
+    with _reading_config():
+        config = _experiment_config(
+            _load_config(args.config, _EXPERIMENT_KEYS), args)
     rows = run_experiment(config)
-    _emit(args, write_result_rows, rows)
+    write_result_rows(args.out or sys.stdout, rows)
     return 0 if all(r.passed for r in rows) else 1
 
 
-cmd_occupancy = cmd_lln  # same flow; the config kind picks the runner
-
-
 def cmd_covariance(args) -> int:
-    cfg = _load_config(args.config, _COVARIANCE_KEYS)
-    dim = int(_require(cfg, "dim"))
-    kernel = StableKernel(alpha=float(_require(cfg, "alpha")), dim=dim)
-    law = _parse_law(_require(cfg, "lifetime"))
-    phi = _parse_phi(_require(cfg, "phi"), dim)
-    psi = _parse_phi(cfg["psi"], dim) if "psi" in cfg else phi
-    pairs = [(float(s), float(t)) for s, t in _require(cfg, "pairs")]
-    replicates = args.replicates if args.replicates is not None else int(
-        cfg.get("replicates", 20_000))
+    with _reading_config():
+        cfg = _load_config(args.config, _COVARIANCE_KEYS)
+        kernel, law = _system(cfg)
+        phi = _parse_phi(_require(cfg, "phi"), kernel.dim)
+        psi = _parse_phi(cfg["psi"], kernel.dim) if "psi" in cfg else phi
+        pairs = [(float(s), float(t)) for s, t in _require(cfg, "pairs")]
+        if not pairs or not all(0 <= s <= t for s, t in pairs):
+            raise ConfigError("pairs must be a nonempty list of [s, t], 0 <= s <= t")
+        half_side = _positive(cfg, "half_side")
+        replicates = _replicates(cfg, args, 20_000, least=2)
+        seed = _resolve_seed(args.seed, cfg)
+        n_images = int(cfg.get("n_images", 1))
+        if n_images < 0:
+            raise ConfigError(f"n_images must be nonnegative, got {n_images}")
     rows = run_covariance_comparison(
-        kernel, law, phi, psi, pairs,
-        half_side=float(_require(cfg, "half_side")), replicates=replicates,
-        seed=_resolve_seed(args.seed, cfg),
-        n_images=int(cfg.get("n_images", 1)), threads=args.threads,
+        kernel, law, phi, psi, pairs, half_side=half_side,
+        replicates=replicates, seed=seed, n_images=n_images,
+        threads=args.threads,
     )
     header = ("s", "t", "analytic", "mc_estimate", "mc_se", "z", "passed")
-    _emit(args, lambda target, rs: _write_table(
-        target, header, [[r[c] for c in header] for r in rs]), rows)
+    _emit(args, header, [[r[c] for c in header] for r in rows])
     return 0 if all(r["passed"] for r in rows) else 1
 
 
 def cmd_renewal(args) -> int:
-    cfg = _load_config(args.config, _RENEWAL_KEYS)
-    from .renewal import build_renewal
-
-    law = _parse_law(_require(cfg, "lifetime"))
-    table = build_renewal(law, float(_require(cfg, "horizon")),
-                          float(_require(cfg, "grid_step")))
-    _emit(args, lambda target, rows: _write_table(target, ("t", "U"), rows),
-          list(zip(table.grid.tolist(), table.values.tolist())))
+    with _reading_config():
+        cfg = _load_config(args.config, _RENEWAL_KEYS)
+        law = _parse_law(_require(cfg, "lifetime"))
+        horizon = _positive(cfg, "horizon")
+        grid_step = _positive(cfg, "grid_step")
+        if grid_step >= horizon:
+            raise ConfigError("grid_step must be smaller than horizon")
+    table = build_renewal(law, horizon, grid_step)
+    _emit(args, ("t", "U"), zip(table.grid.tolist(), table.values.tolist()))
     return 0
 
 
 def cmd_density(args) -> int:
-    cfg = _load_config(args.config, _DENSITY_KEYS)
-    kernel = StableKernel(alpha=float(_require(cfg, "alpha")),
-                          dim=int(_require(cfg, "dim")))
-    t = float(_require(cfg, "t"))
-    r_max = float(cfg.get("r_max", 5.0 * t ** (1.0 / kernel.alpha)))
-    points = int(cfg.get("points", 101))
-    radii = np.linspace(0.0, r_max, points)
+    with _reading_config():
+        cfg = _load_config(args.config, _DENSITY_KEYS)
+        kernel = StableKernel(alpha=float(_require(cfg, "alpha")),
+                              dim=int(_require(cfg, "dim")))
+        t = _positive(cfg, "t")
+        r_max = _positive(cfg, "r_max", 5.0 * t ** (1.0 / kernel.alpha))
+        radii = np.linspace(0.0, r_max, int(cfg.get("points", 101)))
     dens = transition_density_radial(kernel, t, radii)
-    _emit(args, lambda target, rows: _write_table(target, ("r", "p"), rows),
-          list(zip(radii.tolist(), dens.tolist())))
+    _emit(args, ("r", "p"), zip(radii.tolist(), dens.tolist()))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, _SIMULATE_KEYS)
-    dim = int(_require(cfg, "dim"))
-    kernel = StableKernel(alpha=float(_require(cfg, "alpha")), dim=dim)
-    law = _parse_law(_require(cfg, "lifetime"))
-    horizon = float(_require(cfg, "horizon"))
-    try:
-        obs = obs_grid(horizon, float(cfg.get("obs_step", 0.5)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    phi = _parse_phi(cfg["phi"], dim) if "phi" in cfg else None
+    with _reading_config():
+        cfg = _load_config(args.config, _SIMULATE_KEYS)
+        kernel, law = _system(cfg)
+        obs = obs_grid(float(_require(cfg, "horizon")),
+                       float(cfg.get("obs_step", 0.5)))
+        phi = _parse_phi(cfg["phi"], kernel.dim) if "phi" in cfg else None
+        half_side = _positive(cfg, "half_side")
+        intensity = float(cfg.get("intensity", 1.0))
+        if intensity < 0:
+            raise ConfigError(f"intensity must be nonnegative, got {intensity}")
+        replicates = _replicates(cfg, args, 1)
+        seed = _resolve_seed(args.seed, cfg)
     weights = {"phi": phi.evaluate} if phi is not None else {}
-    replicates = args.replicates if args.replicates is not None else int(
-        cfg.get("replicates", 1))
     batch = field_batch(
         kernel, law, replicates=replicates, obs_times=obs,
-        half_side=float(_require(cfg, "half_side")),
-        seed=_resolve_seed(args.seed, cfg),
-        intensity=float(cfg.get("intensity", 1.0)), weights=weights,
+        half_side=half_side, seed=seed, intensity=intensity, weights=weights,
         threads=args.threads,
     )
-    header = ["replicate", "time", "count"] + (["phi"] if phi is not None else [])
-    records = []
-    for i in range(batch.replicates):
-        for j, tj in enumerate(obs.tolist()):
-            rec = [i, tj, float(batch.series["count"][i, j])]
-            if phi is not None:
-                rec.append(float(batch.series["phi"][i, j]))
-            records.append(rec)
-    _emit(args, lambda target, rows: _write_table(target, header, rows), records)
+    names = ["count", *weights]
+    records = [[i, tj] + [float(batch.series[n][i, j]) for n in names]
+               for i in range(batch.replicates)
+               for j, tj in enumerate(obs.tolist())]
+    _emit(args, ["replicate", "time", *names], records)
     return 0
 
 
@@ -295,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the statistical self-check suite")
     common(p)
     p.add_argument("--checks", default=None,
+                   type=lambda v: [c for c in v.split(",") if c],
                    help="comma-separated check names (default: all)")
     p.add_argument("--p-two", type=float, default=0.5, dest="p_two",
                    help="binary-split probability (fault injection when != 0.5)")
@@ -308,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("occupancy", help="ball occupancy-fraction ladder")
     common(p, config_required=True)
     p.add_argument("--replicates", type=int, default=None)
-    p.set_defaults(func=cmd_occupancy)
+    p.set_defaults(func=cmd_lln)  # same flow; the config kind picks the target
 
     p = sub.add_parser("covariance", help="analytic vs Monte Carlo covariance")
     common(p, config_required=True)

@@ -2,9 +2,8 @@
 
 Three layers:
 
-* regime-gated experiment runners (`run_lln_experiment`,
-  `run_occupancy_experiment`) that simulate a horizon ladder and report
-  one `ResultRow` per horizon;
+* the regime-gated experiment runner `run_experiment`, which simulates
+  a horizon ladder and reports one `ResultRow` per horizon;
 * one-off comparison helpers pitting the analytic second-moment
   formulas against Monte Carlo estimates;
 * `run_validation_suite`, a battery of self-checks (exact constants,
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -37,11 +36,10 @@ from .lifetimes import Exponential, Gamma, LifetimeLaw, make_pareto_tail
 from .moments import (
     CovarianceSpec,
     classify_regime,
-    decay_exponent_prediction,
     field_covariance,
     tree_second_moment,
 )
-from .occupation import Ball, TestFunction, lebesgue_integral
+from .occupation import TestFunction, lebesgue_integral
 from .renewal import RenewalTable, build_renewal, elementary_renewal_check
 from .stable_motion import (
     StableKernel,
@@ -50,13 +48,16 @@ from .stable_motion import (
     transition_density_radial,
 )
 
-EXPERIMENT_KINDS = (
-    "lln_heavy_intermediate",
-    "lln_heavy_large_d",
-    "lln_finite_mean",
-    "occupancy_subcritical",
-    "mean_identity",
-)
+# kind -> (regime it claims, hypothesis for the refusal message); None
+# marks the one kind that holds in every regime and is never gated
+EXPERIMENT_KINDS = {
+    "lln_heavy_intermediate": ("heavy_intermediate", "alpha*gamma < d < 2*alpha"),
+    "lln_heavy_large_d": ("heavy_large_d", "d >= 2*alpha"),
+    "lln_finite_mean": ("finite_mean", "transient migration d > alpha"),
+    "occupancy_subcritical": ("local_extinction",
+                              "d < alpha*gamma (local extinction)"),
+    "mean_identity": None,
+}
 
 _AUX = 1 << 31  # stream indices for auxiliary draws, clear of chunk keys
 
@@ -70,8 +71,7 @@ class ExperimentConfig:
     law: LifetimeLaw
     horizons: tuple
     replicates: int
-    phi: TestFunction | None = None
-    ball: Ball | None = None
+    phi: TestFunction | None = None  # occupancy: indicator of the target ball
     half_side: float | None = None
     window_scale: float = 1.0
     obs_step: float = 0.5
@@ -85,7 +85,7 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(
                 f"unknown experiment kind {self.kind!r}; expected one of "
-                f"{EXPERIMENT_KINDS}"
+                f"{tuple(EXPERIMENT_KINDS)}"
             )
         horizons = tuple(float(h) for h in self.horizons)
         object.__setattr__(self, "horizons", horizons)
@@ -95,22 +95,27 @@ class ExperimentConfig:
             raise ConfigError("horizons must be increasing")
         if self.replicates < 2:
             raise ConfigError("need at least 2 replicates")
-        if self.obs_step <= 0:
-            raise ConfigError("obs_step must be positive")
         for h in horizons:
             try:
                 obs_grid(h, self.obs_step)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        if self.kind == "occupancy_subcritical":
-            if self.ball is None:
-                raise ConfigError("occupancy experiments need a target ball")
-        elif self.phi is None:
+        if self.phi is None:
             raise ConfigError(f"{self.kind} experiments need a test function phi")
         if self.half_side is not None and self.half_side <= 0:
             raise ConfigError("half_side must be positive")
         if self.half_side is None and self.window_scale <= 0:
             raise ConfigError("window_scale must be positive")
+        if self.kind == "occupancy_subcritical":
+            if self.phi.shape != "indicator":
+                raise ConfigError("occupancy experiments need phi to be the "
+                                  "indicator of the target ball")
+            l_min = min(window_half_side(self, h) for h in horizons)
+            if np.max(np.abs(self.phi.center)) + self.phi.radius >= l_min:
+                raise ConfigError(
+                    f"target ball must sit inside the smallest window "
+                    f"(half side {l_min:g})"
+                )
         if self.intensity < 0:
             raise ConfigError("intensity must be nonnegative")
         if not self.label:
@@ -152,22 +157,19 @@ def _zscore(mean: float, se: float, target: float) -> float:
     return 0.0 if mean == target else math.inf
 
 
-_REGIME_OF_KIND = {
-    "lln_finite_mean": ("finite_mean", "transient migration d > alpha"),
-    "lln_heavy_intermediate": ("heavy_intermediate", "alpha*gamma < d < 2*alpha"),
-    "lln_heavy_large_d": ("heavy_large_d", "d >= 2*alpha"),
-    "occupancy_subcritical": ("local_extinction",
-                              "d < alpha*gamma (local extinction)"),
-}
+def _mean_se_z(values: np.ndarray, target: float) -> tuple[float, float, float]:
+    """Sample mean, its standard error, and its z-score against `target`."""
+    n = len(values)
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return mean, se, _zscore(mean, se, target)
 
 
 def check_regime(kind: str, kernel: StableKernel, law: LifetimeLaw) -> None:
     """Refuse experiment tags whose hypotheses the parameters violate."""
-    if kind == "mean_identity":
+    if EXPERIMENT_KINDS[kind] is None:
         return
-    if kind not in _REGIME_OF_KIND:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    regime, hypothesis = _REGIME_OF_KIND[kind]
+    regime, hypothesis = EXPERIMENT_KINDS[kind]
     d, a = kernel.dim, kernel.alpha
     g = getattr(law, "gamma", None)
     if regime == "finite_mean":
@@ -187,29 +189,27 @@ def window_half_side(config: ExperimentConfig, horizon: float) -> float:
     return config.window_scale * horizon ** (1.0 / config.kernel.alpha)
 
 
-def predicted_decay_exponent(config: ExperimentConfig) -> float | None:
-    """Decay-slope target for the config's regime, when one exists."""
-    d, a = config.kernel.dim, config.kernel.alpha
-    if config.kind == "lln_heavy_intermediate":
-        return decay_exponent_prediction(d, a, gamma=config.law.gamma)
-    if config.kind == "lln_finite_mean":
-        return decay_exponent_prediction(d, a)
-    return None
+def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
+    """Time average of <phi, X_t> per horizon, one row per horizon.
 
+    For each horizon T: simulate the field, integrate each replicate's
+    series over the observation grid by trapezoid, divide by T, and
+    report the mean against the kind's target.
 
-def run_lln_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """Rescaled-occupation mean test per horizon, with variance columns.
-
-    For each horizon T: simulate the field, form T^{-1} <phi, J_T> per
-    replicate by trapezoid over the observation grid, and report its
-    mean against <phi, Lambda>.  The replicate variance column feeds the
-    decay-slope diagnostics.
+    * LLN kinds and ``mean_identity``: the series is <phi, X_t>, so the
+      average is T^{-1} <phi, J_T> and the target is <phi, Lambda>.
+      Each row passes on |z| <= 3 and carries the replicate variance,
+      which feeds the decay-slope diagnostics.
+    * ``occupancy_subcritical``: the series is the indicator that the
+      target ball is occupied, <phi, X_t> > 0, and the target is 0.  The
+      pass flag (same on every row) is the trend criterion: strictly
+      decreasing means along the ladder with at least 3 combined SE
+      separating the first and last horizons.
     """
-    if config.kind == "occupancy_subcritical":
-        raise ConfigError("use run_occupancy_experiment for occupancy configs")
     check_regime(config.kind, config.kernel, config.law)
     phi = config.phi
-    target = lebesgue_integral(phi)
+    occupancy = config.kind == "occupancy_subcritical"
+    target = 0.0 if occupancy else lebesgue_integral(phi)
     rows = []
     for ti, horizon in enumerate(config.horizons):
         obs = obs_grid(horizon, config.obs_step)
@@ -222,17 +222,23 @@ def run_lln_experiment(config: ExperimentConfig) -> list[ResultRow]:
             threads=config.threads,
         )
         series = batch.ok("phi")
-        occ = np.trapezoid(series, obs, axis=1) / horizon
-        n = len(occ)
-        mean = float(occ.mean())
-        se = float(occ.std(ddof=1) / math.sqrt(n))
-        z = _zscore(mean, se, target)
+        if occupancy:
+            series = (series > 0).astype(float)
+        avg = np.trapezoid(series, obs, axis=1) / horizon
+        mean, se, z = _mean_se_z(avg, target)
         rows.append(ResultRow(
             experiment=config.label, regime=config.kind, horizon=horizon,
-            replicates=n, mean=mean, se=se, target=float(target), z=z,
-            passed=abs(z) <= 3.0, variance=float(occ.var(ddof=1)),
+            replicates=len(avg), mean=mean, se=se, target=target, z=z,
+            passed=abs(z) <= 3.0,
+            variance=None if occupancy else float(avg.var(ddof=1)),
             aborted=int(batch.aborted.sum()),
         ))
+    if occupancy:
+        first, last = rows[0], rows[-1]
+        decreasing = all(a.mean > b.mean for a, b in zip(rows[:-1], rows[1:]))
+        trend = decreasing and (first.mean - last.mean
+                                >= 3.0 * math.hypot(first.se, last.se))
+        rows = [replace(r, passed=trend) for r in rows]
     return rows
 
 
@@ -245,79 +251,9 @@ def fit_decay_slope(rows: list[ResultRow]) -> float:
     return float(np.polyfit(np.log(h), np.log(v), 1)[0])
 
 
-def run_occupancy_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """Mean occupied-time fraction of a ball per horizon.
-
-    The pass flag (same on every row) is the trend criterion: strictly
-    decreasing means along the ladder with at least 3 combined SE
-    separating the first and last horizons.
-    """
-    if config.kind != "occupancy_subcritical":
-        raise ConfigError("run_occupancy_experiment needs an occupancy config")
-    check_regime(config.kind, config.kernel, config.law)
-    ball = config.ball
-    l_min = min(window_half_side(config, h) for h in config.horizons)
-    if np.max(np.abs(np.asarray(ball.center, dtype=float))) + ball.radius >= l_min:
-        raise ConfigError(
-            f"target ball must sit inside the smallest window "
-            f"(half side {l_min:g})"
-        )
-
-    stats = []
-    for ti, horizon in enumerate(config.horizons):
-        obs = obs_grid(horizon, config.obs_step)
-        batch = field_batch(
-            config.kernel, config.law, replicates=config.replicates,
-            obs_times=obs, half_side=window_half_side(config, horizon),
-            seed=config.seed, intensity=config.intensity,
-            weights={"ball": lambda p: ball.contains(p).astype(float)},
-            population_cap=config.population_cap, stream_key=ti + 1,
-            threads=config.threads,
-        )
-        occupied = (batch.ok("ball") > 0).astype(float)
-        frac = np.trapezoid(occupied, obs, axis=1) / horizon
-        n = len(frac)
-        mean = float(frac.mean())
-        se = float(frac.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        stats.append((horizon, n, mean, se, int(batch.aborted.sum())))
-
-    means = [s[2] for s in stats]
-    decreasing = all(a > b for a, b in zip(means[:-1], means[1:]))
-    sep = means[0] - means[-1]
-    sep_se = math.hypot(stats[0][3], stats[-1][3])
-    trend = decreasing and sep >= 3.0 * sep_se
-    return [
-        ResultRow(
-            experiment=config.label, regime=config.kind, horizon=h,
-            replicates=n, mean=mean, se=se, target=0.0,
-            z=_zscore(mean, se, 0.0), passed=trend, variance=None,
-            aborted=aborted,
-        )
-        for h, n, mean, se, aborted in stats
-    ]
-
-
-def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """Dispatch a config to the matching runner."""
-    if config.kind == "occupancy_subcritical":
-        return run_occupancy_experiment(config)
-    return run_lln_experiment(config)
-
-
 # ---------------------------------------------------------------------------
 # Analytic-vs-Monte-Carlo comparisons
 # ---------------------------------------------------------------------------
-
-
-def _cov_and_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Sample covariance and its influence-function standard error."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = len(a)
-    resid = (a - a.mean()) * (b - b.mean())
-    cov = float(resid.sum() / (n - 1))
-    se = float(resid.std(ddof=1) / math.sqrt(n))
-    return cov, se
 
 
 def default_renewal_table(law: LifetimeLaw, horizon: float) -> RenewalTable:
@@ -344,9 +280,8 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
     for s, t in pairs:
         if not 0 <= s <= t:
             raise ValueError("pairs must satisfy 0 <= s <= t")
-    tmax = max(t for _, t in pairs)
     if table is None:
-        table = default_renewal_table(law, tmax)
+        table = default_renewal_table(law, max(t for _, t in pairs))
     obs = np.unique(np.array([0.0] + [s for s, _ in pairs] + [t for _, t in pairs]))
     batch = field_batch(
         kernel, law, replicates=replicates, obs_times=obs,
@@ -360,7 +295,11 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
     for s, t in pairs:
         i = int(np.searchsorted(obs, s))
         j = int(np.searchsorted(obs, t))
-        mc, se = _cov_and_se(sa[:, i], sb[:, j])
+        # sample covariance and its influence-function standard error
+        a, b = sa[:, i], sb[:, j]
+        resid = (a - a.mean()) * (b - b.mean())
+        mc = float(resid.sum() / (len(a) - 1))
+        se = float(resid.std(ddof=1) / math.sqrt(len(a)))
         spec = CovarianceSpec(kernel, table, phi, psi, s, t)
         analytic = field_covariance(spec, torus_half_side=half_side,
                                     n_images=n_images)
@@ -393,10 +332,8 @@ def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
     i = int(np.searchsorted(obs, s))
     j = int(np.searchsorted(obs, t))
     prod = batch.ok("phi")[:, i] * batch.ok("psi")[:, j]
-    mc = float(prod.mean())
-    se = float(prod.std(ddof=1) / math.sqrt(len(prod)))
     analytic = tree_second_moment(kernel, table, x0, s, t, phi, psi)
-    z = _zscore(mc, se, analytic)
+    mc, se, z = _mean_se_z(prod, analytic)
     return {
         "s": s, "t": t, "analytic": analytic, "mc_estimate": mc, "mc_se": se,
         "z": z, "passed": abs(z) <= 3.0,
@@ -407,52 +344,35 @@ def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
 # Validation suite
 # ---------------------------------------------------------------------------
 
-VALIDATION_CHECKS = (
-    "stable_cf",
-    "density_closed_form",
-    "self_similarity",
-    "renewal_exponential",
-    "renewal_heavy_tail",
-    "elementary_renewal",
-    "poisson_counts",
-    "criticality",
-    "occupation_mean_identity",
-    "covariance_oracle",
-    "poissonization",
-)
+# Each check returns the CheckRow fields after the name: target,
+# estimate, z, tolerance, passed.  `_CHECKS` names them and fixes the order.
 
 
 def _check_stable_cf(seed, p_two, threads):
     kernel = StableKernel(alpha=1.5, dim=2)
     rng = replicate_stream(seed, _AUX + 1)
     x = sample_increments(kernel, np.full(200_000, 2.0), rng)
-    vals = np.cos(x[:, 0])
     target = math.exp(-2.0)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    z = _zscore(mean, se, target)
-    return CheckRow("stable_cf", target, mean, z, "|z| <= 3", abs(z) <= 3.0)
+    mean, _, z = _mean_se_z(np.cos(x[:, 0]), target)
+    return target, mean, z, "|z| <= 3", abs(z) <= 3.0
 
 
 def _check_density_closed_form(seed, p_two, threads):
+    r = np.array([0.0, 0.7])
+    closed_forms = (
+        # alpha = 2: heat kernel, peak (4 pi t)^(-1/2) at t = 1
+        (2.0, (4.0 * math.pi) ** -0.5 * np.exp(-r**2 / 4.0), 8.0),
+        # alpha = 1: Cauchy kernel, peak 1/pi at t = 1
+        (1.0, 1.0 / (math.pi * (1.0 + r**2)), 30.0),
+    )
     gaps = []
-    # alpha = 2: heat kernel, peak (4 pi t)^(-1/2) at t = 1
-    k2 = StableKernel(alpha=2.0, dim=1)
-    d0 = transition_density_radial(k2, 1.0, [0.0, 0.7])
-    exact2 = (4.0 * math.pi) ** -0.5 * np.exp(-np.array([0.0, 0.7]) ** 2 / 4.0)
-    gaps.append(np.max(np.abs(d0 - exact2)))
-    quad2 = radial_fourier_inverse(lambda k: np.exp(-(k**2)), 1, [0.0, 0.7], 8.0)
-    gaps.append(np.max(np.abs(quad2 - exact2)))
-    # alpha = 1: Cauchy kernel, peak 1/pi at t = 1
-    k1 = StableKernel(alpha=1.0, dim=1)
-    d1 = transition_density_radial(k1, 1.0, [0.0, 0.7])
-    exact1 = 1.0 / (math.pi * (1.0 + np.array([0.0, 0.7]) ** 2))
-    gaps.append(np.max(np.abs(d1 - exact1)))
-    quad1 = radial_fourier_inverse(lambda k: np.exp(-k), 1, [0.0, 0.7], 30.0)
-    gaps.append(np.max(np.abs(quad1 - exact1)))
+    for alpha, exact, k_max in closed_forms:
+        kernel = StableKernel(alpha=alpha, dim=1)
+        dens = transition_density_radial(kernel, 1.0, r)
+        quad = radial_fourier_inverse(lambda k: np.exp(-(k**alpha)), 1, r, k_max)
+        gaps += [np.max(np.abs(dens - exact)), np.max(np.abs(quad - exact))]
     est = float(max(gaps))
-    return CheckRow("density_closed_form", 0.0, est, est / 1e-6,
-                    "abs error < 1e-6", est < 1e-6)
+    return 0.0, est, est / 1e-6, "abs error < 1e-6", est < 1e-6
 
 
 def _check_self_similarity(seed, p_two, threads):
@@ -462,15 +382,13 @@ def _check_self_similarity(seed, p_two, threads):
     scale = t ** (-1.0 / 1.5)
     b = scale * float(transition_density_radial(kernel, 1.0, [scale * r])[0])
     est = abs(a - b) / abs(b)
-    return CheckRow("self_similarity", 0.0, est, est / 1e-6,
-                    "rel error < 1e-6", est < 1e-6)
+    return 0.0, est, est / 1e-6, "rel error < 1e-6", est < 1e-6
 
 
 def _check_renewal_exponential(seed, p_two, threads):
     table = build_renewal(Exponential(rate=1.0), 10.0, 0.005)
     est = float(np.max(np.abs(table.values - (1.0 + table.grid))))
-    return CheckRow("renewal_exponential", 0.0, est, est / 1e-3,
-                    "abs error < 1e-3", est < 1e-3)
+    return 0.0, est, est / 1e-3, "abs error < 1e-3", est < 1e-3
 
 
 def _check_renewal_heavy_tail(seed, p_two, threads):
@@ -479,15 +397,13 @@ def _check_renewal_heavy_tail(seed, p_two, threads):
     table = build_renewal(make_pareto_tail(gamma), t, 0.25)
     ratio = float(table.value(t) * t ** (-gamma) * math.gamma(1.0 + gamma))
     gap = abs(ratio - 1.0)
-    return CheckRow("renewal_heavy_tail", 1.0, ratio, gap / 0.1,
-                    "ratio in [0.9, 1.1]", gap <= 0.1)
+    return 1.0, ratio, gap / 0.1, "ratio in [0.9, 1.1]", gap <= 0.1
 
 
 def _check_elementary_renewal(seed, p_two, threads):
     ratio, limit, rel = elementary_renewal_check(Gamma(shape=2.0, rate=2.0),
                                                  200.0, grid_step=0.02)
-    return CheckRow("elementary_renewal", limit, ratio, rel / 0.05,
-                    "rel error < 5%", rel < 0.05)
+    return limit, ratio, rel / 0.05, "rel error < 5%", rel < 0.05
 
 
 def _check_poisson_counts(seed, p_two, threads):
@@ -497,16 +413,12 @@ def _check_poisson_counts(seed, p_two, threads):
         half_side=4.0, seed=seed, p_two=p_two, stream_key=101, threads=threads,
     )
     counts = batch.initial_counts.astype(float)
-    n = len(counts)
-    mean_target = 8.0
-    m = float(counts.mean())
-    z_mean = _zscore(m, float(counts.std(ddof=1) / math.sqrt(n)), mean_target)
+    m, _, z_mean = _mean_se_z(counts, 8.0)
     s2 = float(counts.var(ddof=1))
-    se_var = math.sqrt((m + 2.0 * m * m) / n)
+    se_var = math.sqrt((m + 2.0 * m * m) / len(counts))
     z_fano = (s2 - m) / se_var
     z = max(abs(z_mean), abs(z_fano))
-    return CheckRow("poisson_counts", 1.0, s2 / m, z,
-                    "mean and Fano |z| <= 3", z <= 3.0)
+    return 1.0, s2 / m, z, "mean and Fano |z| <= 3", z <= 3.0
 
 
 def _check_criticality(seed, p_two, threads):
@@ -517,11 +429,8 @@ def _check_criticality(seed, p_two, threads):
         half_side=5.0, seed=seed, p_two=p_two, stream_key=102, threads=threads,
     )
     counts = batch.ok("count")
-    drift = counts[:, -1] - counts[:, 0]
-    mean = float(drift.mean())
-    se = float(drift.std(ddof=1) / math.sqrt(len(drift)))
-    z = _zscore(mean, se, 0.0)
-    return CheckRow("criticality", 0.0, mean, z, "|z| <= 3", abs(z) <= 3.0)
+    mean, _, z = _mean_se_z(counts[:, -1] - counts[:, 0], 0.0)
+    return 0.0, mean, z, "|z| <= 3", abs(z) <= 3.0
 
 
 def _check_occupation_mean(seed, p_two, threads):
@@ -536,11 +445,8 @@ def _check_occupation_mean(seed, p_two, threads):
     )
     occ = np.trapezoid(batch.ok("phi"), obs, axis=1) / horizon
     target = lebesgue_integral(phi)
-    mean = float(occ.mean())
-    se = float(occ.std(ddof=1) / math.sqrt(len(occ)))
-    z = _zscore(mean, se, target)
-    return CheckRow("occupation_mean_identity", float(target), mean, z,
-                    "|z| <= 3", abs(z) <= 3.0)
+    mean, _, z = _mean_se_z(occ, target)
+    return target, mean, z, "|z| <= 3", abs(z) <= 3.0
 
 
 def _check_covariance_oracle(seed, p_two, threads):
@@ -552,8 +458,8 @@ def _check_covariance_oracle(seed, p_two, threads):
         threads=threads,
     )
     row = rows[0]
-    return CheckRow("covariance_oracle", row["analytic"], row["mc_estimate"],
-                    row["z"], "|z| <= 3", row["passed"])
+    return (row["analytic"], row["mc_estimate"], row["z"], "|z| <= 3",
+            row["passed"])
 
 
 def _check_poissonization(seed, p_two, threads):
@@ -583,11 +489,10 @@ def _check_poissonization(seed, p_two, threads):
     rhs = math.exp(-integral)
     rhs_se = volume * float(q.std(ddof=1) / math.sqrt(len(q))) * rhs
     z = (lhs - rhs) / math.hypot(lhs_se, rhs_se)
-    return CheckRow("poissonization", rhs, lhs, z, "combined |z| <= 3",
-                    abs(z) <= 3.0)
+    return rhs, lhs, z, "combined |z| <= 3", abs(z) <= 3.0
 
 
-_CHECK_FUNCS = {
+_CHECKS = {
     "stable_cf": _check_stable_cf,
     "density_closed_form": _check_density_closed_form,
     "self_similarity": _check_self_similarity,
@@ -612,25 +517,22 @@ def run_validation_suite(seed: int = 0, *, p_two: float = 0.5,
     criticality and must trip the simulation-based checks.  ``checks``
     selects a subset by name (empty list: no checks).
     """
-    if checks is None:
-        names = VALIDATION_CHECKS
-    else:
-        unknown = [c for c in checks if c not in _CHECK_FUNCS]
-        if unknown:
-            raise ConfigError(
-                f"unknown checks {unknown}; valid names: {VALIDATION_CHECKS}"
-            )
-        names = tuple(checks)
-    return [_CHECK_FUNCS[name](seed, p_two, threads) for name in names]
+    names = tuple(_CHECKS) if checks is None else tuple(checks)
+    unknown = [c for c in names if c not in _CHECKS]
+    if unknown:
+        raise ConfigError(
+            f"unknown checks {unknown}; valid names: {tuple(_CHECKS)}"
+        )
+    return [CheckRow(name, *_CHECKS[name](seed, p_two, threads))
+            for name in names]
 
 
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
 
-RESULT_COLUMNS = ("experiment", "regime", "horizon", "replicates", "mean",
-                  "se", "target", "z", "passed", "variance", "aborted")
-CHECK_COLUMNS = ("name", "target", "estimate", "z", "tolerance", "passed")
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+CHECK_COLUMNS = tuple(f.name for f in fields(CheckRow))
 
 
 def _fmt(value) -> str:
@@ -656,11 +558,9 @@ def _write_table(target, header, records) -> None:
 
 def write_result_rows(target, rows: list) -> None:
     """Result rows as RFC-4180-style CSV (path or writable object)."""
-    _write_table(target, RESULT_COLUMNS,
-                 [[getattr(r, c) for c in RESULT_COLUMNS] for r in rows])
+    _write_table(target, RESULT_COLUMNS, [astuple(r) for r in rows])
 
 
 def write_check_rows(target, rows: list) -> None:
     """Check rows as RFC-4180-style CSV (path or writable object)."""
-    _write_table(target, CHECK_COLUMNS,
-                 [[getattr(r, c) for c in CHECK_COLUMNS] for r in rows])
+    _write_table(target, CHECK_COLUMNS, [astuple(r) for r in rows])

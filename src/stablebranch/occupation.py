@@ -1,11 +1,12 @@
-"""Test functions and target balls.
+"""Test functions.
 
 Two compactly supported shapes are enough for every experiment here: a
 C^1 polynomial bump (1 - |x-c|^2/r^2)^2 on a ball, and the plain ball
 indicator.  Both have closed-form Lebesgue integrals and closed-form
 radial Fourier profiles (via Bessel functions), which the moment
 formulas exploit.  The simulators sum `TestFunction.evaluate` over the
-live population; `Ball` is the occupancy target.
+live population; the indicator of the closed ball is also the occupancy
+target.
 """
 
 from __future__ import annotations
@@ -16,28 +17,6 @@ import numpy as np
 from scipy import special
 
 _SHAPES = ("bump", "indicator")
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Closed ball used as an occupancy target."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
-    def contains(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d2 = np.sum((pts - self.center) ** 2, axis=-1)
-        return d2 <= self.radius**2
 
 
 @dataclass(frozen=True)

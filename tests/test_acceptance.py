@@ -28,16 +28,17 @@ import pytest
 from conftest import record_acceptance
 
 from stablebranch import (
-    Ball,
     Exponential,
     ExperimentConfig,
     Gamma,
     StableKernel,
     TestFunction,
     build_renewal,
+    decay_exponent_prediction,
     make_pareto_tail,
     radial_fourier_inverse,
     replicate_stream,
+    run_experiment,
     run_validation_suite,
     sample_increments,
     transition_density_radial,
@@ -45,10 +46,7 @@ from stablebranch import (
 )
 from stablebranch.experiments import (
     fit_decay_slope,
-    predicted_decay_exponent,
     run_covariance_comparison,
-    run_lln_experiment,
-    run_occupancy_experiment,
     run_tree_moment_comparison,
 )
 
@@ -96,7 +94,7 @@ MEAN_IDENTITY_CONFIGS = [
 @pytest.mark.parametrize("config", MEAN_IDENTITY_CONFIGS,
                          ids=lambda c: c.label)
 def test_criterion_1_mean_identity(config):
-    rows = run_lln_experiment(config)
+    rows = run_experiment(config)
     zs = [round(r.z, 2) for r in rows]
     ok = all(abs(r.z) <= 3.0 for r in rows) and all(
         r.replicates >= 2000 - r.aborted for r in rows)
@@ -110,8 +108,7 @@ def test_criterion_1_mean_identity(config):
 
 
 def _criterion_2(config, predicted):
-    assert predicted_decay_exponent(config) == pytest.approx(predicted)
-    rows = run_lln_experiment(config)
+    rows = run_experiment(config)
     variances = [r.variance for r in rows]
     decreasing = all(a > b for a, b in zip(variances[:-1], variances[1:]))
     slope = fit_decay_slope(rows)
@@ -123,6 +120,7 @@ def _criterion_2(config, predicted):
 
 
 def test_criterion_2_heavy_tail_concentration():
+    assert decay_exponent_prediction(1, 1.5, 0.5) == pytest.approx(-1.0 / 6.0)
     config = ExperimentConfig(
         kind="lln_heavy_intermediate", kernel=StableKernel(alpha=1.5, dim=1),
         law=make_pareto_tail(0.5), horizons=(25.0, 50.0, 100.0, 200.0),
@@ -132,6 +130,7 @@ def test_criterion_2_heavy_tail_concentration():
 
 
 def test_criterion_2_finite_mean_concentration():
+    assert decay_exponent_prediction(3, 2.0) == pytest.approx(-0.5)
     config = ExperimentConfig(
         kind="lln_finite_mean", kernel=StableKernel(alpha=2.0, dim=3),
         law=EXP1, horizons=(25.0, 50.0, 100.0, 200.0), replicates=500,
@@ -149,9 +148,10 @@ def test_criterion_3_occupancy_vanishes():
     config = ExperimentConfig(
         kind="occupancy_subcritical", kernel=StableKernel(alpha=2.0, dim=1),
         law=make_pareto_tail(0.7), horizons=(50.0, 800.0), replicates=1500,
-        ball=Ball(center=np.zeros(1), radius=1.0), window_scale=1.0,
+        phi=TestFunction(shape="indicator", center=np.zeros(1), radius=1.0),
+        window_scale=1.0,
         obs_step=0.5, seed=301, label="occupancy-d1-a2-g07")
-    rows = run_occupancy_experiment(config)
+    rows = run_experiment(config)
     first, last = rows[0], rows[-1]
     sep_se = math.hypot(first.se, last.se)
     n_se = (first.mean - last.mean) / sep_se if sep_se > 0 else math.inf
@@ -295,7 +295,7 @@ def test_criterion_7_determinism():
     outputs = []
     for _ in range(2):
         buf = io.StringIO()
-        write_result_rows(buf, run_lln_experiment(config))
+        write_result_rows(buf, run_experiment(config))
         outputs.append(buf.getvalue())
     ok = outputs[0] == outputs[1] and len(outputs[0]) > 0
     report("criterion 7 (determinism)", ok,

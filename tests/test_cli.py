@@ -2,9 +2,15 @@
 
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stablebranch
 from stablebranch.cli import ENV_SEED, main
 
 
@@ -306,7 +312,9 @@ UNKNOWN_KEY_CASES = [
     ("lln", LLN_CONFIG, ("window_scal",), 2.0),
     ("lln", LLN_CONFIG, ("lifetime", "rat"), 2.0),
     ("lln", LLN_CONFIG, ("phi", "raduis"), 2.0),
+    ("lln", LLN_CONFIG, ("ball",), {"radius": 0.5}),
     ("occupancy", OCCUPANCY_CONFIG, ("ball", "centre"), [0.0]),
+    ("occupancy", OCCUPANCY_CONFIG, ("phi",), {"radius": 0.5}),
     ("occupancy", OCCUPANCY_CONFIG, ("lifetime", "rate"), 1.0),
     ("covariance", COVARIANCE_CONFIG, ("n_image",), 2),
     ("covariance", COVARIANCE_CONFIG, ("phi", "shap"), "bump"),
@@ -339,3 +347,41 @@ def test_known_config_keys_are_accepted(tmp_path, command, config):
     cfg = write_config(tmp_path, "cfg.json", config)
     assert main([command, "--config", cfg, "--out",
                  str(tmp_path / "out.csv")]) in (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# out-of-range config values
+# ---------------------------------------------------------------------------
+
+BAD_VALUE_CASES = [
+    ("covariance", COVARIANCE_CONFIG, ("phi", "radius"), -1.0),
+    ("density", DENSITY_CONFIG, ("t",), -0.5),
+    ("renewal", {**RENEWAL_CONFIG, "horizon": 1.0}, ("grid_step",), 2.0),
+    ("simulate", SIMULATE_CONFIG, ("half_side",), -1.0),
+    ("lln", LLN_CONFIG, ("lifetime", "rate"), -1.0),
+    ("covariance", COVARIANCE_CONFIG, ("pairs",), [[2.0, 1.0]]),
+    ("covariance", COVARIANCE_CONFIG, ("n_images",), -1),
+    ("simulate", SIMULATE_CONFIG, ("intensity",), -1.0),
+    ("simulate", SIMULATE_CONFIG, ("replicates",), 0),
+    ("simulate", SIMULATE_CONFIG, ("phi", "center"), [0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("command,config,path,value", BAD_VALUE_CASES,
+                         ids=[f"{c[0]}-{'.'.join(c[2])}"
+                              for c in BAD_VALUE_CASES])
+def test_bad_config_values_exit_2(tmp_path, command, config, path, value):
+    """Run as a process: exit 2, one error line naming the key, no traceback."""
+    cfg = write_config(tmp_path, "cfg.json", _with(config, path, value))
+    src = str(Path(stablebranch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablebranch.cli", command, "--config", cfg,
+         "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1, proc.stderr
+    assert re.search(rf"\b{path[-1]}\b", errors[0]), errors[0]

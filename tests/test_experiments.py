@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from stablebranch import (
-    Ball,
     CheckRow,
     ConfigError,
     Exponential,
@@ -26,10 +25,7 @@ from stablebranch import (
 from stablebranch.experiments import (
     check_regime,
     fit_decay_slope,
-    predicted_decay_exponent,
     run_covariance_comparison,
-    run_lln_experiment,
-    run_occupancy_experiment,
     run_tree_moment_comparison,
     window_half_side,
 )
@@ -37,6 +33,11 @@ from stablebranch.experiments import (
 EXP1 = Exponential(rate=1.0)
 PARETO_HALF = make_pareto_tail(0.5)
 BUMP_1D = TestFunction(shape="bump", center=np.zeros(1), radius=1.0)
+
+
+def ball(center, radius):
+    """Occupancy target: the indicator of a closed ball."""
+    return TestFunction(shape="indicator", center=center, radius=radius)
 
 
 def kernel(alpha, dim):
@@ -128,8 +129,10 @@ def test_experiment_config_validation():
         _config(horizons=(1.0, 2.3))
     with pytest.raises(ConfigError, match="test function"):
         _config(phi=None)
-    with pytest.raises(ConfigError, match="target ball"):
-        _config(kind="occupancy_subcritical", phi=None, ball=None)
+    with pytest.raises(ConfigError, match="test function"):
+        _config(kind="occupancy_subcritical", phi=None)
+    with pytest.raises(ConfigError, match="indicator"):
+        _config(kind="occupancy_subcritical", phi=BUMP_1D)
     with pytest.raises(ConfigError, match="half_side"):
         _config(half_side=-1.0)
     with pytest.raises(ConfigError, match="window_scale"):
@@ -154,21 +157,6 @@ def test_window_half_side():
     assert window_half_side(cauchy, 4.0) == pytest.approx(6.0)  # 1.5 * 4
 
 
-def test_predicted_decay_exponent():
-    heavy = ExperimentConfig(kind="lln_heavy_intermediate",
-                             kernel=kernel(1.5, 1), law=PARETO_HALF,
-                             horizons=(2.0,), replicates=10, phi=BUMP_1D,
-                             obs_step=0.5)
-    assert predicted_decay_exponent(heavy) == pytest.approx(-1.0 / 6.0)
-    finite = ExperimentConfig(kind="lln_finite_mean", kernel=kernel(2.0, 3),
-                              law=EXP1, horizons=(2.0,), replicates=10,
-                              phi=TestFunction(shape="bump",
-                                               center=np.zeros(3), radius=1.0),
-                              obs_step=0.5)
-    assert predicted_decay_exponent(finite) == pytest.approx(-0.5)
-    assert predicted_decay_exponent(_config()) is None
-
-
 # ---------------------------------------------------------------------------
 # LLN runner
 # ---------------------------------------------------------------------------
@@ -176,7 +164,7 @@ def test_predicted_decay_exponent():
 
 def test_lln_runner_rows_and_determinism():
     cfg = _config(replicates=300)
-    rows = run_lln_experiment(cfg)
+    rows = run_experiment(cfg)
     assert [r.horizon for r in rows] == [1.0, 2.0]
     target = lebesgue_integral(BUMP_1D)
     for r in rows:
@@ -188,34 +176,22 @@ def test_lln_runner_rows_and_determinism():
         # the z column is recomputable from the stats columns
         assert r.z == pytest.approx((r.mean - r.target) / r.se)
         assert r.passed == (abs(r.z) <= 3.0)
-    assert run_lln_experiment(cfg) == rows  # frozen seed => frozen report
-    assert run_experiment(cfg) == rows
+    assert run_experiment(cfg) == rows  # frozen seed => frozen report
 
 
 def test_lln_runner_mean_identity_statistically_correct():
-    rows = run_lln_experiment(_config(replicates=600, horizons=(2.0,)))
+    rows = run_experiment(_config(replicates=600, horizons=(2.0,)))
     assert rows[0].passed, (rows[0].mean, rows[0].target, rows[0].z)
-
-
-def test_lln_runner_rejects_occupancy_kind():
-    cfg = ExperimentConfig(kind="occupancy_subcritical", kernel=kernel(2.0, 1),
-                           law=make_pareto_tail(0.7), horizons=(2.0,),
-                           replicates=10, ball=Ball(np.zeros(1), 0.5),
-                           half_side=2.0, obs_step=0.5)
-    with pytest.raises(ConfigError, match="occupancy"):
-        run_lln_experiment(cfg)
-    with pytest.raises(ConfigError, match="occupancy"):
-        run_occupancy_experiment(_config())
 
 
 def test_lln_runner_enforces_regime_gate():
     cfg = _config(kind="lln_finite_mean", kernel=kernel(2.0, 1))
     with pytest.raises(RegimeError):
-        run_lln_experiment(cfg)
+        run_experiment(cfg)
 
 
 def test_zero_intensity_field_is_empty():
-    rows = run_lln_experiment(_config(intensity=0.0, horizons=(1.0,)))
+    rows = run_experiment(_config(intensity=0.0, horizons=(1.0,)))
     assert rows[0].mean == 0.0 and rows[0].se == 0.0
     assert not rows[0].passed  # infinitely many SE from a positive target
 
@@ -242,7 +218,7 @@ def test_fit_decay_slope_recovers_power_law():
 def occupancy_config(**overrides):
     base = dict(kind="occupancy_subcritical", kernel=kernel(2.0, 1),
                 law=make_pareto_tail(0.7), horizons=(2.0, 4.0),
-                replicates=150, ball=Ball(np.zeros(1), 0.5),
+                replicates=150, phi=ball(np.zeros(1), 0.5),
                 window_scale=1.0, obs_step=0.5, seed=5)
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -250,30 +226,29 @@ def occupancy_config(**overrides):
 
 def test_occupancy_runner_rows():
     cfg = occupancy_config()
-    rows = run_occupancy_experiment(cfg)
+    rows = run_experiment(cfg)
     assert [r.horizon for r in rows] == [2.0, 4.0]
     for r in rows:
         assert 0.0 <= r.mean <= 1.0
         assert r.target == 0.0 and r.variance is None
     # the trend flag is shared across the ladder
     assert len({r.passed for r in rows}) == 1
-    assert run_occupancy_experiment(cfg) == rows
     assert run_experiment(cfg) == rows
 
 
 def test_occupancy_runner_rejects_oversized_ball():
     # smallest window is 2^(1/2) ~ 1.41, so a radius-1.5 ball cannot fit
     with pytest.raises(ConfigError, match="smallest window"):
-        run_occupancy_experiment(occupancy_config(ball=Ball(np.zeros(1), 1.5)))
+        run_experiment(occupancy_config(phi=ball(np.zeros(1), 1.5)))
     # off-center placement violates the fit even with a small radius
     with pytest.raises(ConfigError, match="smallest window"):
-        run_occupancy_experiment(
-            occupancy_config(ball=Ball(np.array([1.3]), 0.3)))
+        run_experiment(
+            occupancy_config(phi=ball(np.array([1.3]), 0.3)))
 
 
 def test_occupancy_runner_enforces_regime_gate():
     with pytest.raises(RegimeError):
-        run_occupancy_experiment(occupancy_config(law=EXP1))
+        run_experiment(occupancy_config(law=EXP1))
 
 
 # ---------------------------------------------------------------------------

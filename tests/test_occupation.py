@@ -1,4 +1,4 @@
-"""Test functions, Fourier profiles, and target balls."""
+"""Test functions and their Fourier profiles."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from stablebranch import (
-    Ball,
     TestFunction,
     lebesgue_integral,
 )
@@ -85,9 +84,10 @@ def test_test_function_validation():
 
 
 def test_ball_contains():
-    ball = Ball(center=[1.0, 0.0], radius=0.5)
-    got = ball.contains(np.array([[1.0, 0.0], [1.5, 0.0], [1.4, 0.4]]))
-    assert got.tolist() == [True, True, False]
+    # the indicator, the occupancy target, is of the closed ball
+    ball = TestFunction(shape="indicator", center=[1.0, 0.0], radius=0.5)
+    got = ball.evaluate(np.array([[1.0, 0.0], [1.5, 0.0], [1.4, 0.4]]))
+    assert got.tolist() == [1.0, 1.0, 0.0]
     assert ball.dim == 2
     with pytest.raises(ValueError):
-        Ball(center=[0.0], radius=-1.0)
+        TestFunction(shape="indicator", center=[0.0], radius=-1.0)
