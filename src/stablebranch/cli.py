@@ -123,13 +123,19 @@ def _positive(cfg: dict, key: str, default=None) -> float:
     return value
 
 
+def _count(value, key: str, least: int) -> int:
+    """A config integer of at least ``least``; a fraction is refused, not cut."""
+    if not (isinstance(value, (int, float)) and float(value).is_integer()
+            and value >= least):
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _replicates(cfg: dict, args, default: int, least: int = 1) -> int:
     """Replicate count: the --replicates flag, else the config, else default."""
-    n = args.replicates if args.replicates is not None else int(
-        cfg.get("replicates", default))
-    if n < least:
-        raise ConfigError(f"replicates must be at least {least}, got {n}")
-    return n
+    n = args.replicates if args.replicates is not None else cfg.get(
+        "replicates", default)
+    return _count(n, "replicates", least)
 
 
 def _parse_law(obj: dict):
@@ -160,22 +166,22 @@ def _system(cfg: dict) -> tuple:
     return kernel, _parse_law(_require(cfg, "lifetime"))
 
 
-def _parse_phi(obj: dict, dim: int) -> TestFunction:
-    _check_keys(obj, _PHI_KEYS, "phi")
+def _parse_phi(obj: dict, dim: int, where: str = "phi") -> TestFunction:
+    _check_keys(obj, _PHI_KEYS, where)
     phi = TestFunction(
         shape=obj.get("shape", "bump"),
         center=np.asarray(obj.get("center", [0.0] * dim), dtype=float),
         radius=float(obj.get("radius", 1.0)),
     )
     if phi.center.shape != (dim,):
-        raise ConfigError(f"center must have {dim} coordinates")
+        raise ConfigError(f"{where} center must have {dim} coordinates")
     return phi
 
 
 def _parse_ball(obj: dict, dim: int) -> TestFunction:
     """The occupancy target: the indicator of a closed ball."""
     _check_keys(obj, _BALL_KEYS, "ball")
-    return _parse_phi({**obj, "shape": "indicator"}, dim)
+    return _parse_phi({**obj, "shape": "indicator"}, dim, "ball")
 
 
 def _experiment_config(cfg: dict, args) -> ExperimentConfig:
@@ -230,16 +236,14 @@ def cmd_covariance(args) -> int:
         cfg = _load_config(args.config, _COVARIANCE_KEYS)
         kernel, law = _system(cfg)
         phi = _parse_phi(_require(cfg, "phi"), kernel.dim)
-        psi = _parse_phi(cfg["psi"], kernel.dim) if "psi" in cfg else phi
+        psi = _parse_phi(cfg["psi"], kernel.dim, "psi") if "psi" in cfg else phi
         pairs = [(float(s), float(t)) for s, t in _require(cfg, "pairs")]
         if not pairs or not all(0 <= s <= t for s, t in pairs):
             raise ConfigError("pairs must be a nonempty list of [s, t], 0 <= s <= t")
         half_side = _positive(cfg, "half_side")
         replicates = _replicates(cfg, args, 20_000, least=2)
         seed = _resolve_seed(args.seed, cfg)
-        n_images = int(cfg.get("n_images", 1))
-        if n_images < 0:
-            raise ConfigError(f"n_images must be nonnegative, got {n_images}")
+        n_images = _count(cfg.get("n_images", 1), "n_images", 0)
     rows = run_covariance_comparison(
         kernel, law, phi, psi, pairs, half_side=half_side,
         replicates=replicates, seed=seed, n_images=n_images,
@@ -270,7 +274,7 @@ def cmd_density(args) -> int:
                               dim=int(_require(cfg, "dim")))
         t = _positive(cfg, "t")
         r_max = _positive(cfg, "r_max", 5.0 * t ** (1.0 / kernel.alpha))
-        radii = np.linspace(0.0, r_max, int(cfg.get("points", 101)))
+        radii = np.linspace(0.0, r_max, _count(cfg.get("points", 101), "points", 1))
     dens = transition_density_radial(kernel, t, radii)
     _emit(args, ("r", "p"), zip(radii.tolist(), dens.tolist()))
     return 0

@@ -315,9 +315,14 @@ def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
                                s: float, t: float, phi: TestFunction,
                                psi: TestFunction, *, replicates: int,
                                seed: int, table: RenewalTable | None = None,
-                               stream_key: int = 220,
-                               threads: int = 1) -> dict:
-    """MC single-tree product moment E[<phi,Z_s><psi,Z_t>] vs analytic."""
+                               stream_key: int = 220, threads: int = 1,
+                               r_points: int = 33,
+                               nodes_per_dim: int | None = None) -> dict:
+    """MC single-tree product moment E[<phi,Z_s><psi,Z_t>] vs analytic.
+
+    ``r_points`` and ``nodes_per_dim`` set the analytic side's grids
+    (see `tree_second_moment`).
+    """
     if not 0 <= s <= t:
         raise ValueError("need 0 <= s <= t")
     if table is None:
@@ -332,7 +337,8 @@ def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
     i = int(np.searchsorted(obs, s))
     j = int(np.searchsorted(obs, t))
     prod = batch.ok("phi")[:, i] * batch.ok("psi")[:, j]
-    analytic = tree_second_moment(kernel, table, x0, s, t, phi, psi)
+    analytic = tree_second_moment(kernel, table, x0, s, t, phi, psi,
+                                  r_points=r_points, nodes_per_dim=nodes_per_dim)
     mc, se, z = _mean_se_z(prod, analytic)
     return {
         "s": s, "t": t, "analytic": analytic, "mc_estimate": mc, "mc_se": se,

@@ -18,7 +18,8 @@ G itself is evaluated as a one-dimensional radial Fourier integral,
 using the closed-form transforms of the test functions; unlike a
 real-space product quadrature this stays uniformly accurate down to
 u -> 0, where the transition density degenerates to a point mass.  A
-real-space route is kept alongside as an independent cross-check.
+route that integrates phi . (S_u psi) over phi's support is kept
+alongside as a cross-check.
 Periodic images of the test functions can be summed into G so the same
 formulas serve as oracles for torus simulations.
 """
@@ -37,6 +38,7 @@ from .renewal import RenewalTable
 from .stable_motion import (
     _LOG_TRUNC,
     StableKernel,
+    _angular_factor,
     _check_tail,
     _default_nodes,
     _gl_rule,
@@ -54,21 +56,8 @@ def occupation_mean(phi: TestFunction, t: float) -> float:
     return lebesgue_integral(phi) * t
 
 
-def _angular_factor(dim: int, z) -> np.ndarray:
-    """Spherical average of exp(i xi . w) over |xi|=1 at |w| = z."""
-    z = np.asarray(z, dtype=float)
-    if dim == 1:
-        return np.cos(z)
-    nu = dim / 2.0 - 1.0
-    out = np.ones_like(z)
-    big = z >= 1e-6
-    zb = z[big]
-    out[big] = special.gamma(dim / 2.0) * (2.0 / zb) ** nu * special.jv(nu, zb)
-    return out
-
-
 def _offset_vectors(phi, psi, torus_half_side, n_images) -> np.ndarray:
-    base = np.asarray(psi.center, dtype=float) - np.asarray(phi.center, dtype=float)
+    base = psi.center - phi.center
     if torus_half_side is None:
         return base[None, :]
     period = 2.0 * torus_half_side
@@ -164,17 +153,16 @@ def pair_correlation_realspace(kernel: StableKernel, phi: TestFunction,
                                nodes_per_dim: int | None = None) -> float:
     """G(u) by Simpson quadrature of phi . (S_u psi) over phi's support.
 
-    Independent cross-check route for `pair_correlation`; loses accuracy
-    as u -> 0 when the transition density outruns the grid.
+    Cross-check route for `pair_correlation`: only the outer integral is
+    real-space; S_u psi comes from `semigroup_apply`, a radial Fourier
+    inversion at each node, instead of the product of the two transforms.
     """
     if u < 0.0:
         raise ValueError("time lag must be nonnegative")
     d = kernel.dim
     if u == 0.0:
-        base = np.linalg.norm(
-            np.asarray(psi.center, float) - np.asarray(phi.center, float)
-        )
-        return _overlap_integral(phi, psi, float(base), d)
+        delta = float(np.linalg.norm(psi.center - phi.center))
+        return _overlap_integral(phi, psi, delta, d)
     n = nodes_per_dim or _default_nodes(d)
     pts, w = support_quadrature(phi.center, phi.radius, d, n)
     return float(w @ (phi.evaluate(pts) * semigroup_apply(kernel, psi, u, pts)))
@@ -256,14 +244,9 @@ def tree_second_moment(kernel: StableKernel, table: RenewalTable, x0, s: float,
     rad = np.linalg.norm(pts - x0[None, :], axis=1)
     out = float(transition_density_radial(kernel, s, rad) @ fy)
 
-    c1 = np.asarray(phi.center, dtype=float)
-    c2 = np.asarray(psi.center, dtype=float)
-    mid = (c1 + c2) / 2.0
-    half = float(
-        max(np.max(np.abs(c1 - mid)) + phi.radius,
-            np.max(np.abs(c2 - mid)) + psi.radius)
-        + margin * t ** (1.0 / kernel.alpha)
-    )
+    mid = (phi.center + psi.center) / 2.0
+    half = float(max(np.max(np.abs(f.center - mid)) + f.radius for f in (phi, psi))
+                 + margin * t ** (1.0 / kernel.alpha))
     zpts, zw = support_quadrature(mid, half, d, n)
     zrad = np.linalg.norm(zpts - x0[None, :], axis=1)
     rs = np.linspace(0.0, s, r_points)

@@ -42,6 +42,8 @@ class TestFunction:
 
     def evaluate(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[-1] != self.dim:
+            raise ValueError(f"points must have {self.dim} coordinates")
         q = np.sum((pts - self.center) ** 2, axis=-1) / self.radius**2
         if self.shape == "bump":
             inside = q < 1.0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import interpolate, special
@@ -92,12 +92,14 @@ def sample_increments(kernel: StableKernel, dts, rng) -> np.ndarray:
 # Radial Fourier inversion
 #
 # For an isotropic integrable f-hat, the inverse transform at radius r is
-#     f(r) = (2 pi)^(-d/2) r^(1-d/2) Int_0^inf fhat(k) k^(d/2) J_{d/2-1}(k r) dk
-# with the r -> 0 limit
-#     f(0) = (2 pi)^(-d) omega_{d-1} Int_0^inf fhat(k) k^(d-1) dk,
-# omega_{d-1} the surface area of the unit sphere.  The integrand mixes a
-# decaying envelope with Bessel oscillation of wavelength 2 pi / r, so the
-# nodes are composite Gauss-Legendre panels no wider than half a wavelength.
+#     f(r) = (2 pi)^(-d) omega_{d-1} Int_0^inf fhat(k) k^(d-1) A_d(k r) dk,
+# omega_{d-1} the surface area of the unit sphere and A_d the spherical
+# average of exp(i xi . w) over |xi| = 1 at |w| = z:
+#     A_1 = cos z,  A_2 = J_0(z),  A_3 = sin z / z,
+#     A_d = Gamma(d/2) (2/z)^(d/2-1) J_{d/2-1}(z)  in general,
+# all equal to 1 at z = 0.  The integrand mixes a decaying envelope with
+# oscillation of wavelength 2 pi / r, so the nodes are composite
+# Gauss-Legendre panels no wider than half a wavelength.
 # ---------------------------------------------------------------------------
 
 _GL_POINTS = 16
@@ -125,40 +127,55 @@ def _panel_nodes(k_max: float, wavelength: float, min_panels: int = 24):
     return nodes, weights
 
 
+def _angular_factor(dim: int, z) -> np.ndarray:
+    """Spherical average A_d(z) of exp(i xi . w) over |xi| = 1 at |w| = z.
+
+    Elementary in d = 1, 2, 3 (cos, j0, sin z / z); a general-order
+    Bessel function only from d = 4 on.
+    """
+    z = np.asarray(z, dtype=float)
+    if dim == 1:
+        return np.cos(z)
+    if dim == 2:
+        return special.j0(z)
+    if dim == 3:
+        return np.sinc(z / np.pi)
+    nu = dim / 2.0 - 1.0
+    zs = np.where(z < 1e-6, 1.0, z)
+    return np.where(z < 1e-6, 1.0,
+                    special.gamma(dim / 2.0) * (2.0 / zs) ** nu * special.jv(nu, zs))
+
+
 def radial_fourier_inverse(fhat, dim: int, radii, k_max: float,
-                           tail_tol: float = 1e-8) -> np.ndarray:
+                           tail_tol: float = 1e-8, *, floor: float = 0.0,
+                           reach: float = 0.0) -> np.ndarray:
     """Invert an isotropic Fourier profile at the given radii.
 
-    ``fhat`` is a vectorized function of |y|.  Truncation at ``k_max`` is
-    the caller's responsibility; the last panel's contribution is checked
-    against ``tail_tol`` as a cheap guard for a too-early cut.
+    ``fhat`` is a vectorized function of |y|; ``reach`` is the radius on
+    which fhat itself oscillates (the support radius of the function it
+    transforms), so the panels resolve both oscillations.  Truncation at
+    ``k_max`` is the caller's responsibility; the last panel's share of
+    the output is checked against ``tail_tol`` times the larger of the
+    largest output and ``floor`` (the function's own scale), as a cheap
+    guard for a too-early cut.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii < 0.0):
         raise ValueError("radii must be nonnegative")
-    d = dim
-    r_max = radii.max()
-    wavelength = 2.0 * np.pi / r_max if r_max > 0 else np.inf
+    # tensor grids repeat radii many times over; invert each one once
+    radii, repeat = np.unique(radii, return_inverse=True)
+    extent = radii.max(initial=0.0) + reach
+    wavelength = 2.0 * np.pi / extent if extent > 0 else np.inf
     nodes, weights = _panel_nodes(float(k_max), float(wavelength))
-    fh = fhat(nodes)
-
+    omega = 2.0 * np.pi ** (dim / 2.0) / special.gamma(dim / 2.0)
+    integ = (2.0 * np.pi) ** (-dim) * omega * fhat(nodes) * nodes ** (dim - 1)
     out = np.empty_like(radii)
-    zero = radii == 0.0
-    if zero.any():
-        omega = 2.0 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
-        integ = fh * nodes ** (d - 1)
-        total = weights @ integ
-        _check_tail(integ, weights, total, tail_tol)
-        out[zero] = (2.0 * np.pi) ** (-d) * omega * total
-    if (~zero).any():
-        r = radii[~zero]
-        nu = d / 2.0 - 1.0
-        bess = special.jv(nu, nodes[None, :] * r[:, None])
-        integ = fh * nodes ** (d / 2.0)
-        vals = bess @ (weights * integ)
-        _check_tail(integ, weights, np.abs(vals).max(initial=0.0), tail_tol)
-        out[~zero] = (2.0 * np.pi) ** (-d / 2.0) * r ** (1.0 - d / 2.0) * vals
-    return out
+    block = max(1, 2_000_000 // len(nodes))  # radius-by-node entries per block
+    for lo in range(0, len(radii), block):
+        z = radii[lo : lo + block, None] * nodes[None, :]
+        out[lo : lo + block] = _angular_factor(dim, z) @ (weights * integ)
+    _check_tail(integ, weights, max(np.abs(out).max(initial=0.0), floor), tail_tol)
+    return out[repeat]
 
 
 def _check_tail(integ, weights, scale, tail_tol):
@@ -218,37 +235,28 @@ def _simpson_grid(lo, hi, n):
 
 def support_quadrature(center, radius: float, dim: int, nodes_per_dim: int):
     """Tensor Simpson rule over the cube circumscribing a support ball."""
-    center = np.asarray(center, dtype=float)
-    axes = []
-    wts = []
-    for i in range(dim):
-        xs, w = _simpson_grid(center[i] - radius, center[i] + radius, nodes_per_dim)
-        axes.append(xs)
-        wts.append(w)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    weight = wts[0]
-    for w in wts[1:]:
-        weight = np.multiply.outer(weight, w)
-    return pts, weight.ravel()
+    axes, wts = zip(*(_simpson_grid(c - radius, c + radius, nodes_per_dim)
+                      for c in np.asarray(center, dtype=float)[:dim]))
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return pts, reduce(np.multiply.outer, wts).ravel()
 
 
 def _default_nodes(dim: int) -> int:
     return {1: 257, 2: 65, 3: 33}.get(dim, 21)
 
 
-def semigroup_apply(kernel: StableKernel, phi, t: float, x, *,
-                    nodes_per_dim: int | None = None):
+def semigroup_apply(kernel: StableKernel, phi, t: float, x):
     """Evaluate (S_t phi)(x) = Int p_t(x - y) phi(y) dy.
 
-    ``phi`` needs `evaluate`, `center` and `radius` attributes; the
-    quadrature is a tensor Simpson rule over the support cube, which is
-    adequate while t**(1/alpha) is not far below the grid spacing.  At
-    t = 0 this is the identity.  ``x`` may be a single point or a batch
-    of shape (m, dim).
+    ``phi`` is a radial `TestFunction`: S_t phi is the radial Fourier
+    inverse of k -> phi-hat(k) exp(-t k**alpha), taken at |x - c|, so it
+    stays accurate however small t**(1/alpha) is.  At t = 0 this is the
+    identity.  ``x`` may be a single point or a batch of shape (m, dim).
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
+    if phi.dim != kernel.dim:
+        raise ValueError(f"phi has {phi.dim} coordinates, the kernel {kernel.dim}")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts_x = x[None, :] if single else x
@@ -256,17 +264,11 @@ def semigroup_apply(kernel: StableKernel, phi, t: float, x, *,
         raise ValueError(f"points must have {kernel.dim} coordinates")
     if t == 0.0:
         vals = phi.evaluate(pts_x)
-        return float(vals[0]) if single else vals
-    n = nodes_per_dim or _default_nodes(kernel.dim)
-    pts_y, w = support_quadrature(phi.center, phi.radius, kernel.dim, n)
-    fy = phi.evaluate(pts_y) * w
-    # chunk the evaluation points so the pairwise-distance block stays
-    # bounded (the full matrix is m * n**dim entries)
-    block = max(1, int(4_000_000 / max(len(pts_y), 1)))
-    vals = np.empty(len(pts_x))
-    for lo in range(0, len(pts_x), block):
-        chunk = pts_x[lo : lo + block]
-        radii = np.linalg.norm(chunk[:, None, :] - pts_y[None, :, :], axis=-1)
-        dens = transition_density_radial(kernel, t, radii.ravel()).reshape(radii.shape)
-        vals[lo : lo + block] = dens @ fy
+    else:
+        alpha = kernel.alpha
+        vals = radial_fourier_inverse(
+            lambda k: phi.fourier_profile(k) * np.exp(-t * k**alpha), kernel.dim,
+            np.linalg.norm(pts_x - phi.center, axis=1), _density_k_max(alpha, t),
+            floor=1.0, reach=phi.radius,  # sup phi = 1 for both shapes
+        )
     return float(vals[0]) if single else vals

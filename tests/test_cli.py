@@ -318,6 +318,7 @@ UNKNOWN_KEY_CASES = [
     ("occupancy", OCCUPANCY_CONFIG, ("lifetime", "rate"), 1.0),
     ("covariance", COVARIANCE_CONFIG, ("n_image",), 2),
     ("covariance", COVARIANCE_CONFIG, ("phi", "shap"), "bump"),
+    ("covariance", COVARIANCE_CONFIG, ("psi",), {"radius": 1.0, "shap": "bump"}),
     ("renewal", RENEWAL_CONFIG, ("lifetime", "scale"), 1.0),
     ("renewal", RENEWAL_CONFIG, ("seed",), 3),
     ("density", DENSITY_CONFIG, ("point",), 7),
@@ -364,6 +365,8 @@ BAD_VALUE_CASES = [
     ("simulate", SIMULATE_CONFIG, ("intensity",), -1.0),
     ("simulate", SIMULATE_CONFIG, ("replicates",), 0),
     ("simulate", SIMULATE_CONFIG, ("phi", "center"), [0.0, 0.0]),
+    ("density", {**DENSITY_CONFIG, "alpha": 1.5}, ("points",), 0),
+    ("density", DENSITY_CONFIG, ("points",), 2.5),
 ]
 
 

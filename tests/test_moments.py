@@ -32,6 +32,7 @@ from stablebranch import (
     tree_batch,
     tree_second_moment,
 )
+from stablebranch.experiments import run_tree_moment_comparison
 from stablebranch.moments import pair_correlation_realspace
 
 EXP1 = Exponential(rate=1.0)
@@ -298,6 +299,21 @@ def test_tree_second_moment_matches_monte_carlo(exp_table):
     se = prods.std(ddof=1) / np.sqrt(len(prods))
     z = (prods.mean() - analytic) / se
     assert abs(z) <= 3.5, (prods.mean(), analytic, z)
+
+
+@pytest.mark.parametrize("dim,seed,grid", [
+    (1, 47, {}),
+    # a coarser outer grid keeps d = 2 affordable
+    (2, 48, {"nodes_per_dim": 45, "r_points": 17}),
+], ids=["d1", "d2"])
+def test_tree_second_moment_heavy_tailed_motion_matches_monte_carlo(dim, seed,
+                                                                    grid):
+    """alpha < 2: the margin * t**(1/alpha) cut of the outer integral must
+    hold for heavy-tailed jumps too."""
+    out = run_tree_moment_comparison(
+        StableKernel(alpha=1.5, dim=dim), EXP1, np.zeros(dim), 1.0, 2.0,
+        bump(dim), bump(dim), replicates=40000, seed=seed, **grid)
+    assert out["passed"], out
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,14 @@ def test_evaluate_shapes():
     assert_allclose(vals, [1.0, 1.0, 0.0])
 
 
+def test_evaluate_rejects_dimension_mismatch():
+    phi = TestFunction(shape="bump", center=[0.0, 0.0], radius=1.0)
+    with pytest.raises(ValueError):
+        phi.evaluate(np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        phi.evaluate(np.zeros((3, 3)))
+
+
 def test_test_function_validation():
     with pytest.raises(ValueError):
         TestFunction(shape="square", center=[0.0], radius=1.0)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 
 from stablebranch import (
     QuadratureError,
@@ -185,6 +186,49 @@ def test_semigroup_matches_direct_convolution():
         dens = (4 * math.pi * t) ** -0.5 * np.exp(-((x - grid) ** 2) / (4 * t))
         ref = np.trapezoid(fv * dens, grid)
         assert abs(g - ref) < 1e-7
+
+
+def test_semigroup_resolves_small_times():
+    """t**(1/alpha) well below the width of the bump still resolves."""
+    kernel = StableKernel(alpha=2.0, dim=1)
+    phi = TestFunction(shape="bump", center=np.zeros(1), radius=1.0)
+    t = 2e-3
+    xs = np.array([[0.0], [0.5], [0.98], [1.05]])
+    got = semigroup_apply(kernel, phi, t, xs)
+    grid = np.linspace(-1.0, 1.0, 40001)
+    fv = phi.evaluate(grid[:, None])
+    for x, g in zip(xs[:, 0], got):
+        dens = (4 * math.pi * t) ** -0.5 * np.exp(-((x - grid) ** 2) / (4 * t))
+        assert abs(g - np.trapezoid(fv * dens, grid)) < 1e-7
+
+
+def test_semigroup_of_wide_indicator_matches_erf():
+    """The panels resolve phi-hat's own oscillation (radius 20), not only
+    the evaluation radii near the center."""
+    kernel = StableKernel(alpha=2.0, dim=1)
+    phi = TestFunction(shape="indicator", center=np.zeros(1), radius=20.0)
+    t, xs = 1e-3, np.array([0.0, 0.1])
+    got = semigroup_apply(kernel, phi, t, xs[:, None])
+    width = math.sqrt(4 * t)
+    exact = 0.5 * (special.erf((20.0 - xs) / width) + special.erf((20.0 + xs) / width))
+    assert_allclose(got, exact, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("offset,t", [(50.0, 1.0), (3.0, 1e-3)])
+def test_semigroup_far_field_is_zero_without_tail_error(dim, offset, t):
+    """Where S_t phi vanishes the tail guard measures against sup phi = 1."""
+    kernel = StableKernel(alpha=2.0, dim=dim)
+    phi = TestFunction(shape="indicator", center=np.zeros(dim), radius=1.0)
+    x = np.zeros(dim)
+    x[0] = offset
+    assert abs(semigroup_apply(kernel, phi, t, x)) < 1e-12
+
+
+def test_semigroup_rejects_dimension_mismatch():
+    phi = TestFunction(shape="bump", center=np.zeros(2), radius=1.0)
+    with pytest.raises(ValueError):
+        semigroup_apply(StableKernel(alpha=1.5, dim=1), phi, 0.5, np.zeros(1))
 
 
 def test_semigroup_against_monte_carlo():
