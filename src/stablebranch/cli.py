@@ -11,7 +11,7 @@ Every command writes CSV to ``--out`` (or stdout) and returns exit code
 on configuration errors, among them any config key the subcommand does
 not read and any out-of-range config value.  Seeds resolve as: ``--seed``
 flag, then the config file, then the ``STABLEBRANCH_SEED`` environment
-variable, then 0.
+variable, then 0; each must be an integer >= 0.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .experiments import (
 )
 from .fastsim import field_batch, obs_grid
 from .lifetimes import Exponential, Gamma, ParetoTail, make_pareto_tail
-from .occupation import TestFunction
+from .occupation import TestFunction, check_inside_window
 from .renewal import build_renewal
 from .stable_motion import StableKernel, transition_density_radial
 
@@ -51,7 +51,7 @@ _EXPERIMENT_KEYS = _SYSTEM_KEYS | {
     "kind", "phi", "ball", "horizons", "replicates", "half_side",
     "window_scale", "obs_step", "seed", "intensity", "label"}
 _COVARIANCE_KEYS = _SYSTEM_KEYS | {
-    "phi", "psi", "pairs", "half_side", "replicates", "seed", "n_images"}
+    "phi", "psi", "pairs", "half_side", "replicates", "seed"}
 _RENEWAL_KEYS = {"lifetime", "horizon", "grid_step"}
 _DENSITY_KEYS = {"alpha", "dim", "t", "r_max", "points"}
 _SIMULATE_KEYS = _SYSTEM_KEYS | {
@@ -60,17 +60,16 @@ _SIMULATE_KEYS = _SYSTEM_KEYS | {
 
 
 def _resolve_seed(cli_seed, cfg: dict | None) -> int:
+    """The seed as an integer >= 0 from the first source that sets it."""
     if cli_seed is not None:
-        return int(cli_seed)
+        return _count(cli_seed, "--seed", 0)
     if cfg is not None and cfg.get("seed") is not None:
-        return int(cfg["seed"])
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
-    return 0
+        return _count(cfg["seed"], "seed", 0)
+    env = os.environ.get(ENV_SEED, "0")
+    try:
+        return _count(int(env), ENV_SEED, 0)
+    except ValueError as exc:
+        raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
 
 
 def _check_keys(obj, allowed: set, where: str) -> None:
@@ -124,9 +123,9 @@ def _positive(cfg: dict, key: str, default=None) -> float:
 
 
 def _count(value, key: str, least: int) -> int:
-    """A config integer of at least ``least``; a fraction is refused, not cut."""
-    if not (isinstance(value, (int, float)) and float(value).is_integer()
-            and value >= least):
+    """A config integer of at least ``least``; a fraction or bool is refused."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and float(value).is_integer() and value >= least):
         raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -159,11 +158,14 @@ def _parse_law(obj: dict):
     )
 
 
+def _kernel(cfg: dict) -> StableKernel:
+    return StableKernel(alpha=float(_require(cfg, "alpha")),
+                        dim=_count(_require(cfg, "dim"), "dim", 1))
+
+
 def _system(cfg: dict) -> tuple:
     """The migration kernel and lifetime law of a config."""
-    kernel = StableKernel(alpha=float(_require(cfg, "alpha")),
-                          dim=int(_require(cfg, "dim")))
-    return kernel, _parse_law(_require(cfg, "lifetime"))
+    return _kernel(cfg), _parse_law(_require(cfg, "lifetime"))
 
 
 def _parse_phi(obj: dict, dim: int, where: str = "phi") -> TestFunction:
@@ -241,13 +243,12 @@ def cmd_covariance(args) -> int:
         if not pairs or not all(0 <= s <= t for s, t in pairs):
             raise ConfigError("pairs must be a nonempty list of [s, t], 0 <= s <= t")
         half_side = _positive(cfg, "half_side")
+        check_inside_window(half_side, phi, psi)
         replicates = _replicates(cfg, args, 20_000, least=2)
         seed = _resolve_seed(args.seed, cfg)
-        n_images = _count(cfg.get("n_images", 1), "n_images", 0)
     rows = run_covariance_comparison(
         kernel, law, phi, psi, pairs, half_side=half_side,
-        replicates=replicates, seed=seed, n_images=n_images,
-        threads=args.threads,
+        replicates=replicates, seed=seed, threads=args.threads,
     )
     header = ("s", "t", "analytic", "mc_estimate", "mc_se", "z", "passed")
     _emit(args, header, [[r[c] for c in header] for r in rows])
@@ -270,8 +271,7 @@ def cmd_renewal(args) -> int:
 def cmd_density(args) -> int:
     with _reading_config():
         cfg = _load_config(args.config, _DENSITY_KEYS)
-        kernel = StableKernel(alpha=float(_require(cfg, "alpha")),
-                              dim=int(_require(cfg, "dim")))
+        kernel = _kernel(cfg)
         t = _positive(cfg, "t")
         r_max = _positive(cfg, "r_max", 5.0 * t ** (1.0 / kernel.alpha))
         radii = np.linspace(0.0, r_max, _count(cfg.get("points", 101), "points", 1))

@@ -25,13 +25,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, RegimeError
-from .fastsim import (
-    DEFAULT_POPULATION_CAP,
-    field_batch,
-    obs_grid,
-    replicate_stream,
-    tree_batch,
-)
+from .fastsim import field_batch, obs_grid, replicate_stream, tree_batch
 from .lifetimes import Exponential, Gamma, LifetimeLaw, make_pareto_tail
 from .moments import (
     CovarianceSpec,
@@ -39,7 +33,7 @@ from .moments import (
     field_covariance,
     tree_second_moment,
 )
-from .occupation import TestFunction, lebesgue_integral
+from .occupation import TestFunction, check_inside_window, lebesgue_integral
 from .renewal import RenewalTable, build_renewal, elementary_renewal_check
 from .stable_motion import (
     StableKernel,
@@ -77,7 +71,6 @@ class ExperimentConfig:
     obs_step: float = 0.5
     seed: int = 0
     intensity: float = 1.0
-    population_cap: int = DEFAULT_POPULATION_CAP
     threads: int = 1
     label: str = ""
 
@@ -106,16 +99,14 @@ class ExperimentConfig:
             raise ConfigError("half_side must be positive")
         if self.half_side is None and self.window_scale <= 0:
             raise ConfigError("window_scale must be positive")
-        if self.kind == "occupancy_subcritical":
-            if self.phi.shape != "indicator":
-                raise ConfigError("occupancy experiments need phi to be the "
-                                  "indicator of the target ball")
-            l_min = min(window_half_side(self, h) for h in horizons)
-            if np.max(np.abs(self.phi.center)) + self.phi.radius >= l_min:
-                raise ConfigError(
-                    f"target ball must sit inside the smallest window "
-                    f"(half side {l_min:g})"
-                )
+        if self.kind == "occupancy_subcritical" and self.phi.shape != "indicator":
+            raise ConfigError("occupancy experiments need phi to be the "
+                              "indicator of the target ball")
+        l_min = min(window_half_side(self, h) for h in horizons)
+        try:  # the target <phi, Lambda> assumes phi inside every window
+            check_inside_window(l_min, self.phi)
+        except ValueError as exc:
+            raise ConfigError(f"phi must fit the smallest window: {exc}") from exc
         if self.intensity < 0:
             raise ConfigError("intensity must be nonnegative")
         if not self.label:
@@ -218,8 +209,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             obs_times=obs, half_side=window_half_side(config, horizon),
             seed=config.seed, intensity=config.intensity,
             weights={"phi": phi.evaluate},
-            population_cap=config.population_cap, stream_key=ti + 1,
-            threads=config.threads,
+            stream_key=ti + 1, threads=config.threads,
         )
         series = batch.ok("phi")
         if occupancy:
@@ -265,23 +255,20 @@ def default_renewal_table(law: LifetimeLaw, horizon: float) -> RenewalTable:
 def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
                               phi: TestFunction, psi: TestFunction, pairs, *,
                               half_side: float, replicates: int, seed: int,
-                              table: RenewalTable | None = None,
-                              n_images: int = 1, p_two: float = 0.5,
-                              stream_key: int = 200,
+                              p_two: float = 0.5, stream_key: int = 200,
                               threads: int = 1) -> list[dict]:
     """MC field covariance vs the analytic formula at (s, t) pairs.
 
     Returns one dict per pair with keys s, t, analytic, mc_estimate,
-    mc_se, z, passed (|z| <= 3).  The analytic side includes the
-    window's periodic images so both sides describe the same torus
-    system.
+    mc_se, z, passed (|z| <= 3).  The analytic side is the covariance
+    on the simulated torus, so phi and psi must lie inside the window
+    (ValueError, raised before anything is simulated).
     """
     pairs = [(float(s), float(t)) for s, t in pairs]
-    for s, t in pairs:
-        if not 0 <= s <= t:
-            raise ValueError("pairs must satisfy 0 <= s <= t")
-    if table is None:
-        table = default_renewal_table(law, max(t for _, t in pairs))
+    if not all(0 <= s <= t for s, t in pairs):
+        raise ValueError("pairs must satisfy 0 <= s <= t")
+    check_inside_window(half_side, phi, psi)
+    table = default_renewal_table(law, max(t for _, t in pairs))
     obs = np.unique(np.array([0.0] + [s for s, _ in pairs] + [t for _, t in pairs]))
     batch = field_batch(
         kernel, law, replicates=replicates, obs_times=obs,
@@ -301,8 +288,7 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
         mc = float(resid.sum() / (len(a) - 1))
         se = float(resid.std(ddof=1) / math.sqrt(len(a)))
         spec = CovarianceSpec(kernel, table, phi, psi, s, t)
-        analytic = field_covariance(spec, torus_half_side=half_side,
-                                    n_images=n_images)
+        analytic = field_covariance(spec, torus_half_side=half_side)
         z = _zscore(mc, se, analytic)
         out.append({
             "s": s, "t": t, "analytic": analytic, "mc_estimate": mc,
@@ -314,8 +300,7 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
 def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
                                s: float, t: float, phi: TestFunction,
                                psi: TestFunction, *, replicates: int,
-                               seed: int, table: RenewalTable | None = None,
-                               stream_key: int = 220, threads: int = 1,
+                               seed: int, stream_key: int = 220, threads: int = 1,
                                r_points: int = 33,
                                nodes_per_dim: int | None = None) -> dict:
     """MC single-tree product moment E[<phi,Z_s><psi,Z_t>] vs analytic.
@@ -325,8 +310,7 @@ def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
     """
     if not 0 <= s <= t:
         raise ValueError("need 0 <= s <= t")
-    if table is None:
-        table = default_renewal_table(law, max(s, 1e-3))
+    table = default_renewal_table(law, max(s, 1e-3))
     x0 = np.asarray(x0, dtype=float)
     obs = np.unique(np.array([s, t]))
     batch = tree_batch(

@@ -14,28 +14,32 @@ for 0 <= s <= t; the single-tree second moment has the same renewal
 structure run from a point, and the occupation-time variance is the
 double time integral of the covariance kernel.
 
-G itself is evaluated as a one-dimensional radial Fourier integral,
-using the closed-form transforms of the test functions; unlike a
+G itself comes from the closed-form transforms of the test functions.
+In free space it is a one-dimensional radial Fourier integral; unlike a
 real-space product quadrature this stays uniformly accurate down to
 u -> 0, where the transition density degenerates to a point mass.  A
 route that integrates phi . (S_u psi) over phi's support is kept
-alongside as a cross-check.
-Periodic images of the test functions can be summed into G so the same
-formulas serve as oracles for torus simulations.
+alongside as a cross-check.  On the torus [-L, L)^d that the simulators
+wrap onto, the integral becomes its exact dual-lattice series, so every
+formula here is also an exact oracle for a torus simulation whose test
+functions sit inside the window.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import special
 
 from .errors import RegimeError
-from .occupation import TestFunction, lebesgue_integral
+from .occupation import TestFunction, check_inside_window, lebesgue_integral
 from .renewal import RenewalTable
 from .stable_motion import (
+    _GL_POINTS,
     _LOG_TRUNC,
     StableKernel,
     _angular_factor,
@@ -48,23 +52,14 @@ from .stable_motion import (
     transition_density_radial,
 )
 
+_TAIL_TOL = 1e-6  # share of G a cut may leave in its last panel or shell
+
 
 def occupation_mean(phi: TestFunction, t: float) -> float:
     """E<phi, J_t> = <phi, Lambda> * t, exact under criticality."""
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     return lebesgue_integral(phi) * t
-
-
-def _offset_vectors(phi, psi, torus_half_side, n_images) -> np.ndarray:
-    base = psi.center - phi.center
-    if torus_half_side is None:
-        return base[None, :]
-    period = 2.0 * torus_half_side
-    shifts = np.arange(-n_images, n_images + 1) * period
-    grids = np.meshgrid(*([shifts] * base.size), indexing="ij")
-    lattice = np.stack([g.ravel() for g in grids], axis=-1)
-    return base[None, :] + lattice
 
 
 def _radial_profile(tf: TestFunction):
@@ -119,33 +114,65 @@ def _overlap_integral(phi: TestFunction, psi: TestFunction, delta: float,
 
 
 def pair_correlation(kernel: StableKernel, phi: TestFunction, psi: TestFunction,
-                     u: float, *, torus_half_side: float | None = None,
-                     n_images: int = 1, tail_tol: float = 1e-6) -> float:
+                     u: float, *, torus_half_side: float | None = None) -> float:
     """Stationary pair correlation G(u) = <phi . S_u psi, Lambda>.
 
-    With ``torus_half_side`` set, periodic images of ``psi`` within
-    ``n_images`` lattice shells are summed in, giving the analogous
-    quantity for the dynamics wrapped on the torus [-L, L)^d.
+    Free space: the radial integral G(u) = (2 pi)^-d Int phi^(k) psi^(k)
+    exp(-u |k|^alpha) cos(k . D) dk, with D = psi.center - phi.center.
+    Torus [-L, L)^d (``torus_half_side`` L): its exact dual-lattice series,
+    (2L)^-d times the same summand over k_n = pi n / L, n in Z^d; phi and
+    psi must lie inside the window (ValueError).  Both cut where
+    exp(-u k^alpha) < 1e-12 and raise QuadratureError if the last panel or
+    lattice shell carries over 1e-6 of G.  At u = 0 both are Int phi psi.
     """
     if u < 0.0:
         raise ValueError("time lag must be nonnegative")
-    d = kernel.dim
-    vecs = _offset_vectors(phi, psi, torus_half_side, n_images)
-    dists = np.linalg.norm(vecs, axis=1)
-    if u == 0.0:
-        return float(sum(_overlap_integral(phi, psi, dl, d) for dl in dists))
-    alpha = kernel.alpha
+    if torus_half_side is not None:
+        check_inside_window(torus_half_side, phi, psi)
+    d, alpha = kernel.dim, kernel.alpha
+    offset = psi.center - phi.center
+    dist = float(np.linalg.norm(offset))
+    if u == 0.0:  # inside the window no image of psi reaches phi's support
+        return _overlap_integral(phi, psi, dist, d)
+    floor = 1e-9 * lebesgue_integral(phi) * lebesgue_integral(psi)
+    if torus_half_side is not None:
+        return _torus_series(kernel, phi, psi, u, torus_half_side, offset, floor)
     k_max = 1.25 * (_LOG_TRUNC / u) ** (1.0 / alpha)
-    osc = phi.radius + psi.radius + float(dists.max())
+    osc = phi.radius + psi.radius + dist
     nodes, weights = _panel_nodes(float(k_max), float(2.0 * np.pi / osc))
     fprod = phi.fourier_profile(nodes) * psi.fourier_profile(nodes)
-    ang = _angular_factor(d, nodes[None, :] * dists[:, None]).sum(axis=0)
-    integ = fprod * ang * np.exp(-u * nodes**alpha) * nodes ** (d - 1)
+    integ = (fprod * _angular_factor(d, nodes * dist)
+             * np.exp(-u * nodes**alpha) * nodes ** (d - 1))
     total = weights @ integ
-    floor = 1e-9 * lebesgue_integral(phi) * lebesgue_integral(psi)
-    _check_tail(integ, weights, max(abs(float(total)), floor), tail_tol)
+    tail = weights[-_GL_POINTS:] @ integ[-_GL_POINTS:]
+    _check_tail(tail, max(abs(float(total)), floor), _TAIL_TOL)
     omega = 2.0 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
     return float((2.0 * np.pi) ** (-d) * omega * total)
+
+
+def _torus_series(kernel, phi, psi, u, half_side, offset, floor) -> float:
+    """The dual-lattice series of `pair_correlation` on [-L, L)^d."""
+    d, alpha, step = kernel.dim, kernel.alpha, np.pi / half_side
+    # |n| <= n_max reaches one unit shell past the cut; that shell is checked
+    n_max = math.ceil((_LOG_TRUNC / u) ** (1.0 / alpha) / step) + 1
+    # phi^ psi^ exp(-u k^alpha) depends on n only through |n|^2: one value
+    # per possible |n|^2 (squares in d = 1, every integer from d = 2 on)
+    sq = np.arange(n_max + 1) ** 2 if d == 1 else np.arange(n_max**2 + 1)
+    k = step * np.sqrt(sq)
+    radial = phi.fourier_profile(k) * psi.fourier_profile(k) * np.exp(-u * k**alpha)
+    # one block spans the last min(d, 2) coordinates; slabs walk the rest
+    lead, ns = max(d - 2, 0), np.arange(-n_max, n_max + 1)
+    block = np.stack(np.meshgrid(*[ns] * (d - lead)), axis=-1).reshape(-1, d - lead)
+    total = shell = 0.0
+    for slab in itertools.product(ns, repeat=lead):
+        m2 = np.sum(block**2, axis=1) + np.dot(slab, slab)
+        keep = m2 <= n_max**2
+        phase = step * (block[keep] @ offset[lead:] + np.dot(slab, offset[:lead]))
+        terms = radial[np.searchsorted(sq, m2[keep])] * np.cos(phase)
+        total += terms.sum()
+        shell += np.abs(terms[m2[keep] > (n_max - 1) ** 2]).sum()
+    _check_tail(shell, max(abs(total), floor), _TAIL_TOL)
+    return float(total) / (2.0 * half_side) ** d
 
 
 def pair_correlation_realspace(kernel: StableKernel, phi: TestFunction,
@@ -157,12 +184,9 @@ def pair_correlation_realspace(kernel: StableKernel, phi: TestFunction,
     real-space; S_u psi comes from `semigroup_apply`, a radial Fourier
     inversion at each node, instead of the product of the two transforms.
     """
-    if u < 0.0:
-        raise ValueError("time lag must be nonnegative")
+    if u <= 0.0:  # the exact overlap at u = 0; a negative lag raises there
+        return pair_correlation(kernel, phi, psi, u)
     d = kernel.dim
-    if u == 0.0:
-        delta = float(np.linalg.norm(psi.center - phi.center))
-        return _overlap_integral(phi, psi, delta, d)
     n = nodes_per_dim or _default_nodes(d)
     pts, w = support_quadrature(phi.center, phi.radius, d, n)
     return float(w @ (phi.evaluate(pts) * semigroup_apply(kernel, psi, u, pts)))
@@ -188,25 +212,21 @@ class CovarianceSpec:
             )
 
 
-def field_covariance(spec: CovarianceSpec, *, torus_half_side: float | None = None,
-                     n_images: int = 1, r_points: int = 129) -> float:
+def field_covariance(spec: CovarianceSpec, *,
+                     torus_half_side: float | None = None) -> float:
     """Cov(<phi, X_s>, <psi, X_t>) for the stationary branching field.
 
     Equals G(t-s) plus the renewal-smoothed correlation picked up by
     shared branching ancestry on (0, s]; the renewal measure is applied
-    by a trapezoidal Stieltjes rule on ``r_points`` nodes with U
-    interpolated from the table.
+    by a trapezoidal Stieltjes rule on 129 nodes with U interpolated
+    from the table.
     """
     k, phi, psi, s, t = spec.kernel, spec.phi, spec.psi, spec.s, spec.t
-
-    def g(u):
-        return pair_correlation(k, phi, psi, u, torus_half_side=torus_half_side,
-                                n_images=n_images)
-
+    g = partial(pair_correlation, k, phi, psi, torus_half_side=torus_half_side)
     out = g(t - s)
     if s == 0.0:
         return float(out)
-    rs = np.linspace(0.0, s, r_points)
+    rs = np.linspace(0.0, s, 129)
     uvals = spec.table.value(rs)
     gvals = np.array([g(s + t - 2.0 * r) for r in rs])
     out += float(np.sum(0.5 * (gvals[1:] + gvals[:-1]) * np.diff(uvals)))
@@ -215,15 +235,15 @@ def field_covariance(spec: CovarianceSpec, *, torus_half_side: float | None = No
 
 def tree_second_moment(kernel: StableKernel, table: RenewalTable, x0, s: float,
                        t: float, phi: TestFunction, psi: TestFunction, *,
-                       r_points: int = 33, nodes_per_dim: int | None = None,
-                       margin: float = 4.0) -> float:
+                       r_points: int = 33,
+                       nodes_per_dim: int | None = None) -> float:
     """E_x[<phi, Z_s> <psi, Z_t>] for the tree of one ancestor at ``x0``.
 
     First term: density-weighted quadrature of phi . (S_{t-s} psi) at
     time s from x0.  Second term: Int_{(0,s]} (S_r g_r)(x0) dU(r) with
     g_r = (S_{s-r} phi)(S_{t-r} psi), evaluated on a tensor grid over
-    the joint support inflated by ``margin * t**(1/alpha)`` (the
-    migration scale), with the r -> 0 limit (S_s phi)(S_t psi)(x0)
+    the joint support inflated by 4 t^(1/alpha) (four migration
+    scales), with the r -> 0 limit (S_s phi)(S_t psi)(x0)
     anchoring the Stieltjes rule.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -246,7 +266,7 @@ def tree_second_moment(kernel: StableKernel, table: RenewalTable, x0, s: float,
 
     mid = (phi.center + psi.center) / 2.0
     half = float(max(np.max(np.abs(f.center - mid)) + f.radius for f in (phi, psi))
-                 + margin * t ** (1.0 / kernel.alpha))
+                 + 4.0 * t ** (1.0 / kernel.alpha))
     zpts, zw = support_quadrature(mid, half, d, n)
     zrad = np.linalg.norm(zpts - x0[None, :], axis=1)
     rs = np.linspace(0.0, s, r_points)
@@ -268,8 +288,7 @@ def tree_second_moment(kernel: StableKernel, table: RenewalTable, x0, s: float,
 def occupation_variance(kernel: StableKernel, table: RenewalTable,
                         phi: TestFunction, horizon: float, *,
                         grid_points: int | None = None,
-                        torus_half_side: float | None = None,
-                        n_images: int = 1) -> float:
+                        torus_half_side: float | None = None) -> float:
     """Var<phi, J_T> of the stationary field's occupation time.
 
     Double trapezoid of the covariance kernel C(u, v) over [0, T]^2 on a
@@ -292,7 +311,7 @@ def occupation_variance(kernel: StableKernel, table: RenewalTable,
     delta = horizon / m
     gd = np.array([
         pair_correlation(kernel, phi, phi, q * delta,
-                         torus_half_side=torus_half_side, n_images=n_images)
+                         torus_half_side=torus_half_side)
         for q in range(2 * m + 1)
     ])
     uu = table.value(np.arange(m + 1) * delta)

@@ -66,17 +66,21 @@ class TestFunction:
         z = k * r
         tiny = z < 1e-6
         zs = np.where(tiny, 1.0, z)
-        if self.shape == "indicator":
-            nu = d / 2.0
-            vals = (2.0 * np.pi) ** (d / 2.0) * r**d * special.jv(nu, zs) / zs**nu
-            limit = np.pi ** (d / 2.0) * r**d / special.gamma(d / 2.0 + 1.0)
-        else:
-            nu = d / 2.0 + 2.0
-            vals = (
-                8.0 * (2.0 * np.pi) ** (d / 2.0) * r**d * special.jv(nu, zs) / zs**nu
-            )
-            limit = 2.0 * np.pi ** (d / 2.0) * r**d / special.gamma(d / 2.0 + 3.0)
-        return np.where(tiny, limit, vals)
+        bump = self.shape == "bump"
+        nu = d / 2.0 + (2.0 if bump else 0.0)
+        scale = (8.0 if bump else 1.0) * ((2.0 * np.pi) ** (d / 2.0) * r**d)
+        vals = scale * special.jv(nu, zs) / zs**nu
+        # at k = 0 the transform is the integral of the function
+        return np.where(tiny, lebesgue_integral(self), vals)
+
+
+def check_inside_window(half_side: float, *fns: TestFunction) -> None:
+    """Refuse a test function whose support is not inside [-L, L)^d: only
+    then is its sum over wrapped positions its periodic extension."""
+    for f in fns:
+        if np.max(np.abs(f.center)) + f.radius >= half_side:
+            raise ValueError(f"a test function's support leaves the torus "
+                             f"window of half_side {half_side:g}")
 
 
 def lebesgue_integral(phi: TestFunction) -> float:

@@ -16,7 +16,7 @@ the second-moment formulas free of double counting at coincident times.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,7 @@ class RenewalTable:
 
     grid: np.ndarray
     values: np.ndarray
-    grid_step: float
-    law: object
-    error_estimate: float = field(default=float("nan"))
+    error_estimate: float  # Richardson estimate at the horizon; nan if too short
 
     @property
     def horizon(self) -> float:
@@ -67,8 +65,7 @@ def _solve_renewal(cdf_vals: np.ndarray) -> np.ndarray:
     return u
 
 
-def build_renewal(law, horizon: float, grid_step: float, *,
-                  error_check: bool = True) -> RenewalTable:
+def build_renewal(law, horizon: float, grid_step: float) -> RenewalTable:
     """Tabulate U on [0, horizon] with the given step.
 
     A coarse solve at twice the step supplies a Richardson error
@@ -84,21 +81,19 @@ def build_renewal(law, horizon: float, grid_step: float, *,
     u = _solve_renewal(np.asarray(law.cdf(grid)))
 
     err = float("nan")
-    if error_check:
-        coarse_n = n_steps // 2
-        if coarse_n >= 2:
-            coarse_grid = np.linspace(0.0, coarse_n * 2.0 * grid_step, coarse_n + 1)
-            u_coarse = _solve_renewal(np.asarray(law.cdf(coarse_grid)))
-            err = abs(u[2 * coarse_n] - u_coarse[-1]) / 3.0
-            rel = err / abs(u[2 * coarse_n])
-            if rel > 0.01:
-                warnings.warn(
-                    f"renewal discretisation error ~{rel:.2%} at the horizon; "
-                    f"shrink grid_step",
-                    stacklevel=2,
-                )
-    return RenewalTable(grid=grid, values=u, grid_step=grid_step, law=law,
-                        error_estimate=err)
+    coarse_n = n_steps // 2
+    if coarse_n >= 2:
+        coarse_grid = np.linspace(0.0, coarse_n * 2.0 * grid_step, coarse_n + 1)
+        u_coarse = _solve_renewal(np.asarray(law.cdf(coarse_grid)))
+        err = abs(u[2 * coarse_n] - u_coarse[-1]) / 3.0
+        rel = err / abs(u[2 * coarse_n])
+        if rel > 0.01:
+            warnings.warn(
+                f"renewal discretisation error ~{rel:.2%} at the horizon; "
+                f"shrink grid_step",
+                stacklevel=2,
+            )
+    return RenewalTable(grid=grid, values=u, error_estimate=err)
 
 
 def elementary_renewal_check(law, horizon: float, grid_step: float | None = None):

@@ -174,16 +174,17 @@ def radial_fourier_inverse(fhat, dim: int, radii, k_max: float,
     for lo in range(0, len(radii), block):
         z = radii[lo : lo + block, None] * nodes[None, :]
         out[lo : lo + block] = _angular_factor(dim, z) @ (weights * integ)
-    _check_tail(integ, weights, max(np.abs(out).max(initial=0.0), floor), tail_tol)
+    tail = weights[-_GL_POINTS:] @ integ[-_GL_POINTS:]
+    _check_tail(tail, max(np.abs(out).max(initial=0.0), floor), tail_tol)
     return out[repeat]
 
 
-def _check_tail(integ, weights, scale, tail_tol):
-    tail = abs(weights[-_GL_POINTS:] @ integ[-_GL_POINTS:])
+def _check_tail(tail, scale, tail_tol):
+    tail = abs(float(tail))
     floor = max(abs(float(scale)), 1e-12)
     if tail > tail_tol * floor:
         raise QuadratureError(
-            f"radial inversion truncated too early: last panel carries "
+            f"Fourier integral truncated too early: last panel or shell carries "
             f"{tail:.3e} against scale {floor:.3e}"
         )
 

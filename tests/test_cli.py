@@ -287,7 +287,7 @@ OCCUPANCY_CONFIG = {
 COVARIANCE_CONFIG = {
     "alpha": 2.0, "dim": 1, "lifetime": {"type": "exponential"},
     "phi": {"radius": 1.0}, "pairs": [[0.5, 1.0]], "half_side": 4.0,
-    "replicates": 10, "n_images": 1,
+    "replicates": 10,
 }
 RENEWAL_CONFIG = {"lifetime": {"type": "gamma", "shape": 2.0},
                   "horizon": 1.0, "grid_step": 0.01}
@@ -317,6 +317,7 @@ UNKNOWN_KEY_CASES = [
     ("occupancy", OCCUPANCY_CONFIG, ("phi",), {"radius": 0.5}),
     ("occupancy", OCCUPANCY_CONFIG, ("lifetime", "rate"), 1.0),
     ("covariance", COVARIANCE_CONFIG, ("n_image",), 2),
+    ("covariance", COVARIANCE_CONFIG, ("n_images",), 1),
     ("covariance", COVARIANCE_CONFIG, ("phi", "shap"), "bump"),
     ("covariance", COVARIANCE_CONFIG, ("psi",), {"radius": 1.0, "shap": "bump"}),
     ("renewal", RENEWAL_CONFIG, ("lifetime", "scale"), 1.0),
@@ -361,12 +362,18 @@ BAD_VALUE_CASES = [
     ("simulate", SIMULATE_CONFIG, ("half_side",), -1.0),
     ("lln", LLN_CONFIG, ("lifetime", "rate"), -1.0),
     ("covariance", COVARIANCE_CONFIG, ("pairs",), [[2.0, 1.0]]),
-    ("covariance", COVARIANCE_CONFIG, ("n_images",), -1),
     ("simulate", SIMULATE_CONFIG, ("intensity",), -1.0),
     ("simulate", SIMULATE_CONFIG, ("replicates",), 0),
     ("simulate", SIMULATE_CONFIG, ("phi", "center"), [0.0, 0.0]),
     ("density", {**DENSITY_CONFIG, "alpha": 1.5}, ("points",), 0),
     ("density", DENSITY_CONFIG, ("points",), 2.5),
+    ("density", DENSITY_CONFIG, ("dim",), 2.5),
+    ("lln", LLN_CONFIG, ("dim",), True),
+    ("simulate", SIMULATE_CONFIG, ("dim",), 1.5),
+    ("lln", LLN_CONFIG, ("seed",), 1.7),
+    ("lln", LLN_CONFIG, ("seed",), -1),
+    # phi (radius 1) does not fit inside the window: wrong analytic side
+    ("covariance", COVARIANCE_CONFIG, ("half_side",), 0.5),
 ]
 
 
@@ -376,10 +383,16 @@ BAD_VALUE_CASES = [
 def test_bad_config_values_exit_2(tmp_path, command, config, path, value):
     """Run as a process: exit 2, one error line naming the key, no traceback."""
     cfg = write_config(tmp_path, "cfg.json", _with(config, path, value))
+    error = _exit_2_error(tmp_path, [command, "--config", cfg])
+    assert re.search(rf"\b{path[-1]}\b", error), error
+
+
+def _exit_2_error(tmp_path, argv, env=None):
+    """Run the CLI as a process; assert exit 2, one error line, no traceback."""
     src = str(Path(stablebranch.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-m", "stablebranch.cli", command, "--config", cfg,
+        [sys.executable, "-m", "stablebranch.cli", *argv,
          "--out", str(tmp_path / "out.csv")],
         capture_output=True, text=True, env=env, timeout=120,
     )
@@ -387,4 +400,14 @@ def test_bad_config_values_exit_2(tmp_path, command, config, path, value):
     assert "Traceback" not in proc.stderr
     errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
     assert len(errors) == 1, proc.stderr
-    assert re.search(rf"\b{path[-1]}\b", errors[0]), errors[0]
+    return errors[0]
+
+
+@pytest.mark.parametrize("argv,env,key", [
+    (["--seed", "-2"], {}, "--seed"),
+    ([], {ENV_SEED: "-3"}, ENV_SEED),
+], ids=["flag-negative", "env-negative"])
+def test_bad_seed_sources_exit_2(tmp_path, argv, env, key):
+    """A seed from the flag or the environment must be an integer >= 0."""
+    error = _exit_2_error(tmp_path, ["validate", "--checks", "", *argv], env)
+    assert key in error, error

@@ -22,6 +22,7 @@ from stablebranch import (
     write_check_rows,
     write_result_rows,
 )
+from stablebranch import experiments
 from stablebranch.experiments import (
     check_regime,
     fit_decay_slope,
@@ -139,6 +140,13 @@ def test_experiment_config_validation():
         _config(half_side=None, window_scale=0.0)
     with pytest.raises(ConfigError, match="intensity"):
         _config(intensity=-0.5)
+    # every kind: a phi spilling out of the window would be summed as a
+    # different function, with a different <phi, Lambda>
+    with pytest.raises(ConfigError, match="smallest window"):
+        _config(phi=TestFunction("bump", np.array([1.5]), 1.0))
+    # migration-scaled: the smallest window, 1 * 1^(1/2), is too small
+    with pytest.raises(ConfigError, match="smallest window"):
+        _config(kind="lln_finite_mean", half_side=None, window_scale=1.0)
 
 
 def test_experiment_config_label_defaults_to_kind():
@@ -268,6 +276,19 @@ def test_covariance_comparison_smoke():
     with pytest.raises(ValueError, match="0 <= s <= t"):
         run_covariance_comparison(kernel(2.0, 1), EXP1, BUMP_1D, BUMP_1D,
                                   [(2.0, 1.0)], half_side=4.0,
+                                  replicates=100, seed=7)
+
+
+def test_covariance_comparison_refuses_psi_outside_the_window(monkeypatch):
+    """Checked before anything is simulated."""
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the window")
+
+    monkeypatch.setattr(experiments, "field_batch", no_simulation)
+    spilling = TestFunction("bump", np.array([3.5]), 1.0)
+    with pytest.raises(ValueError, match="half_side"):
+        run_covariance_comparison(kernel(2.0, 1), EXP1, BUMP_1D, spilling,
+                                  [(0.5, 1.0)], half_side=4.0,
                                   replicates=100, seed=7)
 
 

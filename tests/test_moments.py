@@ -17,6 +17,7 @@ import pytest
 from stablebranch import (
     CovarianceSpec,
     Exponential,
+    QuadratureError,
     RegimeError,
     StableKernel,
     TestFunction,
@@ -32,6 +33,7 @@ from stablebranch import (
     tree_batch,
     tree_second_moment,
 )
+from stablebranch import moments
 from stablebranch.experiments import run_tree_moment_comparison
 from stablebranch.moments import pair_correlation_realspace
 
@@ -168,8 +170,7 @@ def test_torus_images_equal_sum_of_free_space_twins():
     L = 2.0
     phi = bump(1)
     u = 1.5
-    wrapped = pair_correlation(kernel, phi, phi, u, torus_half_side=L,
-                               n_images=2)
+    wrapped = pair_correlation(kernel, phi, phi, u, torus_half_side=L)
     free = sum(
         pair_correlation(kernel, phi, bump(1, center=2.0 * L * k), u)
         for k in range(-2, 3)
@@ -177,6 +178,77 @@ def test_torus_images_equal_sum_of_free_space_twins():
     assert wrapped == pytest.approx(free, rel=1e-8)
     # images contribute: the wrapped value strictly exceeds the free one
     assert wrapped > pair_correlation(kernel, phi, phi, u)
+
+
+def _wrapped_cauchy_pair_correlation(phi, psi, u, L):
+    """G on the circle [-L, L) at alpha = 1 from the wrapped Cauchy kernel
+
+        p_u(z) = (2L)^-1 sinh(pi u/L) / (cosh(pi u/L) - cos(pi z/L)),
+
+    integrated against phi(x) psi(y) by Gauss-Legendre over both supports
+    (the bump is a polynomial and the kernel analytic, so 400 nodes per
+    axis reach rounding level)."""
+    x, w = np.polynomial.legendre.leggauss(400)
+    xs = phi.center[0] + phi.radius * x
+    ys = psi.center[0] + psi.radius * x
+    a = math.pi * u / L
+    p = np.sinh(a) / (np.cosh(a) - np.cos(math.pi * (xs[:, None] - ys[None, :]) / L))
+    fx = phi.radius * w * phi.evaluate(xs[:, None])
+    fy = psi.radius * w * psi.evaluate(ys[:, None])
+    return float(fx @ p @ fy) / (2.0 * L)
+
+
+@pytest.mark.parametrize("u", [0.5, 5.0, 50.0])
+def test_torus_series_matches_wrapped_cauchy_closed_form(u):
+    """alpha = 1, d = 1: the lattice series is the exact torus G at every
+    lag; a truncated image sum falls short at long lags."""
+    kernel = StableKernel(alpha=1.0, dim=1)
+    phi, psi = bump(1), indicator(1, center=0.8, radius=0.6)
+    exact = _wrapped_cauchy_pair_correlation(phi, psi, u, 3.0)
+    got = pair_correlation(kernel, phi, psi, u, torus_half_side=3.0)
+    assert got == pytest.approx(exact, rel=1e-10)
+
+
+def test_torus_long_lag_limit_d3():
+    """Mass spreads evenly over the torus: G(u) -> <phi,1><psi,1>/(2L)^d."""
+    kernel = StableKernel(alpha=2.0, dim=3)
+    L = 5.66
+    phi = bump(3)
+    limit = lebesgue_integral(phi) ** 2 / (2.0 * L) ** 3
+    got = pair_correlation(kernel, phi, phi, 400.0, torus_half_side=L)
+    assert got == pytest.approx(limit, rel=1e-9)
+
+
+def test_torus_zero_lag_is_the_series_limit():
+    """At u = 0 the torus G is the overlap integral Int phi psi, the limit
+    of the lattice series as u -> 0 (G moves by O(u) here)."""
+    kernel = StableKernel(alpha=2.0, dim=1)
+    phi, psi = bump(1, center=0.5), bump(1, center=-0.5)
+    at_zero = pair_correlation(kernel, phi, psi, 0.0, torus_half_side=2.0)
+    near_zero = pair_correlation(kernel, phi, psi, 1e-7, torus_half_side=2.0)
+    assert at_zero > 0.0
+    assert near_zero == pytest.approx(at_zero, rel=1e-5)
+
+
+def test_torus_refuses_supports_outside_the_window():
+    kernel = StableKernel(alpha=2.0, dim=2)
+    inside, spilling = bump(2), bump(2, center=1.5)
+    assert pair_correlation(kernel, inside, inside, 1.0, torus_half_side=2.0) > 0
+    for phi, psi in ((inside, spilling), (spilling, inside)):
+        with pytest.raises(ValueError, match="half_side"):
+            pair_correlation(kernel, phi, psi, 1.0, torus_half_side=2.0)
+        with pytest.raises(ValueError, match="half_side"):
+            pair_correlation(kernel, phi, psi, 0.0, torus_half_side=2.0)
+
+
+def test_torus_series_cut_too_early_raises(monkeypatch):
+    """The outermost lattice shell is checked: a cut where exp(-u k^alpha)
+    is still 0.1 leaves too much out."""
+    kernel = StableKernel(alpha=2.0, dim=1)
+    pair_correlation(kernel, bump(1), bump(1), 0.5, torus_half_side=20.0)
+    monkeypatch.setattr(moments, "_LOG_TRUNC", math.log(10.0))
+    with pytest.raises(QuadratureError):
+        pair_correlation(kernel, bump(1), bump(1), 0.5, torus_half_side=20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +380,7 @@ def test_tree_second_moment_matches_monte_carlo(exp_table):
 ], ids=["d1", "d2"])
 def test_tree_second_moment_heavy_tailed_motion_matches_monte_carlo(dim, seed,
                                                                     grid):
-    """alpha < 2: the margin * t**(1/alpha) cut of the outer integral must
+    """alpha < 2: the 4 t**(1/alpha) cut of the outer integral must
     hold for heavy-tailed jumps too."""
     out = run_tree_moment_comparison(
         StableKernel(alpha=1.5, dim=dim), EXP1, np.zeros(dim), 1.0, 2.0,
@@ -389,7 +461,7 @@ def test_occupation_variance_torus_exceeds_free_space(exp_table):
     phi = bump(1)
     free = occupation_variance(kernel, exp_table, phi, 2.0, grid_points=17)
     torus = occupation_variance(kernel, exp_table, phi, 2.0, grid_points=17,
-                                torus_half_side=2.0, n_images=2)
+                                torus_half_side=2.0)
     assert torus > free
 
 

@@ -26,10 +26,10 @@ def test_exponential_renewal_is_linear():
 def test_solver_is_second_order():
     """Halving the grid step cuts the error by about four."""
     law = Gamma(shape=2.0, rate=2.0)
-    ref = build_renewal(law, 10.0, 0.00125, error_check=False)
+    ref = build_renewal(law, 10.0, 0.00125)
     errs = []
     for h in [0.02, 0.01]:
-        tab = build_renewal(law, 10.0, h, error_check=False)
+        tab = build_renewal(law, 10.0, h)
         errs.append(abs(tab.values[-1] - ref.values[-1]))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0, ratio
