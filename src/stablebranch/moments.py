@@ -163,14 +163,18 @@ def _torus_series(kernel, phi, psi, u, half_side, offset, floor) -> float:
     # one block spans the last min(d, 2) coordinates; slabs walk the rest
     lead, ns = max(d - 2, 0), np.arange(-n_max, n_max + 1)
     block = np.stack(np.meshgrid(*[ns] * (d - lead)), axis=-1).reshape(-1, d - lead)
+    block_m2 = np.sum(block**2, axis=1)
+    block_phase = block @ offset[lead:]
+    # the table index: |n| in d = 1 (one slab, n_1^2 = 0), |n|^2 from d = 2 on
+    block_index = np.abs(block[:, 0]) if d == 1 else block_m2
     total = shell = 0.0
     for slab in itertools.product(ns, repeat=lead):
-        m2 = np.sum(block**2, axis=1) + np.dot(slab, slab)
-        keep = m2 <= n_max**2
-        phase = step * (block[keep] @ offset[lead:] + np.dot(slab, offset[:lead]))
-        terms = radial[np.searchsorted(sq, m2[keep])] * np.cos(phase)
+        slab_m2 = sum(n * n for n in slab)
+        keep = block_m2 <= n_max**2 - slab_m2
+        phase = step * (block_phase[keep] + np.dot(slab, offset[:lead]))
+        terms = radial[block_index[keep] + slab_m2] * np.cos(phase)
         total += terms.sum()
-        shell += np.abs(terms[m2[keep] > (n_max - 1) ** 2]).sum()
+        shell += np.abs(terms[block_m2[keep] > (n_max - 1) ** 2 - slab_m2]).sum()
     _check_tail(shell, max(abs(total), floor), _TAIL_TOL)
     return float(total) / (2.0 * half_side) ** d
 

@@ -3,10 +3,24 @@
 U(r) = sum_k F^{*k}(r) counts the expected renewals through time r,
 including the unit atom at r = 0 (so U(0) = 1).  It solves the
 convolution identity U = 1 + F * U, which is discretised here on a
-uniform grid with trapezoidal Stieltjes weights and solved by forward
-substitution:
+uniform grid with trapezoidal Stieltjes weights,
 
     U_n = 1 + sum_{j=1..n} (U_{n-j} + U_{n-j+1})/2 * (F_j - F_{j-1}).
+
+With U_0 = 1 moved to the right this is a lower-triangular Toeplitz
+system in U_1..U_N,
+
+    (1 - dF_1/2) U_n - sum_{m=1..n-1} c_{n-m} U_m = 1 + dF_n/2,
+    c_j = (dF_j + dF_{j+1})/2,
+
+solved by divide and conquer (Hairer, Lubich & Schlichte 1985): solve
+the earlier half, add its convolution with c to the later half's right
+side by one FFT, then solve the later half.  Unrolled, this walks leaves
+of 256 points in order, and each completed aligned block of 2^k leaves
+passes its convolution on to the next block of the same size.  The
+leaves all share one lower-triangular Toeplitz matrix, whose inverse is
+again lower-triangular Toeplitz, so each leaf is one matrix-vector
+product.  The whole solve costs O(N log^2 N).
 
 Integrals against the renewal measure, taken by the moment formulas from
 differences of tabulated values, exclude the atom at zero; that keeps
@@ -41,28 +55,51 @@ class RenewalTable:
         return np.interp(r, self.grid, self.values)
 
 
+_LEAF = 256  # largest block solved directly by the shared inverse
+
+
 def _solve_renewal(cdf_vals: np.ndarray) -> np.ndarray:
-    """Forward substitution for the discretised renewal equation."""
-    n_steps = len(cdf_vals) - 1
+    """U on the grid of `cdf_vals` from the Toeplitz system above."""
     dF = np.diff(cdf_vals)
-    # weight on U_{n-j}: pairs (dF_j + dF_{j+1})/2, except the oldest cell
-    cw = np.empty(n_steps + 1)
-    cw[0] = 0.0
-    cw[1:n_steps] = (dF[:-1] + dF[1:]) / 2.0
-    cw[n_steps] = dF[-1] / 2.0
-    cwr = cw[::-1].copy()  # contiguous reversed weights for fast dot products
+    n = len(dF)
+    c = np.zeros(n)
+    c[1:] = (dF[:-1] + dF[1:]) / 2.0
     denom = 1.0 - dF[0] / 2.0
-    u = np.empty(n_steps + 1)
-    u[0] = 1.0
-    n_total = n_steps + 1
-    for n in range(1, n_steps + 1):
-        acc = np.dot(u[:n], cwr[n_total - 1 - n : n_total - 1])
-        if n < n_steps:
-            # the oldest cell's weight on U_0 is dF_n/2, not the paired
-            # (dF_n + dF_{n+1})/2 the fixed stencil assigns
-            acc -= 0.5 * dF[n] * u[0]
-        u[n] = (1.0 + acc) / denom
-    return u
+    rhs = 1.0 + dF / 2.0
+    # first column of the leaf inverse: the power series 1/(denom - sum c_j x^j)
+    # to order `leaf`, by Newton steps that double the order
+    leaf = min(_LEAF, n)
+    a = -c[:leaf]
+    a[0] = denom
+    g = np.array([1.0 / denom])
+    while len(g) < leaf:
+        m = min(2 * len(g), leaf)
+        e = -np.convolve(a[:m], g)[:m]
+        e[0] += 2.0
+        g = np.convolve(g, e)[:m]
+    # row i of the lower-triangular Toeplitz inverse is g[i], ..., g[0], 0, ...
+    padded = np.concatenate((g[::-1], np.zeros(leaf - 1)))
+    inv = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, leaf)[::-1])
+    c_hat = {}  # rfft of c per transform width
+    u = np.empty(n)
+    for start in range(0, n, leaf):
+        stop = min(start + leaf, n)
+        u[start:stop] = inv[: stop - start, : stop - start] @ rhs[start:stop]
+        if stop == n:
+            break
+        # the largest aligned block ending here (leaf times the lowest set
+        # bit of the leaf count) passes its convolution with c on to the
+        # next block of the same size; a circular width of twice the block
+        # does not wrap onto those outputs
+        blocks = stop // leaf
+        half = leaf * (blocks & -blocks)
+        width = 2 * half
+        if width not in c_hat:
+            c_hat[width] = np.fft.rfft(c[:width], width)
+        conv = np.fft.irfft(np.fft.rfft(u[stop - half : stop], width) * c_hat[width], width)
+        nxt = min(stop + half, n)
+        rhs[stop:nxt] += conv[half : half + nxt - stop]
+    return np.concatenate(([1.0], u))
 
 
 def build_renewal(law, horizon: float, grid_step: float) -> RenewalTable:

@@ -26,6 +26,7 @@ from scipy import interpolate, special
 from .errors import QuadratureError
 
 _LOG_TRUNC = math.log(1e12)  # integrand cut where exp(-t k^alpha) < 1e-12
+_INVERSE_TAIL_TOL = 1e-8  # share of the output the last inversion panel may carry
 
 
 @dataclass(frozen=True)
@@ -146,18 +147,17 @@ def _angular_factor(dim: int, z) -> np.ndarray:
                     special.gamma(dim / 2.0) * (2.0 / zs) ** nu * special.jv(nu, zs))
 
 
-def radial_fourier_inverse(fhat, dim: int, radii, k_max: float,
-                           tail_tol: float = 1e-8, *, floor: float = 0.0,
-                           reach: float = 0.0) -> np.ndarray:
+def radial_fourier_inverse(fhat, dim: int, radii, k_max: float, *,
+                           floor: float = 0.0, reach: float = 0.0) -> np.ndarray:
     """Invert an isotropic Fourier profile at the given radii.
 
     ``fhat`` is a vectorized function of |y|; ``reach`` is the radius on
     which fhat itself oscillates (the support radius of the function it
     transforms), so the panels resolve both oscillations.  Truncation at
     ``k_max`` is the caller's responsibility; the last panel's share of
-    the output is checked against ``tail_tol`` times the larger of the
-    largest output and ``floor`` (the function's own scale), as a cheap
-    guard for a too-early cut.
+    the output is checked against 1e-8 (``_INVERSE_TAIL_TOL``) times the
+    larger of the largest output and ``floor`` (the function's own scale),
+    as a cheap guard for a too-early cut.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii < 0.0):
@@ -175,7 +175,7 @@ def radial_fourier_inverse(fhat, dim: int, radii, k_max: float,
         z = radii[lo : lo + block, None] * nodes[None, :]
         out[lo : lo + block] = _angular_factor(dim, z) @ (weights * integ)
     tail = weights[-_GL_POINTS:] @ integ[-_GL_POINTS:]
-    _check_tail(tail, max(np.abs(out).max(initial=0.0), floor), tail_tol)
+    _check_tail(tail, max(np.abs(out).max(initial=0.0), floor), _INVERSE_TAIL_TOL)
     return out[repeat]
 
 

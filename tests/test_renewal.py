@@ -12,7 +12,52 @@ from stablebranch import (
     build_renewal,
     make_pareto_tail,
 )
-from stablebranch.renewal import elementary_renewal_check
+from stablebranch.renewal import _solve_renewal, elementary_renewal_check
+
+
+def _forward_substitution(cdf_vals):
+    """Reference solve of the trapezoid scheme, one grid point at a time:
+    U_n = 1 + sum_{j=1..n} (U_{n-j} + U_{n-j+1})/2 * (F_j - F_{j-1})."""
+    n_steps = len(cdf_vals) - 1
+    dF = np.diff(cdf_vals)
+    # weight on U_{n-j}: pairs (dF_j + dF_{j+1})/2, except the oldest cell
+    cw = np.empty(n_steps + 1)
+    cw[0] = 0.0
+    cw[1:n_steps] = (dF[:-1] + dF[1:]) / 2.0
+    cw[n_steps] = dF[-1] / 2.0
+    cwr = cw[::-1].copy()
+    denom = 1.0 - dF[0] / 2.0
+    u = np.empty(n_steps + 1)
+    u[0] = 1.0
+    for n in range(1, n_steps + 1):
+        acc = np.dot(u[:n], cwr[n_steps - n : n_steps])
+        if n < n_steps:
+            # the oldest cell's weight on U_0 is dF_n/2, not the paired
+            # (dF_n + dF_{n+1})/2 the fixed stencil assigns
+            acc -= 0.5 * dF[n] * u[0]
+        u[n] = (1.0 + acc) / denom
+    return u
+
+
+@pytest.mark.parametrize("law, step", [
+    (Exponential(rate=1.0), 0.005),
+    (Gamma(shape=2.0, rate=2.0), 0.02),
+    (make_pareto_tail(0.5), 0.25),
+], ids=["exp1", "gamma22", "pareto05"])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 255, 256, 257, 513, 1000, 4099])
+def test_fast_solve_matches_forward_substitution(law, step, n_steps):
+    """The divide-and-conquer solve is the same trapezoid system: sizes hit
+    one partial leaf, the leaf edge, odd halves and several split levels."""
+    cdf = np.asarray(law.cdf(np.arange(n_steps + 1) * step))
+    assert_allclose(_solve_renewal(cdf), _forward_substitution(cdf), rtol=1e-12, atol=0)
+
+
+def test_exponential_renewal_long_table():
+    """A 2e5-point table, the size long-horizon variance checks need."""
+    table = build_renewal(Exponential(rate=1.0), 200.0, 0.001)
+    assert len(table.grid) == 200_001
+    err = np.max(np.abs(table.values - (1.0 + table.grid)))
+    assert err < 1e-3, err
 
 
 def test_exponential_renewal_is_linear():
