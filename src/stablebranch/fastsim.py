@@ -29,6 +29,11 @@ from .stable_motion import StableKernel, sample_increments
 
 DEFAULT_POPULATION_CAP = 10**7
 _CHUNK_TARGET = 150_000  # particles per chunk wave, roughly
+# A chunk's stream index is (stream_key << _CHUNK_BITS) + chunk index; both
+# parts must fit their bits, and the index must stay below 2^31, where the
+# auxiliary streams of `experiments` start.
+_CHUNK_BITS = 20
+_STREAM_KEYS = 1 << 11
 
 
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
@@ -211,12 +216,17 @@ def _batch(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
     horizon = float(obs[-1])
     weights = weights or {}
     step = obs[1] - obs[0] if len(obs) > 1 else max(horizon, 1.0)
+    if not 0 <= stream_key < _STREAM_KEYS:
+        raise ValueError(f"stream_key must lie in [0, {_STREAM_KEYS}), got {stream_key}")
     sizes = _chunk_sizes(replicates,
                          mean_n0 * (_truncated_mean(law, horizon) / step + 2.0))
+    if len(sizes) > 1 << _CHUNK_BITS:
+        raise ValueError(f"{len(sizes)} chunks exceed the {1 << _CHUNK_BITS} "
+                         f"stream indices of one stream_key")
     firsts = np.cumsum([0, *sizes])
 
     def _do(ci, reps):
-        rng = replicate_stream(seed, (stream_key << 20) + ci)
+        rng = replicate_stream(seed, (stream_key << _CHUNK_BITS) + ci)
         counts, pos, rep = ancestors(rng, firsts[ci], reps)
         state = (np.zeros(len(rep)), pos, rep)
         return (counts, *_run_chunk(kernel, law, rng, obs, horizon, half_side,
@@ -242,8 +252,9 @@ def field_batch(kernel: StableKernel, law, *, replicates: int, obs_times,
     The fields run from time 0 to the last of the increasing `obs_times`.
     `weights` maps series names to vectorised functions of particle
     positions; each yields a (replicates, observations) matrix of
-    sums over the live population.  `stream_key` offsets the RNG chunk
-    keys so several batches can share one seed without overlap.
+    sums over the live population.  `stream_key`, in [0, 2^11), offsets
+    the RNG chunk keys so several batches can share one seed without
+    overlap; a batch of more than 2^20 chunks is refused.
     """
     d = kernel.dim
     mean_n0 = intensity * (2.0 * half_side) ** d

@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 from scipy import special
 
-from .errors import RegimeError
+from .errors import QuadratureError, RegimeError
 from .occupation import TestFunction, check_inside_window, lebesgue_integral
 from .renewal import RenewalTable
 from .stable_motion import (
@@ -48,11 +48,16 @@ from .stable_motion import (
     _gl_rule,
     _panel_nodes,
     semigroup_apply,
+    semigroup_columns,
     support_quadrature,
     transition_density_radial,
 )
 
 _TAIL_TOL = 1e-6  # share of G a cut may leave in its last panel or shell
+# Largest radial table or lattice block the torus series may allocate: the
+# tested extreme (d = 3, L = 5.66, u = 0.0156, n_max = 77) has a 24,025-row
+# block, so this leaves over 40x room.
+_SERIES_MAX_TERMS = 1 << 20
 
 
 def occupation_mean(phi: TestFunction, t: float) -> float:
@@ -155,13 +160,22 @@ def _torus_series(kernel, phi, psi, u, half_side, offset, floor) -> float:
     d, alpha, step = kernel.dim, kernel.alpha, np.pi / half_side
     # |n| <= n_max reaches one unit shell past the cut; that shell is checked
     n_max = math.ceil((_LOG_TRUNC / u) ** (1.0 / alpha) / step) + 1
+    lead = max(d - 2, 0)
+    table_size = n_max + 1 if d == 1 else n_max**2 + 1
+    block_rows = (2 * n_max + 1) ** (d - lead)
+    if max(table_size, block_rows) > _SERIES_MAX_TERMS:
+        raise QuadratureError(
+            f"torus series at lag u={u:g} needs |n| <= {n_max}: a {table_size}-entry "
+            f"table and a {block_rows}-row lattice block, over the "
+            f"{_SERIES_MAX_TERMS} limit"
+        )
     # phi^ psi^ exp(-u k^alpha) depends on n only through |n|^2: one value
     # per possible |n|^2 (squares in d = 1, every integer from d = 2 on)
     sq = np.arange(n_max + 1) ** 2 if d == 1 else np.arange(n_max**2 + 1)
     k = step * np.sqrt(sq)
     radial = phi.fourier_profile(k) * psi.fourier_profile(k) * np.exp(-u * k**alpha)
     # one block spans the last min(d, 2) coordinates; slabs walk the rest
-    lead, ns = max(d - 2, 0), np.arange(-n_max, n_max + 1)
+    ns = np.arange(-n_max, n_max + 1)
     block = np.stack(np.meshgrid(*[ns] * (d - lead)), axis=-1).reshape(-1, d - lead)
     block_m2 = np.sum(block**2, axis=1)
     block_phase = block @ offset[lead:]
@@ -248,7 +262,10 @@ def tree_second_moment(kernel: StableKernel, table: RenewalTable, x0, s: float,
     g_r = (S_{s-r} phi)(S_{t-r} psi), evaluated on a tensor grid over
     the joint support inflated by 4 t^(1/alpha) (four migration
     scales), with the r -> 0 limit (S_s phi)(S_t psi)(x0)
-    anchoring the Stieltjes rule.
+    anchoring the Stieltjes rule.  The r-ladder is three matrices with
+    one column per r-point, S_{s-r} phi and S_{t-r} psi on the grid and
+    p_r at |z - x0|, built from one angular matrix per radius set (phi
+    and psi share theirs when their centres coincide).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (kernel.dim,):
@@ -274,16 +291,14 @@ def tree_second_moment(kernel: StableKernel, table: RenewalTable, x0, s: float,
     zpts, zw = support_quadrature(mid, half, d, n)
     zrad = np.linalg.norm(zpts - x0[None, :], axis=1)
     rs = np.linspace(0.0, s, r_points)
+    ladder = [(phi, s - r) for r in rs[1:]] + [(psi, t - r) for r in rs[1:]]
+    sphi, spsi = np.hsplit(semigroup_columns(kernel, ladder, zpts), 2)
     fvals = np.empty(r_points)
     fvals[0] = float(
         semigroup_apply(kernel, phi, s, x0) * semigroup_apply(kernel, psi, t, x0)
     )
-    for j in range(1, r_points):
-        r = rs[j]
-        g = semigroup_apply(kernel, phi, s - r, zpts) * semigroup_apply(
-            kernel, psi, t - r, zpts
-        )
-        fvals[j] = float(transition_density_radial(kernel, r, zrad) @ (g * zw))
+    dens = transition_density_radial(kernel, rs[1:], zrad)
+    fvals[1:] = zw @ (dens * sphi * spsi)
     uvals = table.value(rs)
     out += float(np.sum(0.5 * (fvals[1:] + fvals[:-1]) * np.diff(uvals)))
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy import interpolate, special
+from scipy import special
 
 from .errors import QuadratureError
 
@@ -140,7 +140,7 @@ def _angular_factor(dim: int, z) -> np.ndarray:
     if dim == 2:
         return special.j0(z)
     if dim == 3:
-        return np.sinc(z / np.pi)
+        return np.divide(np.sin(z), z, out=np.ones_like(z), where=z != 0.0)
     nu = dim / 2.0 - 1.0
     zs = np.where(z < 1e-6, 1.0, z)
     return np.where(z < 1e-6, 1.0,
@@ -149,15 +149,20 @@ def _angular_factor(dim: int, z) -> np.ndarray:
 
 def radial_fourier_inverse(fhat, dim: int, radii, k_max: float, *,
                            floor: float = 0.0, reach: float = 0.0) -> np.ndarray:
-    """Invert an isotropic Fourier profile at the given radii.
+    """Invert isotropic Fourier profiles at the given radii.
 
-    ``fhat`` is a vectorized function of |y|; ``reach`` is the radius on
+    ``fhat`` is a vectorized function of |y| returning one profile, shape
+    (nodes,), or several, shape (nodes, columns); the result is (radii,)
+    or (radii, columns).  All columns share one node set, so ``k_max``
+    must reach the slowest-decaying column (for exp(-t k^alpha) factors,
+    the smallest time), and each distinct radius is inverted once, with
+    one angular matrix for every column.  ``reach`` is the radius on
     which fhat itself oscillates (the support radius of the function it
     transforms), so the panels resolve both oscillations.  Truncation at
-    ``k_max`` is the caller's responsibility; the last panel's share of
-    the output is checked against 1e-8 (``_INVERSE_TAIL_TOL``) times the
-    larger of the largest output and ``floor`` (the function's own scale),
-    as a cheap guard for a too-early cut.
+    ``k_max`` is the caller's responsibility; each column's last panel is
+    checked against 1e-8 (``_INVERSE_TAIL_TOL``) times the larger of that
+    column's largest output and ``floor`` (the function's own scale), as
+    a cheap guard for a too-early cut.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii < 0.0):
@@ -168,15 +173,21 @@ def radial_fourier_inverse(fhat, dim: int, radii, k_max: float, *,
     wavelength = 2.0 * np.pi / extent if extent > 0 else np.inf
     nodes, weights = _panel_nodes(float(k_max), float(wavelength))
     omega = 2.0 * np.pi ** (dim / 2.0) / special.gamma(dim / 2.0)
-    integ = (2.0 * np.pi) ** (-dim) * omega * fhat(nodes) * nodes ** (dim - 1)
-    out = np.empty_like(radii)
+    profiles = np.asarray(fhat(nodes), dtype=float)
+    integ = profiles.reshape(len(nodes), -1) * (
+        (2.0 * np.pi) ** (-dim) * omega * nodes ** (dim - 1))[:, None]
+    weighted = weights[:, None] * integ
+    out = np.empty((len(radii), integ.shape[1]))
     block = max(1, 2_000_000 // len(nodes))  # radius-by-node entries per block
     for lo in range(0, len(radii), block):
         z = radii[lo : lo + block, None] * nodes[None, :]
-        out[lo : lo + block] = _angular_factor(dim, z) @ (weights * integ)
-    tail = weights[-_GL_POINTS:] @ integ[-_GL_POINTS:]
-    _check_tail(tail, max(np.abs(out).max(initial=0.0), floor), _INVERSE_TAIL_TOL)
-    return out[repeat]
+        out[lo : lo + block] = _angular_factor(dim, z) @ weighted
+    tail = np.abs(weights[-_GL_POINTS:] @ integ[-_GL_POINTS:])
+    scale = np.maximum(np.abs(out).max(axis=0, initial=0.0), max(floor, 1e-12))
+    worst = int(np.argmax(tail / scale))  # the column nearest its tolerance
+    _check_tail(tail[worst], scale[worst], _INVERSE_TAIL_TOL)
+    out = out[repeat]
+    return out if profiles.ndim == 2 else out[:, 0]
 
 
 def _check_tail(tail, scale, tail_tol):
@@ -193,33 +204,33 @@ def _density_k_max(alpha: float, t: float) -> float:
     return 1.25 * (_LOG_TRUNC / t) ** (1.0 / alpha)
 
 
-def transition_density_radial(kernel: StableKernel, t: float, radii) -> np.ndarray:
-    """Transition density p_t at the given radii from the starting point."""
-    if t <= 0.0:
+def transition_density_radial(kernel: StableKernel, t, radii) -> np.ndarray:
+    """Transition density p_t at the given radii from the starting point.
+
+    ``t`` is one time, giving shape (radii,), or a 1-D array of times,
+    giving one column per time, shape (radii, times).  alpha = 2 and
+    alpha = 1 are closed forms; every other index is one radial Fourier
+    inversion for all times together.
+    """
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(times <= 0.0):
         raise ValueError("transition density requires t > 0")
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    d = kernel.dim
-    if kernel.alpha == 2.0:
+    d, alpha = kernel.dim, kernel.alpha
+    r = radii[:, None]
+    if alpha == 2.0:
         # heat kernel at speed 2: N(0, 2t I)
-        return (4.0 * np.pi * t) ** (-d / 2.0) * np.exp(-radii ** 2 / (4.0 * t))
-    if kernel.alpha == 1.0:
+        out = (4.0 * np.pi * times) ** (-d / 2.0) * np.exp(-r**2 / (4.0 * times))
+    elif alpha == 1.0:
         # isotropic Cauchy kernel
         c = special.gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0)
-        return c * t / (t ** 2 + radii ** 2) ** ((d + 1) / 2.0)
-    alpha = kernel.alpha
-    if radii.size > 8192:
-        # Large batches (pairwise-distance matrices): invert once on a
-        # radial table and fill the rest by cubic spline.  The density is
-        # analytic in r, so 4k knots leave ~1e-12 interpolation error.
-        knots = np.linspace(0.0, float(radii.max()) * (1.0 + 1e-12), 4097)
-        table = radial_fourier_inverse(
-            lambda k: np.exp(-t * k ** alpha), d, knots, _density_k_max(alpha, t)
+        out = c * times / (times**2 + r**2) ** ((d + 1) / 2.0)
+    else:
+        out = radial_fourier_inverse(
+            lambda k: np.exp(-np.multiply.outer(k**alpha, times)), d, radii,
+            _density_k_max(alpha, times.min()),
         )
-        spline = interpolate.CubicSpline(knots, table)
-        return np.clip(spline(radii), 0.0, None)
-    return radial_fourier_inverse(
-        lambda k: np.exp(-t * k ** alpha), d, radii, _density_k_max(alpha, t)
-    )
+    return out if np.ndim(t) else out[:, 0]
 
 
 def _simpson_grid(lo, hi, n):
@@ -254,22 +265,49 @@ def semigroup_apply(kernel: StableKernel, phi, t: float, x):
     stays accurate however small t**(1/alpha) is.  At t = 0 this is the
     identity.  ``x`` may be a single point or a batch of shape (m, dim).
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if phi.dim != kernel.dim:
-        raise ValueError(f"phi has {phi.dim} coordinates, the kernel {kernel.dim}")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    pts_x = x[None, :] if single else x
-    if pts_x.shape[-1] != kernel.dim:
-        raise ValueError(f"points must have {kernel.dim} coordinates")
-    if t == 0.0:
-        vals = phi.evaluate(pts_x)
-    else:
-        alpha = kernel.alpha
-        vals = radial_fourier_inverse(
-            lambda k: phi.fourier_profile(k) * np.exp(-t * k**alpha), kernel.dim,
-            np.linalg.norm(pts_x - phi.center, axis=1), _density_k_max(alpha, t),
-            floor=1.0, reach=phi.radius,  # sup phi = 1 for both shapes
-        )
+    vals = semigroup_columns(kernel, [(phi, t)], x[None, :] if single else x)[:, 0]
     return float(vals[0]) if single else vals
+
+
+def semigroup_columns(kernel: StableKernel, columns, x) -> np.ndarray:
+    """(S_t f)(x) for every (f, t) in ``columns``: shape (m, len(columns)).
+
+    Columns whose test functions share a centre c are inverses at the
+    same radii |x - c|, so all their positive times go through one
+    `radial_fourier_inverse` call, one angular matrix, with nodes sized
+    for the smallest of those times.  t = 0 columns are f itself.  ``x``
+    has shape (m, dim).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != kernel.dim:
+        raise ValueError(f"points must have {kernel.dim} coordinates")
+    out = np.empty((len(x), len(columns)))
+    by_center = {}
+    for j, (f, t) in enumerate(columns):
+        if t < 0.0:
+            raise ValueError("t must be nonnegative")
+        if f.dim != kernel.dim:
+            raise ValueError(f"phi has {f.dim} coordinates, the kernel {kernel.dim}")
+        if t == 0.0:
+            out[:, j] = f.evaluate(x)
+        else:
+            by_center.setdefault(tuple(f.center), []).append(j)
+    alpha = kernel.alpha
+    for js in by_center.values():
+        fs = [columns[j][0] for j in js]
+        times = np.array([columns[j][1] for j in js])
+        distinct = {id(f): f for f in fs}  # one transform per test function
+
+        def fhat(k):
+            profile = {key: f.fourier_profile(k) for key, f in distinct.items()}
+            return (np.stack([profile[id(f)] for f in fs], axis=1)
+                    * np.exp(-np.multiply.outer(k**alpha, times)))
+
+        out[:, js] = radial_fourier_inverse(
+            fhat, kernel.dim, np.linalg.norm(x - fs[0].center, axis=1),
+            _density_k_max(alpha, times.min()),
+            floor=1.0, reach=max(f.radius for f in fs),  # sup f = 1 for both shapes
+        )
+    return out

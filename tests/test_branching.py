@@ -23,6 +23,7 @@ from stablebranch import (
     simulate_tree,
     tree_batch,
 )
+from stablebranch import fastsim
 
 KERNEL_1D = StableKernel(alpha=2.0, dim=1)
 EXP1 = Exponential(rate=1.0)
@@ -150,6 +151,26 @@ def test_field_batch_deterministic_and_stream_separated():
     assert np.array_equal(a.series["count"], b.series["count"])
     assert np.array_equal(a.initial_counts, b.initial_counts)
     assert not np.array_equal(a.series["count"], c.series["count"])
+
+
+def test_batch_refuses_stream_keys_that_would_collide():
+    """Chunk streams are (stream_key << 20) + chunk index, below the
+    auxiliary streams at 2^31: a key of 2^11 or a 2^20+1-th chunk would
+    reuse a stream, so both are refused."""
+    for key in (-1, 2**11):
+        with pytest.raises(ValueError, match="stream_key"):
+            field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, stream_key=key)
+    field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, stream_key=2**11 - 1)
+
+
+def test_batch_refuses_too_many_chunks_before_simulating(monkeypatch):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(fastsim, "_chunk_sizes", lambda *args: [1] * (2**20 + 1))
+    monkeypatch.setattr(fastsim, "_run_chunk", no_chunk)
+    with pytest.raises(ValueError, match="chunks"):
+        field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, stream_key=1)
 
 
 def _assert_same_batch(a, b):

@@ -411,3 +411,19 @@ def test_bad_seed_sources_exit_2(tmp_path, argv, env, key):
     """A seed from the flag or the environment must be an integer >= 0."""
     error = _exit_2_error(tmp_path, ["validate", "--checks", "", *argv], env)
     assert key in error, error
+
+
+def test_import_loads_no_heavy_scipy_subpackages():
+    """`import stablebranch, stablebranch.cli` needs numpy and
+    scipy.special only; each of these subpackages adds start-up time
+    to every process."""
+    src = str(Path(stablebranch.__file__).resolve().parents[1])
+    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.fft",
+             "scipy.signal"]
+    code = ("import sys, stablebranch, stablebranch.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout

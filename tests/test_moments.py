@@ -34,7 +34,7 @@ from stablebranch import (
     tree_second_moment,
 )
 from stablebranch import moments
-from stablebranch.experiments import run_tree_moment_comparison
+from stablebranch.experiments import default_renewal_table, run_tree_moment_comparison
 from stablebranch.moments import pair_correlation_realspace
 
 EXP1 = Exponential(rate=1.0)
@@ -251,6 +251,14 @@ def test_torus_series_cut_too_early_raises(monkeypatch):
         pair_correlation(kernel, bump(1), bump(1), 0.5, torus_half_side=20.0)
 
 
+def test_torus_series_refuses_oversized_lattice_before_allocating():
+    """A tiny lag needs |n| up to ~17,600 in d = 2, a 3.1e8-entry table:
+    refused at once, naming the lag, instead of exhausting memory."""
+    kernel = StableKernel(alpha=1.0, dim=2)
+    with pytest.raises(QuadratureError, match="u=0.001"):
+        pair_correlation(kernel, bump(2), bump(2), 1e-3, torus_half_side=2.0)
+
+
 # ---------------------------------------------------------------------------
 # field covariance
 # ---------------------------------------------------------------------------
@@ -377,7 +385,8 @@ def test_tree_second_moment_matches_monte_carlo(exp_table):
     (1, 47, {}),
     # a coarser outer grid keeps d = 2 affordable
     (2, 48, {"nodes_per_dim": 45, "r_points": 17}),
-], ids=["d1", "d2"])
+    (3, 49, {}),
+], ids=["d1", "d2", "d3"])
 def test_tree_second_moment_heavy_tailed_motion_matches_monte_carlo(dim, seed,
                                                                     grid):
     """alpha < 2: the 4 t**(1/alpha) cut of the outer integral must
@@ -386,6 +395,23 @@ def test_tree_second_moment_heavy_tailed_motion_matches_monte_carlo(dim, seed,
         StableKernel(alpha=1.5, dim=dim), EXP1, np.zeros(dim), 1.0, 2.0,
         bump(dim), bump(dim), replicates=40000, seed=seed, **grid)
     assert out["passed"], out
+
+
+@pytest.mark.parametrize("dim,x0,expected", [
+    (2, 0.0, 0.011966952311003464),
+    (2, 0.3, 0.01120741690870864),
+    (3, 0.0, 0.0010130179649876113),
+    (3, 0.3, 0.0009130176948406413),
+])
+def test_tree_second_moment_default_grid_values(dim, x0, expected):
+    """alpha = 1.5, Exp(1), s = 1, t = 2 on the default grids: the values
+    of the route that rebuilt every angular matrix per r-point, which
+    the one-matrix-per-radius-set route must keep."""
+    kernel = StableKernel(alpha=1.5, dim=dim)
+    table = default_renewal_table(EXP1, 2.0)
+    got = tree_second_moment(kernel, table, np.full(dim, x0), 1.0, 2.0,
+                             bump(dim), bump(dim))
+    assert got == pytest.approx(expected, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from stablebranch import (
     semigroup_apply,
     transition_density_radial,
 )
-from stablebranch.stable_motion import support_quadrature
+from stablebranch.stable_motion import semigroup_columns, support_quadrature
 
 
 def test_kernel_validation():
@@ -136,14 +136,46 @@ def test_density_positive_and_unimodal():
     assert np.all(np.diff(p) < 0)
 
 
-def test_large_radius_batch_uses_consistent_values():
-    """Spline fast path agrees with the direct quadrature."""
+def test_repeated_radii_batch_maps_back_to_direct_values():
+    """A large batch of repeated radii is inverted once per distinct
+    radius; every entry must get its own radius's value back."""
     kernel = StableKernel(alpha=1.5, dim=2)
     small = np.linspace(0.0, 5.0, 64)
     direct = transition_density_radial(kernel, 0.7, small)
-    big = np.tile(small, 200)  # > 8192 entries triggers the table path
-    tabled = transition_density_radial(kernel, 0.7, big)[: len(small)]
-    assert np.max(np.abs(direct - tabled)) < 1e-9
+    big = np.tile(small, 200)  # 12,800 entries, 64 distinct radii
+    batched = transition_density_radial(kernel, 0.7, big).reshape(200, 64)
+    assert np.max(np.abs(batched - direct)) < 1e-9
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_density_columns_match_one_time_at_a_time(alpha, dim):
+    """An array of times gives one column per time.  Closed forms are the
+    same arithmetic; at alpha = 1.5 every column shares the node set of
+    the smallest time, whose wider first panel resolves the k^alpha kink
+    at k = 0 less finely for the largest time (d = 1, t = 3: 9e-8 of
+    the column's scale against a fine-panel reference, 1.2e-8 alone)."""
+    kernel = StableKernel(alpha=alpha, dim=dim)
+    times = np.array([0.05, 0.4, 1.0, 3.0])
+    r = np.linspace(0.0, 6.0, 37)
+    cols = transition_density_radial(kernel, times, r)
+    assert cols.shape == (len(r), len(times))
+    for j, t in enumerate(times):
+        one = transition_density_radial(kernel, t, r)
+        atol = 1e-7 * one.max() if alpha == 1.5 else 0.0
+        assert_allclose(cols[:, j], one, rtol=1e-14, atol=atol)
+
+
+def test_tail_guard_checks_every_column():
+    """One column cut too early raises, even beside a well-cut one."""
+    r = [0.0, 0.5]
+    both = radial_fourier_inverse(
+        lambda k: np.stack([np.exp(-k**2)] * 2, axis=1), 1, r, 8.0)
+    assert both.shape == (2, 2)
+    with pytest.raises(QuadratureError):
+        radial_fourier_inverse(
+            lambda k: np.stack([np.exp(-k**2), np.exp(-0.01 * k**2)], axis=1),
+            1, r, 8.0)
 
 
 def test_tail_guard_rejects_premature_truncation():
@@ -223,6 +255,24 @@ def test_semigroup_far_field_is_zero_without_tail_error(dim, offset, t):
     x = np.zeros(dim)
     x[0] = offset
     assert abs(semigroup_apply(kernel, phi, t, x)) < 1e-12
+
+
+def test_semigroup_columns_match_single_applications():
+    """Columns sharing a centre reuse one inversion, other centres get
+    their own; t = 0 is phi itself."""
+    kernel = StableKernel(alpha=1.5, dim=2)
+    phi = TestFunction(shape="bump", center=np.array([0.3, -0.1]), radius=1.0)
+    psi = TestFunction(shape="indicator", center=np.array([0.3, -0.1]), radius=0.7)
+    xs = np.array([[0.0, 0.0], [0.9, 0.4], [2.5, -1.0]])
+    columns = [(phi, 0.0), (phi, 0.05), (psi, 1.2), (phi, 2.0)]
+    got = semigroup_columns(kernel, columns, xs)
+    for j, (f, t) in enumerate(columns):
+        assert_allclose(got[:, j], semigroup_apply(kernel, f, t, xs),
+                        rtol=0.0, atol=1e-9)  # sup f = 1
+    other = TestFunction(shape="bump", center=np.zeros(2), radius=1.0)
+    mixed = semigroup_columns(kernel, [(phi, 1.0), (other, 1.0)], xs)
+    assert_allclose(mixed[:, 1], semigroup_apply(kernel, other, 1.0, xs),
+                    rtol=0.0, atol=1e-15)
 
 
 def test_semigroup_rejects_dimension_mismatch():
