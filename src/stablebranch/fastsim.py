@@ -3,7 +3,10 @@
 All replicates of a batch advance together, one generation per step,
 with every random draw vectorised.  Positions are only ever
 materialised at observation checkpoints and death times, as flat
-arrays indexed by (particle, checkpoint).
+arrays indexed by (particle, checkpoint).  A generation's state carries
+the index of each particle's first checkpoint, inherited from its
+parent's death, so a wave runs one `searchsorted`; rows move between
+per-particle and per-checkpoint arrays by `np.take` on integer indices.
 
 The output is not a trajectory; it is a set of per-replicate time
 series sum_i w(x_i(t)) for caller-chosen weight functions w, which is
@@ -62,7 +65,19 @@ def obs_grid(horizon: float, obs_step: float) -> np.ndarray:
 
 
 def _wrap(pos: np.ndarray, half_side: float) -> np.ndarray:
-    return np.mod(pos + half_side, 2.0 * half_side) - half_side
+    """Positions mapped into [-L, L): np.mod(pos + L, 2L) - L, bit for bit.
+
+    np.mod is exact and the identity on [0, 2L), so it runs only on the
+    entries that leave that interval, usually a small share.
+    """
+    side = 2.0 * half_side
+    y = pos + half_side
+    flat = y.reshape(-1)
+    out = np.flatnonzero((flat < 0.0) | (flat >= side))
+    if len(out):
+        flat[out] = np.mod(np.take(flat, out), side)
+    y -= half_side
+    return y
 
 
 def _start_points(x0s, dim: int) -> np.ndarray:
@@ -125,72 +140,78 @@ def _wave(kernel, law, rng, obs, horizon, half_side, p_two, state, weights,
           acc, m, reps):
     """Advance one generation; returns the next generation's state.
 
-    `state` is (birth times, birth positions, replicate index) of the
-    generation; positions wrap on the torus unless `half_side` is None.
+    `state` is (birth times, birth positions, replicate index, index of
+    the first checkpoint at or after birth) of the generation; positions
+    wrap on the torus unless `half_side` is None.  A child's first
+    checkpoint is its parent's first one after death, so each wave runs
+    one `searchsorted`.  Rows are gathered with `np.take` on integer
+    indices; only particles with a checkpoint (`has`) reach the
+    checkpoint rows, and only splitting breeders reach the next state.
     """
-    birth, pos, rep = state
+    birth, pos, rep, i0 = state
     n = len(birth)
     death = birth + np.asarray(law.sample(rng, size=n), dtype=float)
-
-    i0 = np.searchsorted(obs, birth, side="left")
     i1 = np.searchsorted(obs, death, side="left")
-    k = i1 - i0
-    starts = np.concatenate(([0], np.cumsum(k)))[:-1]
-    total = int(k.sum())
-    pid = np.repeat(np.arange(n), k)
-    ramp = np.arange(total) - np.repeat(starts, k)
-    obs_idx = i0[pid] + ramp
-    t_cp = obs[obs_idx]
-    prev_t = np.where(ramp == 0, birth[pid], obs[np.maximum(obs_idx - 1, 0)])
-    dt = t_cp - prev_t
 
+    # checkpoint rows: particle has[j] owns rows starts[j] .. ends[j] - 1,
+    # the r-th of them at checkpoint i0 + r and key rep * m + i0 + r
+    k = i1 - i0
+    has = np.flatnonzero(k)
+    kh = np.take(k, has)
+    ends = np.cumsum(kh)
+    starts = ends - kh
+    row_of = np.repeat(np.arange(len(has)), kh)
+    i0_h = np.take(i0, has)
+    key = np.take(np.take(rep, has) * m + (i0_h - starts), row_of)
+    key += np.arange(len(row_of))
+    # time since the previous checkpoint, or since birth at segment starts
+    dt = np.take(np.tile(np.diff(obs, prepend=obs[0]), reps), key)
+    dt[starts] = np.take(obs, i0_h) - np.take(birth, has)
     inc = sample_increments(kernel, dt, rng)
     cs = np.cumsum(inc, axis=0)
-    cs0 = cs - inc
-    disp = cs - cs0[starts[pid]]
-    flat_pos = pos[pid] + disp
+    base = np.take(cs, starts, axis=0) - np.take(inc, starts, axis=0)
+    last_disp = np.take(cs, ends - 1, axis=0) - base
+    cs -= np.take(base, row_of, axis=0)  # displacement since birth
+    pos_h = np.take(pos, has, axis=0)
+    flat_pos = np.take(pos_h, row_of, axis=0)
+    flat_pos += cs
     if half_side is not None:
         flat_pos = _wrap(flat_pos, half_side)
 
-    key = rep[pid] * m + obs_idx
     for name, w in weights.items():
         acc[name] += np.bincount(key, weights=w(flat_pos), minlength=reps * m)
     acc["count"] += np.bincount(key, minlength=reps * m)
 
-    breeds = death <= horizon
-    if not breeds.any():
+    b_idx = np.flatnonzero(death <= horizon)
+    if len(b_idx) == 0:
         return None
-    last_t = np.where(k > 0, obs[np.maximum(i1 - 1, 0)], birth)
-    if total > 0:
-        # clamp: particles with k = 0 contribute nothing, but np.where
-        # still evaluates the taken-from-array branch at their slots
-        rows = np.minimum(starts + np.maximum(k - 1, 0), total - 1)
-        last_disp = np.where((k > 0)[:, None],
-                             cs[rows] - cs0[np.minimum(starts, total - 1)], 0.0)
-    else:
-        last_disp = np.zeros_like(pos)
-    last_pos = pos + last_disp
-
-    b_idx = np.flatnonzero(breeds)
-    dt_death = death[b_idx] - last_t[b_idx]
+    last_t = birth.copy()
+    last_t[has] = np.take(obs, i0_h + kh - 1)
+    dt_death = np.take(death, b_idx) - np.take(last_t, b_idx)
     inc_death = sample_increments(kernel, dt_death, rng)
-    death_pos = last_pos[b_idx] + inc_death
+    coins = np.flatnonzero(rng.random(len(b_idx)) < p_two)
+    if len(coins) == 0:
+        return None
+    last_pos = pos.copy()
+    last_pos[has] = pos_h + last_disp
+    parents = np.take(b_idx, coins)
+    death_pos = np.take(last_pos, parents, axis=0) + np.take(inc_death, coins, axis=0)
     if half_side is not None:
         death_pos = _wrap(death_pos, half_side)
-    coins = rng.random(len(b_idx)) < p_two
-    parents = b_idx[coins]
-    if len(parents) == 0:
-        return None
-    return (np.repeat(death[parents], 2), np.repeat(death_pos[coins], 2, axis=0),
-            np.repeat(rep[parents], 2))
+    twice = np.repeat(np.arange(len(coins)), 2)
+    parents = np.take(parents, twice)
+    return (np.take(death, parents), np.take(death_pos, twice, axis=0),
+            np.take(rep, parents), np.take(i1, parents))
 
 
 def _run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
                population_cap, state, weights, reps):
+    """Run one chunk from its ancestors' (birth, position, replicate) state."""
     m = len(obs)
     acc = {name: np.zeros(reps * m) for name in [*weights, "count"]}
     cum = np.zeros(reps, dtype=np.int64)
     aborted = np.zeros(reps, dtype=bool)
+    state = (*state, np.searchsorted(obs, state[0], side="left"))
     while state is not None:
         cum += np.bincount(state[2], minlength=reps)
         aborted |= cum > population_cap

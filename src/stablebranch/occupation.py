@@ -44,13 +44,20 @@ class TestFunction:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points must have {self.dim} coordinates")
-        q = np.sum((pts - self.center) ** 2, axis=-1) / self.radius**2
+        flat = pts.reshape(-1, self.dim)
+        # q <= 1 needs |x_j - c_j| <= r, up to rounding, on every coordinate:
+        # q is computed on the rows of that box only, the rest stay zero.
+        reach = self.radius * (1.0 + 1e-12)
+        rows = np.flatnonzero(np.abs(flat[:, 0] - self.center[0]) <= reach)
+        for j in range(1, self.dim):
+            rows = rows[np.abs(np.take(flat[:, j], rows) - self.center[j]) <= reach]
+        q = np.sum((np.take(flat, rows, axis=0) - self.center) ** 2, axis=-1) / self.radius**2
+        out = np.zeros(len(flat))
         if self.shape == "bump":
-            inside = q < 1.0
-            out = np.zeros(pts.shape[0])
-            out[inside] = (1.0 - q[inside]) ** 2
-            return out
-        return (q <= 1.0).astype(float)
+            out[rows] = np.where(q < 1.0, (1.0 - q) ** 2, 0.0)
+        else:
+            out[rows] = q <= 1.0
+        return out.reshape(pts.shape[:-1])
 
     def fourier_profile(self, k) -> np.ndarray:
         """Fourier transform at |y| = k of the shape centered at the origin.

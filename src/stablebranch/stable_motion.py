@@ -57,12 +57,20 @@ def _one_sided_stable(rho: float, t, rng, size) -> np.ndarray:
     """
     u = rng.uniform(0.0, np.pi, size=size)
     w = rng.standard_exponential(size=size)
-    sin_u = np.clip(np.sin(u), 1e-300, None)
-    w = np.clip(w, 1e-300, None)
-    ratio = (1.0 - rho) / rho
-    a = np.sin(rho * u) * np.power(np.sin((1.0 - rho) * u) / w, ratio)
-    a /= np.power(sin_u, 1.0 / rho)
-    return np.power(t, 1.0 / rho) * a
+    np.maximum(w, 1e-300, out=w)
+    sin_u = np.sin(u)
+    np.maximum(sin_u, 1e-300, out=sin_u)
+    a = np.multiply(u, 1.0 - rho)
+    np.sin(a, out=a)
+    a /= w
+    np.power(a, (1.0 - rho) / rho, out=a)
+    np.multiply(u, rho, out=u)
+    np.sin(u, out=u)
+    a *= u
+    np.power(sin_u, 1.0 / rho, out=sin_u)
+    a /= sin_u
+    a *= np.power(t, 1.0 / rho)
+    return a
 
 
 def sample_increments(kernel: StableKernel, dts, rng) -> np.ndarray:
@@ -80,13 +88,16 @@ def sample_increments(kernel: StableKernel, dts, rng) -> np.ndarray:
     if kernel.alpha == 2.0:
         # per-coordinate variance 2*dt
         z = rng.standard_normal(size=(n, d))
-        return z * np.sqrt(2.0 * dts)[:, None]
+        z *= np.sqrt(2.0 * dts)[:, None]
+        return z
     # Brownian motion at an independent (alpha/2)-stable time:
     # E exp(i y . B_S) = E exp(-S |y|^2) = exp(-dt |y|^alpha).
     rho = kernel.alpha / 2.0
     s = _one_sided_stable(rho, dts, rng, size=n)
     z = rng.standard_normal(size=(n, d))
-    return z * np.sqrt(2.0 * s)[:, None]
+    s *= 2.0
+    z *= np.sqrt(s, out=s)[:, None]
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from stablebranch import (
     tree_batch,
 )
 from stablebranch import fastsim
+from stablebranch.stable_motion import sample_increments
 
 KERNEL_1D = StableKernel(alpha=2.0, dim=1)
 EXP1 = Exponential(rate=1.0)
@@ -180,6 +181,137 @@ def _assert_same_batch(a, b):
     assert np.array_equal(a.initial_counts, b.initial_counts)
     assert np.array_equal(a.event_counts, b.event_counts)
     assert np.array_equal(a.aborted, b.aborted)
+
+
+# ---------------------------------------------------------------------------
+# batch engine against the straightforward generation wave it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_wrap(pos, half_side):
+    return np.mod(pos + half_side, 2.0 * half_side) - half_side
+
+
+def _oracle_wave(kernel, law, rng, obs, horizon, half_side, p_two, state,
+                 weights, acc, m, reps):
+    """One generation with a searchsorted per time, 2-D fancy indexing and
+    np.where over every particle: the same draws in the same order."""
+    birth, pos, rep = state
+    n = len(birth)
+    death = birth + np.asarray(law.sample(rng, size=n), dtype=float)
+
+    i0 = np.searchsorted(obs, birth, side="left")
+    i1 = np.searchsorted(obs, death, side="left")
+    k = i1 - i0
+    starts = np.concatenate(([0], np.cumsum(k)))[:-1]
+    total = int(k.sum())
+    pid = np.repeat(np.arange(n), k)
+    ramp = np.arange(total) - np.repeat(starts, k)
+    obs_idx = i0[pid] + ramp
+    t_cp = obs[obs_idx]
+    prev_t = np.where(ramp == 0, birth[pid], obs[np.maximum(obs_idx - 1, 0)])
+    dt = t_cp - prev_t
+
+    inc = sample_increments(kernel, dt, rng)
+    cs = np.cumsum(inc, axis=0)
+    cs0 = cs - inc
+    disp = cs - cs0[starts[pid]]
+    flat_pos = pos[pid] + disp
+    if half_side is not None:
+        flat_pos = _oracle_wrap(flat_pos, half_side)
+
+    key = rep[pid] * m + obs_idx
+    for name, w in weights.items():
+        acc[name] += np.bincount(key, weights=w(flat_pos), minlength=reps * m)
+    acc["count"] += np.bincount(key, minlength=reps * m)
+
+    breeds = death <= horizon
+    if not breeds.any():
+        return None
+    last_t = np.where(k > 0, obs[np.maximum(i1 - 1, 0)], birth)
+    if total > 0:
+        rows = np.minimum(starts + np.maximum(k - 1, 0), total - 1)
+        last_disp = np.where((k > 0)[:, None],
+                             cs[rows] - cs0[np.minimum(starts, total - 1)], 0.0)
+    else:
+        last_disp = np.zeros_like(pos)
+    last_pos = pos + last_disp
+
+    b_idx = np.flatnonzero(breeds)
+    dt_death = death[b_idx] - last_t[b_idx]
+    inc_death = sample_increments(kernel, dt_death, rng)
+    death_pos = last_pos[b_idx] + inc_death
+    if half_side is not None:
+        death_pos = _oracle_wrap(death_pos, half_side)
+    coins = rng.random(len(b_idx)) < p_two
+    parents = b_idx[coins]
+    if len(parents) == 0:
+        return None
+    return (np.repeat(death[parents], 2), np.repeat(death_pos[coins], 2, axis=0),
+            np.repeat(rep[parents], 2))
+
+
+def _oracle_run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
+                      population_cap, state, weights, reps):
+    m = len(obs)
+    acc = {name: np.zeros(reps * m) for name in [*weights, "count"]}
+    cum = np.zeros(reps, dtype=np.int64)
+    aborted = np.zeros(reps, dtype=bool)
+    while state is not None:
+        cum += np.bincount(state[2], minlength=reps)
+        aborted |= cum > population_cap
+        if aborted.any():
+            keep = ~aborted[state[2]]
+            state = tuple(a[keep] for a in state)
+        if len(state[0]) == 0:
+            break
+        state = _oracle_wave(kernel, law, rng, obs, horizon, half_side, p_two,
+                             state, weights, acc, m, reps)
+    series = {name: a.reshape(reps, m) for name, a in acc.items()}
+    return series, cum, aborted
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("law", [Exponential(rate=1.0), make_pareto_tail(0.5)],
+                         ids=["exp", "pareto"])
+@pytest.mark.parametrize("p_two", [0.5, 1.0])
+def test_batches_match_the_oracle_wave_bit_for_bit(monkeypatch, alpha, dim,
+                                                   law, p_two):
+    kernel = StableKernel(alpha=alpha, dim=dim)
+    phi = TestFunction(shape="bump", center=np.full(dim, 0.4), radius=1.0)
+    psi = TestFunction(shape="indicator", center=np.zeros(dim), radius=1.5)
+    weights = {"phi": phi.evaluate, "psi": psi.evaluate,
+               "x_first": lambda p: p[:, 0], "x_last": lambda p: p[:, -1]}
+    cap = 40 * 5**dim if p_two == 1.0 else 10**6  # 5**dim: the initial field mean
+    field = dict(replicates=40, obs_times=obs_grid(3.0, 0.25), half_side=2.5,
+                 seed=31, weights=weights, p_two=p_two, population_cap=cap)
+    x0s = np.random.default_rng(7).normal(size=(60, dim))
+    tree = dict(obs_times=obs_grid(3.0, 0.25), seed=32, weights=weights,
+                p_two=p_two, population_cap=cap)
+    new = (field_batch(kernel, law, **field), tree_batch(kernel, law, x0s, **tree))
+    monkeypatch.setattr(fastsim, "_run_chunk", _oracle_run_chunk)
+    old = (field_batch(kernel, law, **field), tree_batch(kernel, law, x0s, **tree))
+    for a, b in zip(new, old):
+        _assert_same_batch(a, b)
+        assert a.series["count"][:, 1:].sum() > 0
+    if p_two == 1.0 and law.name.startswith("exp"):
+        assert new[0].aborted.any() and not new[0].aborted.all()
+
+
+@pytest.mark.parametrize("half_side", [1.0, 2.5, 5.656854249492381, 68.4, np.pi])
+def test_wrap_matches_one_pass_mod_bitwise(half_side):
+    L = half_side
+    edges = np.array([-L, L, np.nextafter(L, 0.0), 2 * L, -2 * L, 3 * L, -3 * L,
+                      1e6 * L, -1e6 * L, -0.0, 0.0, np.nextafter(-L, 0.0),
+                      np.nextafter(-L, -2 * L)])
+    batch = np.random.default_rng(8).normal(scale=2.0 * L, size=(5000, 3))
+    for x in (edges[:, None], batch, np.concatenate([batch, edges[:, None].repeat(3, 1)])):
+        got = fastsim._wrap(x, L)
+        want = _oracle_wrap(x, L)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.all((got >= -L) & (got <= L))  # L itself: see np.mod's rounding
 
 
 def test_field_batch_thread_count_invariance(chunk_counts):

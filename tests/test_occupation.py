@@ -76,6 +76,40 @@ def test_evaluate_shapes():
     assert_allclose(vals, [1.0, 1.0, 0.0])
 
 
+def _evaluate_everywhere(phi, pts):
+    """The shapes computed on every row, before the support-box cut."""
+    q = np.sum((pts - phi.center) ** 2, axis=-1) / phi.radius**2
+    if phi.shape == "bump":
+        return np.where(q < 1.0, (1.0 - q) ** 2, 0.0)
+    return (q <= 1.0).astype(float)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("shape", ["bump", "indicator"])
+def test_evaluate_on_box_faces_and_sphere_matches_full_formula(dim, shape):
+    rng = np.random.default_rng(3)
+    center, r = np.array([0.5, -0.25, 0.75])[:dim], 1.25  # faces land exactly
+    phi = TestFunction(shape=shape, center=center, radius=r)
+    unit = rng.normal(size=(500, dim))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    face = rng.uniform(-r, r, size=(500, dim))  # one coordinate on a face
+    face[np.arange(500), rng.integers(dim, size=500)] = rng.choice([-r, r], size=500)
+    edge = np.full((4, dim), r)  # box corners and the axis points of the sphere
+    edge[1] *= -1
+    edge[2:, 1:] = 0.0
+    edge[3, 0] = np.nextafter(r, 2 * r)
+    pts = center + np.concatenate([
+        unit * r, unit * np.nextafter(r, 0.0), unit * np.nextafter(r, 2 * r),
+        face, np.nextafter(face, 0.0), np.nextafter(face, 2 * face), edge,
+        rng.uniform(-2 * r, 2 * r, size=(2000, dim))])
+    got = phi.evaluate(pts)
+    assert np.array_equal(got, _evaluate_everywhere(phi, pts))
+    assert 0 < np.count_nonzero(got) < len(pts)
+    weights = np.bincount(np.arange(len(pts)) % 7, weights=got)
+    assert np.array_equal(weights, np.bincount(np.arange(len(pts)) % 7,
+                                               weights=_evaluate_everywhere(phi, pts)))
+
+
 def test_evaluate_rejects_dimension_mismatch():
     phi = TestFunction(shape="bump", center=[0.0, 0.0], radius=1.0)
     with pytest.raises(ValueError):

@@ -77,6 +77,37 @@ def test_empirical_characteristic_function(alpha, dim):
         assert abs(vals.mean() - target) < 3.5 * se, (alpha, dim, k)
 
 
+def _out_of_place_increments(kernel, dts, rng):
+    """The sampler as it was written before its steps ran in place."""
+    n, d = len(dts), kernel.dim
+    if kernel.alpha == 2.0:
+        z = rng.standard_normal(size=(n, d))
+        return z * np.sqrt(2.0 * dts)[:, None]
+    rho = kernel.alpha / 2.0
+    u = rng.uniform(0.0, np.pi, size=n)
+    w = rng.standard_exponential(size=n)
+    sin_u = np.clip(np.sin(u), 1e-300, None)
+    w = np.clip(w, 1e-300, None)
+    ratio = (1.0 - rho) / rho
+    a = np.sin(rho * u) * np.power(np.sin((1.0 - rho) * u) / w, ratio)
+    a /= np.power(sin_u, 1.0 / rho)
+    s = np.power(dts, 1.0 / rho) * a
+    z = rng.standard_normal(size=(n, d))
+    return z * np.sqrt(2.0 * s)[:, None]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_in_place_sampler_is_bit_identical(alpha, dim):
+    kernel = StableKernel(alpha=alpha, dim=dim)
+    dts = replicate_stream(5, 0).exponential(size=20_001)
+    dts[:3] = [0.0, 1e-300, 1e6]
+    got = sample_increments(kernel, dts, replicate_stream(5, 1))
+    want = _out_of_place_increments(kernel, dts, replicate_stream(5, 1))
+    assert np.array_equal(got, want)
+    assert np.array_equal(dts[:3], [0.0, 1e-300, 1e6])  # input left alone
+
+
 def test_zero_time_increment_is_zero():
     kernel = StableKernel(alpha=1.5, dim=2)
     rng = replicate_stream(0, 1)
