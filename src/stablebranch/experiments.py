@@ -53,7 +53,7 @@ EXPERIMENT_KINDS = {
     "mean_identity": None,
 }
 
-_AUX = 1 << 31  # stream indices for auxiliary draws, clear of chunk keys
+_STABLE_CF_KEY, _TREE_STARTS_KEY = (1,), (2,)  # chunk keys are pairs
 
 
 @dataclass(frozen=True)
@@ -340,7 +340,7 @@ def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
 
 def _check_stable_cf(seed, p_two, threads):
     kernel = StableKernel(alpha=1.5, dim=2)
-    rng = replicate_stream(seed, _AUX + 1)
+    rng = replicate_stream(seed, *_STABLE_CF_KEY)
     x = sample_increments(kernel, np.full(200_000, 2.0), rng)
     target = math.exp(-2.0)
     mean, _, z = _mean_se_z(np.cos(x[:, 0]), target)
@@ -468,7 +468,7 @@ def _check_poissonization(seed, p_two, threads):
     lhs_se = float(lhs_vals.std(ddof=1) / math.sqrt(len(lhs_vals)))
 
     n_tree = 100_000
-    rng = replicate_stream(seed, _AUX + 2)
+    rng = replicate_stream(seed, *_TREE_STARTS_KEY)
     x0s = rng.uniform(-half, half, size=(n_tree, 1))
     tree = tree_batch(kernel, law, x0s, obs_times=[t], seed=seed,
                       weights={"psi": psi.evaluate}, p_two=p_two,

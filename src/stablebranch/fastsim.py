@@ -15,10 +15,10 @@ always included under the name "count".  The event-driven engine in
 `branching` returns the same `BatchResult` and serves as the reference
 these batches are tested against.
 
-Replicates are grouped into fixed-size chunks, each driven by its own
-counter-based stream derived from (seed, chunk index).  Chunk size
-depends only on the configuration, so results are reproducible
-regardless of how chunks are dispatched across workers.
+Replicates are grouped into fixed-size chunks, each with its own stream
+keyed by (seed, stream key, chunk index).  Chunk size depends only on
+the configuration, so results are reproducible regardless of how chunks
+are dispatched across workers.
 """
 
 from __future__ import annotations
@@ -32,22 +32,17 @@ from .stable_motion import StableKernel, sample_increments
 
 DEFAULT_POPULATION_CAP = 10**7
 _CHUNK_TARGET = 150_000  # particles per chunk wave, roughly
-# A chunk's stream index is (stream_key << _CHUNK_BITS) + chunk index; both
-# parts must fit their bits, and the index must stay below 2^31, where the
-# auxiliary streams of `experiments` start.
-_CHUNK_BITS = 20
-_STREAM_KEYS = 1 << 11
 
 
-def replicate_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based RNG stream for one replicate or chunk.
+def replicate_stream(seed: int, *key: int) -> np.random.Generator:
+    """Independent RNG stream for one replicate, chunk or auxiliary draw.
 
-    Streams are derived from (seed, index) through a Philox key, so any
-    subset of them can run in any order, or in parallel, and still
-    produce identical results.
+    SFC64 seeded by `SeedSequence(seed, spawn_key=key)`: distinct keys of
+    nonnegative integers give independent streams, which can run in any
+    order, or in parallel, with identical results.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def obs_grid(horizon: float, obs_step: float) -> np.ndarray:
@@ -65,17 +60,19 @@ def obs_grid(horizon: float, obs_step: float) -> np.ndarray:
 
 
 def _wrap(pos: np.ndarray, half_side: float) -> np.ndarray:
-    """Positions mapped into [-L, L): np.mod(pos + L, 2L) - L, bit for bit.
+    """Positions mapped into [-L, L) as np.mod(pos + L, 2L) - L.
 
     np.mod is exact and the identity on [0, 2L), so it runs only on the
-    entries that leave that interval, usually a small share.
+    entries that leave that interval, usually a small share.  It rounds
+    a tiny negative argument up to 2L itself, which is mapped to 0.
     """
     side = 2.0 * half_side
     y = pos + half_side
     flat = y.reshape(-1)
     out = np.flatnonzero((flat < 0.0) | (flat >= side))
     if len(out):
-        flat[out] = np.mod(np.take(flat, out), side)
+        r = np.mod(np.take(flat, out), side)
+        flat[out] = np.where(r == side, 0.0, r)
     y -= half_side
     return y
 
@@ -144,36 +141,45 @@ def _wave(kernel, law, rng, obs, horizon, half_side, p_two, state, weights,
     the first checkpoint at or after birth) of the generation; positions
     wrap on the torus unless `half_side` is None.  A child's first
     checkpoint is its parent's first one after death, so each wave runs
-    one `searchsorted`.  Rows are gathered with `np.take` on integer
-    indices; only particles with a checkpoint (`has`) reach the
-    checkpoint rows, and only splitting breeders reach the next state.
+    one `searchsorted`.  Coins come before increments, so only splitting
+    parents draw a death step (from their last checkpoint row, or birth),
+    in the wave's one `sample_increments` call.  Rows are gathered with
+    `np.take` on integer indices.
     """
     birth, pos, rep, i0 = state
     n = len(birth)
     death = birth + np.asarray(law.sample(rng, size=n), dtype=float)
     i1 = np.searchsorted(obs, death, side="left")
+    parents = np.flatnonzero(death <= horizon)
+    parents = np.take(parents, np.flatnonzero(rng.random(len(parents)) < p_two))
 
     # checkpoint rows: particle has[j] owns rows starts[j] .. ends[j] - 1,
     # the r-th of them at checkpoint i0 + r and key rep * m + i0 + r
     k = i1 - i0
+    cum_k = np.cumsum(k)
     has = np.flatnonzero(k)
     kh = np.take(k, has)
-    ends = np.cumsum(kh)
+    ends = np.take(cum_k, has)
     starts = ends - kh
     row_of = np.repeat(np.arange(len(has)), kh)
     i0_h = np.take(i0, has)
     key = np.take(np.take(rep, has) * m + (i0_h - starts), row_of)
     key += np.arange(len(row_of))
-    # time since the previous checkpoint, or since birth at segment starts
+    # time since the previous checkpoint, or since birth at segment starts,
+    # then each parent's death step from its last checkpoint or its birth
     dt = np.take(np.tile(np.diff(obs, prepend=obs[0]), reps), key)
     dt[starts] = np.take(obs, i0_h) - np.take(birth, has)
-    inc = sample_increments(kernel, dt, rng)
+    k_p = np.take(k, parents)
+    t_last = np.where(k_p > 0, np.take(obs, np.take(i1, parents) - 1),
+                      np.take(birth, parents))
+    inc = sample_increments(kernel, np.concatenate(
+        [dt, np.take(death, parents) - t_last]), rng)
+    inc_death = inc[len(dt):]
+    inc = inc[: len(dt)]
     cs = np.cumsum(inc, axis=0)
-    base = np.take(cs, starts, axis=0) - np.take(inc, starts, axis=0)
-    last_disp = np.take(cs, ends - 1, axis=0) - base
-    cs -= np.take(base, row_of, axis=0)  # displacement since birth
-    pos_h = np.take(pos, has, axis=0)
-    flat_pos = np.take(pos_h, row_of, axis=0)
+    before = np.take(cs, starts, axis=0) - np.take(inc, starts, axis=0)
+    # a row sits at its running sum plus its birth position less `before`
+    flat_pos = np.take(np.take(pos, has, axis=0) - before, row_of, axis=0)
     flat_pos += cs
     if half_side is not None:
         flat_pos = _wrap(flat_pos, half_side)
@@ -182,23 +188,16 @@ def _wave(kernel, law, rng, obs, horizon, half_side, p_two, state, weights,
         acc[name] += np.bincount(key, weights=w(flat_pos), minlength=reps * m)
     acc["count"] += np.bincount(key, minlength=reps * m)
 
-    b_idx = np.flatnonzero(death <= horizon)
-    if len(b_idx) == 0:
+    if len(parents) == 0:
         return None
-    last_t = birth.copy()
-    last_t[has] = np.take(obs, i0_h + kh - 1)
-    dt_death = np.take(death, b_idx) - np.take(last_t, b_idx)
-    inc_death = sample_increments(kernel, dt_death, rng)
-    coins = np.flatnonzero(rng.random(len(b_idx)) < p_two)
-    if len(coins) == 0:
-        return None
-    last_pos = pos.copy()
-    last_pos[has] = pos_h + last_disp
-    parents = np.take(b_idx, coins)
-    death_pos = np.take(last_pos, parents, axis=0) + np.take(inc_death, coins, axis=0)
+    death_pos = np.take(pos, parents, axis=0)
+    seen = np.flatnonzero(k_p)
+    death_pos[seen] = np.take(flat_pos, np.take(cum_k, np.take(parents, seen)) - 1,
+                              axis=0)
+    death_pos += inc_death
     if half_side is not None:
         death_pos = _wrap(death_pos, half_side)
-    twice = np.repeat(np.arange(len(coins)), 2)
+    twice = np.repeat(np.arange(len(parents)), 2)
     parents = np.take(parents, twice)
     return (np.take(death, parents), np.take(death_pos, twice, axis=0),
             np.take(rep, parents), np.take(i1, parents))
@@ -237,17 +236,12 @@ def _batch(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
     horizon = float(obs[-1])
     weights = weights or {}
     step = obs[1] - obs[0] if len(obs) > 1 else max(horizon, 1.0)
-    if not 0 <= stream_key < _STREAM_KEYS:
-        raise ValueError(f"stream_key must lie in [0, {_STREAM_KEYS}), got {stream_key}")
     sizes = _chunk_sizes(replicates,
                          mean_n0 * (_truncated_mean(law, horizon) / step + 2.0))
-    if len(sizes) > 1 << _CHUNK_BITS:
-        raise ValueError(f"{len(sizes)} chunks exceed the {1 << _CHUNK_BITS} "
-                         f"stream indices of one stream_key")
     firsts = np.cumsum([0, *sizes])
 
     def _do(ci, reps):
-        rng = replicate_stream(seed, (stream_key << _CHUNK_BITS) + ci)
+        rng = replicate_stream(seed, stream_key, ci)
         counts, pos, rep = ancestors(rng, firsts[ci], reps)
         state = (np.zeros(len(rep)), pos, rep)
         return (counts, *_run_chunk(kernel, law, rng, obs, horizon, half_side,
@@ -273,9 +267,9 @@ def field_batch(kernel: StableKernel, law, *, replicates: int, obs_times,
     The fields run from time 0 to the last of the increasing `obs_times`.
     `weights` maps series names to vectorised functions of particle
     positions; each yields a (replicates, observations) matrix of
-    sums over the live population.  `stream_key`, in [0, 2^11), offsets
-    the RNG chunk keys so several batches can share one seed without
-    overlap; a batch of more than 2^20 chunks is refused.
+    sums over the live population.  Chunk ci draws from
+    `replicate_stream(seed, stream_key, ci)`, so batches with distinct
+    nonnegative `stream_key`s share one seed without overlap.
     """
     d = kernel.dim
     mean_n0 = intensity * (2.0 * half_side) ** d

@@ -10,8 +10,8 @@ ParetoTail law is calibrated so that its survival function satisfies
 i.e. the tail constant is exactly one; `make_pareto_tail` picks the
 scale that achieves this.
 
-All sampling is inverse-CDF, one uniform per draw, which keeps
-counter-based replicate streams aligned regardless of platform.
+All sampling is inverse-CDF, one uniform per draw, so a stream's
+draws stay aligned regardless of platform.
 """
 
 from __future__ import annotations

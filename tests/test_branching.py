@@ -18,12 +18,13 @@ from stablebranch import (
     field_batch,
     make_pareto_tail,
     obs_grid,
+    replicate_stream,
     semigroup_apply,
     simulate_field,
     simulate_tree,
     tree_batch,
 )
-from stablebranch import fastsim
+from stablebranch import experiments, fastsim
 from stablebranch.stable_motion import sample_increments
 
 KERNEL_1D = StableKernel(alpha=2.0, dim=1)
@@ -154,24 +155,18 @@ def test_field_batch_deterministic_and_stream_separated():
     assert not np.array_equal(a.series["count"], c.series["count"])
 
 
-def test_batch_refuses_stream_keys_that_would_collide():
-    """Chunk streams are (stream_key << 20) + chunk index, below the
-    auxiliary streams at 2^31: a key of 2^11 or a 2^20+1-th chunk would
-    reuse a stream, so both are refused."""
-    for key in (-1, 2**11):
-        with pytest.raises(ValueError, match="stream_key"):
-            field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, stream_key=key)
-    field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, stream_key=2**11 - 1)
-
-
-def test_batch_refuses_too_many_chunks_before_simulating(monkeypatch):
-    def no_chunk(*args):
-        raise AssertionError("a chunk ran")
-
-    monkeypatch.setattr(fastsim, "_chunk_sizes", lambda *args: [1] * (2**20 + 1))
-    monkeypatch.setattr(fastsim, "_run_chunk", no_chunk)
-    with pytest.raises(ValueError, match="chunks"):
-        field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, stream_key=1)
+def test_chunk_and_auxiliary_stream_keys_are_distinct():
+    """Chunk ci of a batch draws from replicate_stream(seed, stream_key, ci)
+    and auxiliary draws from one-element keys.  Pairs that collided under the
+    old (stream_key << 20) + ci packing, the keys the experiments use and the
+    auxiliary keys all give different streams; no chunk runs."""
+    keys = {(k, ci) for k in (*range(1, 5), *range(101, 107), 200, 220)
+            for ci in range(4)}
+    keys |= {(1, 0), (0, 2**20), (2**11, 0), (0, 0), (),
+             experiments._STABLE_CF_KEY, experiments._TREE_STARTS_KEY}
+    firsts = {tuple(replicate_stream(21, *key).integers(0, 2**63, 2))
+              for key in keys}
+    assert len(firsts) == len(keys)
 
 
 def _assert_same_batch(a, b):
@@ -184,12 +179,13 @@ def _assert_same_batch(a, b):
 
 
 # ---------------------------------------------------------------------------
-# batch engine against the straightforward generation wave it replaced
+# batch engine against a straightforward generation wave
 # ---------------------------------------------------------------------------
 
 
 def _oracle_wrap(pos, half_side):
-    return np.mod(pos + half_side, 2.0 * half_side) - half_side
+    y = np.mod(pos + half_side, 2.0 * half_side)
+    return np.where(y == 2.0 * half_side, 0.0, y) - half_side
 
 
 def _oracle_wave(kernel, law, rng, obs, horizon, half_side, p_two, state,
@@ -199,6 +195,8 @@ def _oracle_wave(kernel, law, rng, obs, horizon, half_side, p_two, state,
     birth, pos, rep = state
     n = len(birth)
     death = birth + np.asarray(law.sample(rng, size=n), dtype=float)
+    b_idx = np.flatnonzero(death <= horizon)
+    parents = b_idx[rng.random(len(b_idx)) < p_two]
 
     i0 = np.searchsorted(obs, birth, side="left")
     i1 = np.searchsorted(obs, death, side="left")
@@ -211,12 +209,15 @@ def _oracle_wave(kernel, law, rng, obs, horizon, half_side, p_two, state,
     t_cp = obs[obs_idx]
     prev_t = np.where(ramp == 0, birth[pid], obs[np.maximum(obs_idx - 1, 0)])
     dt = t_cp - prev_t
+    last_t = np.where(k > 0, obs[np.maximum(i1 - 1, 0)], birth)
+    dt_death = death[parents] - last_t[parents]
 
-    inc = sample_increments(kernel, dt, rng)
+    inc = sample_increments(kernel, np.concatenate([dt, dt_death]), rng)
+    inc_death = inc[total:]
+    inc = inc[:total]
     cs = np.cumsum(inc, axis=0)
     cs0 = cs - inc
-    disp = cs - cs0[starts[pid]]
-    flat_pos = pos[pid] + disp
+    flat_pos = pos[pid] - cs0[starts[pid]] + cs
     if half_side is not None:
         flat_pos = _oracle_wrap(flat_pos, half_side)
 
@@ -225,29 +226,16 @@ def _oracle_wave(kernel, law, rng, obs, horizon, half_side, p_two, state,
         acc[name] += np.bincount(key, weights=w(flat_pos), minlength=reps * m)
     acc["count"] += np.bincount(key, minlength=reps * m)
 
-    breeds = death <= horizon
-    if not breeds.any():
-        return None
-    last_t = np.where(k > 0, obs[np.maximum(i1 - 1, 0)], birth)
-    if total > 0:
-        rows = np.minimum(starts + np.maximum(k - 1, 0), total - 1)
-        last_disp = np.where((k > 0)[:, None],
-                             cs[rows] - cs0[np.minimum(starts, total - 1)], 0.0)
-    else:
-        last_disp = np.zeros_like(pos)
-    last_pos = pos + last_disp
-
-    b_idx = np.flatnonzero(breeds)
-    dt_death = death[b_idx] - last_t[b_idx]
-    inc_death = sample_increments(kernel, dt_death, rng)
-    death_pos = last_pos[b_idx] + inc_death
-    if half_side is not None:
-        death_pos = _oracle_wrap(death_pos, half_side)
-    coins = rng.random(len(b_idx)) < p_two
-    parents = b_idx[coins]
     if len(parents) == 0:
         return None
-    return (np.repeat(death[parents], 2), np.repeat(death_pos[coins], 2, axis=0),
+    last_pos = pos
+    if total > 0:
+        rows = np.minimum(starts + np.maximum(k - 1, 0), total - 1)
+        last_pos = np.where((k > 0)[:, None], flat_pos[rows], pos)
+    death_pos = last_pos[parents] + inc_death
+    if half_side is not None:
+        death_pos = _oracle_wrap(death_pos, half_side)
+    return (np.repeat(death[parents], 2), np.repeat(death_pos, 2, axis=0),
             np.repeat(rep[parents], 2))
 
 
@@ -304,14 +292,31 @@ def test_wrap_matches_one_pass_mod_bitwise(half_side):
     L = half_side
     edges = np.array([-L, L, np.nextafter(L, 0.0), 2 * L, -2 * L, 3 * L, -3 * L,
                       1e6 * L, -1e6 * L, -0.0, 0.0, np.nextafter(-L, 0.0),
-                      np.nextafter(-L, -2 * L)])
+                      np.nextafter(-L, -2 * L), np.nextafter(-3 * L, -4 * L)])
     batch = np.random.default_rng(8).normal(scale=2.0 * L, size=(5000, 3))
     for x in (edges[:, None], batch, np.concatenate([batch, edges[:, None].repeat(3, 1)])):
         got = fastsim._wrap(x, L)
         want = _oracle_wrap(x, L)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.all((got >= -L) & (got <= L))  # L itself: see np.mod's rounding
+        assert np.all((got >= -L) & (got < L))
+
+
+@pytest.mark.parametrize("p_two", [0.5, 1.0])
+def test_children_start_from_their_parents_death_position(p_two):
+    """alpha = 2, d = 1: every particle alive at t sits at x0 + B_t with
+    E B_t^2 = 2t, so E sum_i (x_i(t)^2 - x0^2 - 2t) = 0 for any p_two.  A
+    child started anywhere but its parent's death position (for instance
+    without the death step) would bias the sum."""
+    x0, times = 1.5, [1.0, 2.0, 4.0]
+    batch = tree_batch(KERNEL_1D, EXP1, np.full((20_000, 1), x0),
+                       obs_times=times, seed=41, p_two=p_two,
+                       weights={"x2": lambda p: p[:, 0] ** 2})
+    assert not batch.aborted.any()
+    for j, t in enumerate(times):
+        y = batch.series["x2"][:, j] - (x0**2 + 2.0 * t) * batch.series["count"][:, j]
+        z = y.mean() / (y.std(ddof=1) / np.sqrt(len(y)))
+        assert abs(z) < 4.0, (p_two, t, z)
 
 
 def test_field_batch_thread_count_invariance(chunk_counts):

@@ -23,7 +23,12 @@ from stablebranch import (
     semigroup_apply,
     transition_density_radial,
 )
-from stablebranch.stable_motion import semigroup_columns, support_quadrature
+from stablebranch.stable_motion import (
+    _one_sided_stable,
+    _sin_double,
+    semigroup_columns,
+    support_quadrature,
+)
 
 
 def test_kernel_validation():
@@ -78,19 +83,22 @@ def test_empirical_characteristic_function(alpha, dim):
 
 
 def _out_of_place_increments(kernel, dts, rng):
-    """The sampler as it was written before its steps ran in place."""
+    """The sampler written out plainly, without its in-place steps."""
     n, d = len(dts), kernel.dim
     if kernel.alpha == 2.0:
         z = rng.standard_normal(size=(n, d))
         return z * np.sqrt(2.0 * dts)[:, None]
     rho = kernel.alpha / 2.0
-    u = rng.uniform(0.0, np.pi, size=n)
-    w = rng.standard_exponential(size=n)
-    sin_u = np.clip(np.sin(u), 1e-300, None)
-    w = np.clip(w, 1e-300, None)
+    h = (1.0 - rng.random(size=n)) * (np.pi / 2.0)
+    w = np.clip(rng.standard_exponential(size=n), 1e-300, None)
+
+    def sin_double(x):
+        t = np.tan(x)
+        return 2.0 * t / (t * t + 1.0)
+
     ratio = (1.0 - rho) / rho
-    a = np.sin(rho * u) * np.power(np.sin((1.0 - rho) * u) / w, ratio)
-    a /= np.power(sin_u, 1.0 / rho)
+    a = sin_double(rho * h) * np.power(sin_double((1.0 - rho) * h) / w, ratio)
+    a /= np.power(sin_double(h), 1.0 / rho)
     s = np.power(dts, 1.0 / rho) * a
     z = rng.standard_normal(size=(n, d))
     return z * np.sqrt(2.0 * s)[:, None]
@@ -106,6 +114,31 @@ def test_in_place_sampler_is_bit_identical(alpha, dim):
     want = _out_of_place_increments(kernel, dts, replicate_stream(5, 1))
     assert np.array_equal(got, want)
     assert np.array_equal(dts[:3], [0.0, 1e-300, 1e6])  # input left alone
+
+
+def test_half_angle_sine_matches_np_sin():
+    h = np.concatenate([np.linspace(0.0, np.pi / 2.0, 200_001)[1:],
+                        (np.pi / 2.0) * 2.0 ** -np.arange(1.0, 54.0)])
+    for scale in (1.0, 0.75, 0.25):
+        x = np.multiply(h, scale)
+        got = _sin_double(h, scale)
+        assert np.max(np.abs(got / np.sin(2.0 * x) - 1.0)) <= 1e-15, scale
+
+
+class _EdgeRng:
+    """Stub stream: h at both ends of (0, pi/2], then unit exponentials."""
+
+    def random(self, size):
+        return np.array([0.0, 1.0 - 2.0**-53])
+
+    def standard_exponential(self, size):
+        return np.ones(size)
+
+
+@pytest.mark.parametrize("rho", [0.25, 0.5, 0.75, 0.95])
+def test_one_sided_stable_is_finite_and_positive_at_the_angle_ends(rho):
+    s = _one_sided_stable(rho, 1.0, _EdgeRng(), 2)
+    assert np.all(np.isfinite(s)) and np.all(s > 0.0), s
 
 
 def test_zero_time_increment_is_zero():
