@@ -32,6 +32,11 @@ from .stable_motion import StableKernel, sample_increments
 
 DEFAULT_POPULATION_CAP = 10**7
 _CHUNK_TARGET = 150_000  # particles per chunk wave, roughly
+# SeedSequence splits each spawn-key part into 32-bit words and joins them,
+# so (2**32 + 1, 1) and (1, 2**32 + 1) are the same stream.  Keeping both
+# parts of a chunk key below 2^32 makes every chunk key exactly two words:
+# distinct from each other and from one-word auxiliary keys.
+_KEY_WORD = 1 << 32
 
 
 def replicate_stream(seed: int, *key: int) -> np.random.Generator:
@@ -236,8 +241,12 @@ def _batch(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
     horizon = float(obs[-1])
     weights = weights or {}
     step = obs[1] - obs[0] if len(obs) > 1 else max(horizon, 1.0)
+    if not 0 <= stream_key < _KEY_WORD:
+        raise ValueError(f"stream_key must be in [0, 2^32), got {stream_key}")
     sizes = _chunk_sizes(replicates,
                          mean_n0 * (_truncated_mean(law, horizon) / step + 2.0))
+    if len(sizes) > _KEY_WORD:
+        raise ValueError(f"{len(sizes)} chunks exceed the 2^32 chunk keys")
     firsts = np.cumsum([0, *sizes])
 
     def _do(ci, reps):
@@ -269,7 +278,7 @@ def field_batch(kernel: StableKernel, law, *, replicates: int, obs_times,
     positions; each yields a (replicates, observations) matrix of
     sums over the live population.  Chunk ci draws from
     `replicate_stream(seed, stream_key, ci)`, so batches with distinct
-    nonnegative `stream_key`s share one seed without overlap.
+    `stream_key`s in [0, 2^32) share one seed without overlap.
     """
     d = kernel.dim
     mean_n0 = intensity * (2.0 * half_side) ** d

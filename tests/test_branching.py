@@ -155,6 +155,30 @@ def test_field_batch_deterministic_and_stream_separated():
     assert not np.array_equal(a.series["count"], c.series["count"])
 
 
+def test_batch_refuses_stream_keys_that_would_collide():
+    """Spawn-key parts are split into 32-bit words and joined, so a key of
+    2^32 + 1 at chunk 1 is the stream of key 1 at chunk 2^32 + 1.  Keys
+    outside [0, 2^32) are refused; the largest one in range runs."""
+    alias = replicate_stream(21, 2**32 + 1, 1).integers(0, 2**63, 2)
+    assert np.array_equal(alias,
+                          replicate_stream(21, 1, 2**32 + 1).integers(0, 2**63, 2))
+    for key in (-1, 2**32 + 1):
+        with pytest.raises(ValueError, match="stream_key"):
+            field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, stream_key=key)
+    field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, stream_key=2**32 - 1)
+
+
+def test_batch_refuses_too_many_chunks_before_simulating(monkeypatch):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    # Only the length of the chunk-size list is read before the refusal.
+    monkeypatch.setattr(fastsim, "_chunk_sizes", lambda *args: range(2**32 + 1))
+    monkeypatch.setattr(fastsim, "_run_chunk", no_chunk)
+    with pytest.raises(ValueError, match="chunks"):
+        field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, stream_key=1)
+
+
 def test_chunk_and_auxiliary_stream_keys_are_distinct():
     """Chunk ci of a batch draws from replicate_stream(seed, stream_key, ci)
     and auxiliary draws from one-element keys.  Pairs that collided under the
