@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConfigError, RegimeError
 from .experiments import (
     ExperimentConfig,
+    pair_grid,
     run_covariance_comparison,
     run_experiment,
     run_validation_suite,
@@ -242,6 +243,7 @@ def cmd_covariance(args) -> int:
         pairs = [(float(s), float(t)) for s, t in _require(cfg, "pairs")]
         if not pairs or not all(0 <= s <= t for s, t in pairs):
             raise ConfigError("pairs must be a nonempty list of [s, t], 0 <= s <= t")
+        pair_grid(pairs)  # the batch's grid: refuse pairs without a common step
         half_side = _positive(cfg, "half_side")
         check_inside_window(half_side, phi, psi)
         replicates = _replicates(cfg, args, 20_000, least=2)

@@ -25,7 +25,14 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, RegimeError
-from .fastsim import field_batch, obs_grid, replicate_stream, tree_batch
+from .fastsim import (
+    field_batch,
+    field_plan,
+    obs_grid,
+    replicate_stream,
+    run_plans,
+    tree_batch,
+)
 from .lifetimes import Exponential, Gamma, LifetimeLaw, make_pareto_tail
 from .moments import (
     CovarianceSpec,
@@ -185,7 +192,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
     For each horizon T: simulate the field, integrate each replicate's
     series over the observation grid by trapezoid, divide by T, and
-    report the mean against the kind's target.
+    report the mean against the kind's target.  The chunks of every
+    horizon share one pool of ``config.threads`` workers (`run_plans`).
 
     * LLN kinds and ``mean_identity``: the series is <phi, X_t>, so the
       average is T^{-1} <phi, J_T> and the target is <phi, Lambda>.
@@ -201,16 +209,16 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     phi = config.phi
     occupancy = config.kind == "occupancy_subcritical"
     target = 0.0 if occupancy else lebesgue_integral(phi)
+    plans = [field_plan(
+        config.kernel, config.law, replicates=config.replicates,
+        obs_times=obs_grid(horizon, config.obs_step),
+        half_side=window_half_side(config, horizon), seed=config.seed,
+        intensity=config.intensity, weights={"phi": phi.evaluate},
+        stream_key=ti + 1,
+    ) for ti, horizon in enumerate(config.horizons)]
     rows = []
-    for ti, horizon in enumerate(config.horizons):
-        obs = obs_grid(horizon, config.obs_step)
-        batch = field_batch(
-            config.kernel, config.law, replicates=config.replicates,
-            obs_times=obs, half_side=window_half_side(config, horizon),
-            seed=config.seed, intensity=config.intensity,
-            weights={"phi": phi.evaluate},
-            stream_key=ti + 1, threads=config.threads,
-        )
+    for horizon, batch in zip(config.horizons, run_plans(plans, config.threads)):
+        obs = batch.obs_times
         series = batch.ok("phi")
         if occupancy:
             series = (series > 0).astype(float)
@@ -252,6 +260,38 @@ def default_renewal_table(law: LifetimeLaw, horizon: float) -> RenewalTable:
     return build_renewal(law, horizon * 1.02 + step, step)
 
 
+# A covariance batch stores (replicates, checkpoints) series, so a pair
+# grid finer than this many steps is refused, not run.
+_MAX_PAIR_STEPS = 1000
+
+
+def pair_grid(pairs) -> np.ndarray:
+    """Observation grid 0, h, ..., max t for (s, t) pairs on their common step.
+
+    h is the largest step of which every time is a whole multiple, found
+    by Euclid's algorithm on the times.  Raises ValueError unless there is
+    such a step with at most 1000 steps up to max t.
+    """
+    times = sorted({x for pair in pairs for x in pair if x > 0})
+    if not times:
+        raise ValueError("pairs need a positive time")
+    horizon = times[-1]
+    least = horizon / _MAX_PAIR_STEPS
+    step = times[0]
+    for x in times[1:]:
+        # remainders below least / 2 are rounding, or no allowed step exists
+        a, b = x, step
+        while b >= least / 2:
+            a, b = b, math.fmod(a, b)
+        step = a
+    n = round(horizon / step)
+    if n > _MAX_PAIR_STEPS or any(abs(x / step - round(x / step)) > 1e-9
+                                  for x in times):
+        raise ValueError(f"the times of pairs {pairs} share no common step of "
+                         f"at least {least:g} (max t / {_MAX_PAIR_STEPS})")
+    return obs_grid(horizon, horizon / n)
+
+
 def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
                               phi: TestFunction, psi: TestFunction, pairs, *,
                               half_side: float, replicates: int, seed: int,
@@ -261,15 +301,17 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
 
     Returns one dict per pair with keys s, t, analytic, mc_estimate,
     mc_se, z, passed (|z| <= 3).  The analytic side is the covariance
-    on the simulated torus, so phi and psi must lie inside the window
-    (ValueError, raised before anything is simulated).
+    on the simulated torus, so phi and psi must lie inside the window.
+    The batch observes on `pair_grid(pairs)`.  Both checks raise
+    ValueError before anything is simulated.
     """
     pairs = [(float(s), float(t)) for s, t in pairs]
     if not all(0 <= s <= t for s, t in pairs):
         raise ValueError("pairs must satisfy 0 <= s <= t")
     check_inside_window(half_side, phi, psi)
+    obs = pair_grid(pairs)
+    step = obs[1]
     table = default_renewal_table(law, max(t for _, t in pairs))
-    obs = np.unique(np.array([0.0] + [s for s, _ in pairs] + [t for _, t in pairs]))
     batch = field_batch(
         kernel, law, replicates=replicates, obs_times=obs,
         half_side=half_side, seed=seed,
@@ -280,8 +322,7 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
     sb = batch.ok("psi")
     out = []
     for s, t in pairs:
-        i = int(np.searchsorted(obs, s))
-        j = int(np.searchsorted(obs, t))
+        i, j = round(s / step), round(t / step)
         # sample covariance and its influence-function standard error
         a, b = sa[:, i], sb[:, j]
         resid = (a - a.mean()) * (b - b.mean())
@@ -312,15 +353,13 @@ def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
         raise ValueError("need 0 <= s <= t")
     table = default_renewal_table(law, max(s, 1e-3))
     x0 = np.asarray(x0, dtype=float)
-    obs = np.unique(np.array([s, t]))
     batch = tree_batch(
-        kernel, law, np.tile(x0, (replicates, 1)), obs_times=obs,
+        kernel, law, np.tile(x0, (replicates, 1)), obs_times=np.unique([s, t]),
         seed=seed, weights={"phi": phi.evaluate, "psi": psi.evaluate},
         stream_key=stream_key, threads=threads,
     )
-    i = int(np.searchsorted(obs, s))
-    j = int(np.searchsorted(obs, t))
-    prod = batch.ok("phi")[:, i] * batch.ok("psi")[:, j]
+    # the grid is s alone, or s and t: phi's column first, psi's last
+    prod = batch.ok("phi")[:, 0] * batch.ok("psi")[:, -1]
     analytic = tree_second_moment(kernel, table, x0, s, t, phi, psi,
                                   r_points=r_points, nodes_per_dim=nodes_per_dim)
     mc, se, z = _mean_se_z(prod, analytic)

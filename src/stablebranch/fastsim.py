@@ -3,10 +3,13 @@
 All replicates of a batch advance together, one generation per step,
 with every random draw vectorised.  Positions are only ever
 materialised at observation checkpoints and death times, as flat
-arrays indexed by (particle, checkpoint).  A generation's state carries
-the index of each particle's first checkpoint, inherited from its
-parent's death, so a wave runs one `searchsorted`; rows move between
-per-particle and per-checkpoint arrays by `np.take` on integer indices.
+arrays indexed by (particle, checkpoint).  Observation grids are
+arithmetic, so the first checkpoint at or after a time is a ceiling of
+(time - start) / step, corrected by one comparison each way; a
+generation's state carries that index, inherited from its parent's
+death.  Rows move between per-particle and per-checkpoint arrays by
+`np.take` on integer indices, which running sums of ones build; both
+release the GIL, so the chunks of a thread pool overlap.
 
 The output is not a trajectory; it is a set of per-replicate time
 series sum_i w(x_i(t)) for caller-chosen weight functions w, which is
@@ -18,11 +21,15 @@ these batches are tested against.
 Replicates are grouped into fixed-size chunks, each with its own stream
 keyed by (seed, stream key, chunk index).  Chunk size depends only on
 the configuration, so results are reproducible regardless of how chunks
-are dispatched across workers.
+are dispatched across workers.  `field_plan` and `run_plans` let a
+caller pool the chunks of several batches, such as a horizon ladder, on
+one set of threads; `field_batch` and `tree_batch` are the one-batch
+case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,6 +44,9 @@ _CHUNK_TARGET = 150_000  # particles per chunk wave, roughly
 # parts of a chunk key below 2^32 makes every chunk key exactly two words:
 # distinct from each other and from one-word auxiliary keys.
 _KEY_WORD = 1 << 32
+# Largest distance of a grid point from start + i * step, in steps, that
+# still counts as rounding.  Anything below 1/2 keeps `_first_index` exact.
+_GRID_RTOL = 1e-6
 
 
 def replicate_stream(seed: int, *key: int) -> np.random.Generator:
@@ -64,20 +74,66 @@ def obs_grid(horizon: float, obs_step: float) -> np.ndarray:
     return np.linspace(0.0, horizon, int(m) + 1)
 
 
-def _wrap(pos: np.ndarray, half_side: float) -> np.ndarray:
+def _grid_step(obs: np.ndarray) -> float:
+    """Step of the arithmetic grid `obs`, else ValueError.
+
+    Every point must lie within rounding of obs[0] + i * step.  A
+    one-point grid has no step of its own; it takes max(t, 1), which
+    only sizes its chunks.
+    """
+    if obs.ndim != 1 or len(obs) == 0 or not np.all(np.isfinite(obs)):
+        raise ValueError("obs_times must be a nonempty list of finite times")
+    if len(obs) == 1:
+        return max(float(obs[0]), 1.0)
+    step = float(obs[-1] - obs[0]) / (len(obs) - 1)
+    drift = np.abs(obs - (obs[0] + step * np.arange(len(obs))))
+    if not step > 0.0 or drift.max() > _GRID_RTOL * step:
+        raise ValueError("obs_times must be an increasing arithmetic grid "
+                         f"start + i * step, got {obs.tolist()[:6]}")
+    return step
+
+
+def _padded(obs: np.ndarray) -> np.ndarray:
+    """obs with -inf before it and +inf after it: pad[i + 1] is obs[i]."""
+    return np.concatenate(([-np.inf], obs, [np.inf]))
+
+
+def _first_index(times: np.ndarray, pad: np.ndarray, step: float) -> np.ndarray:
+    """np.searchsorted(obs, times, side="left") on an arithmetic grid.
+
+    ceil((t - obs[0]) / step), clipped to [0, m], is within one of the
+    answer because every point of the grid lies within rounding of its
+    place (see `_grid_step`); one comparison each way against the padded
+    grid `pad` moves it onto the answer.
+    """
+    est = times - pad[1]
+    est /= step
+    np.ceil(est, out=est)
+    np.clip(est, 0.0, len(pad) - 2, out=est)
+    i = est.astype(np.intp)
+    i += np.take(pad[1:], i) < times
+    i -= np.take(pad, i) >= times
+    return i
+
+
+def _wrap(pos: np.ndarray, half_side: float, out=None) -> np.ndarray:
     """Positions mapped into [-L, L) as np.mod(pos + L, 2L) - L.
 
+    Written into `out` if given, a C-contiguous array that may be `pos`.
     np.mod is exact and the identity on [0, 2L), so it runs only on the
-    entries that leave that interval, usually a small share.  It rounds
+    entries that leave that interval, usually a small share.  Read as
+    unsigned integers, the doubles in [0, 2L) are the ones below the bits
+    of 2L, as a negative double has its sign bit set; -0.0 also goes
+    through np.mod, which leaves its sum with -L unchanged.  np.mod rounds
     a tiny negative argument up to 2L itself, which is mapped to 0.
     """
     side = 2.0 * half_side
-    y = pos + half_side
+    y = np.add(pos, half_side, out=out)
     flat = y.reshape(-1)
-    out = np.flatnonzero((flat < 0.0) | (flat >= side))
-    if len(out):
-        r = np.mod(np.take(flat, out), side)
-        flat[out] = np.where(r == side, 0.0, r)
+    off = np.flatnonzero(flat.view(np.uint64) >= np.float64(side).view(np.uint64))
+    if len(off):
+        r = np.mod(np.take(flat, off), side)
+        flat[off] = np.where(r == side, 0.0, r)
     y -= half_side
     return y
 
@@ -109,6 +165,22 @@ class BatchResult:
         return self.series[name][~self.aborted]
 
 
+@dataclass(frozen=True)
+class BatchPlan:
+    """One batch split into chunks that can run in any order and thread.
+
+    `chunk(ci)` runs chunk ci and returns its part of the result.
+    `cost` is the expected checkpoint rows of one replicate, the mean
+    initial population (a martingale) times the checkpoints; it only
+    orders the chunks in `run_plans`.
+    """
+
+    obs: np.ndarray
+    sizes: list  # replicates per chunk
+    cost: float
+    chunk: Callable
+
+
 def _truncated_mean(law, horizon: float) -> float:
     """E[min(lifetime, horizon)], for sizing generation waves."""
     grid = np.linspace(0.0, horizon, 513)
@@ -126,69 +198,72 @@ def _chunk_sizes(replicates: int, wave_rows: float) -> list[int]:
     return sizes
 
 
-def _map_chunks(fn, sizes, threads):
-    """Run fn(chunk_index, chunk_size) for every chunk, in chunk order.
-
-    Results are collected by chunk index, so the aggregation is
-    identical whatever the worker count.
-    """
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(len(sizes)), sizes))
-    return [fn(ci, reps) for ci, reps in enumerate(sizes)]
-
-
-def _wave(kernel, law, rng, obs, horizon, half_side, p_two, state, weights,
-          acc, m, reps):
+def _wave(kernel, law, rng, grid, horizon, half_side, p_two, state, weights,
+          acc, reps):
     """Advance one generation; returns the next generation's state.
 
-    `state` is (birth times, birth positions, replicate index, index of
-    the first checkpoint at or after birth) of the generation; positions
-    wrap on the torus unless `half_side` is None.  A child's first
-    checkpoint is its parent's first one after death, so each wave runs
-    one `searchsorted`.  Coins come before increments, so only splitting
-    parents draw a death step (from their last checkpoint row, or birth),
-    in the wave's one `sample_increments` call.  Rows are gathered with
-    `np.take` on integer indices.
+    `grid` is (obs, step, padded obs).  `state` is (birth times, birth
+    positions, replicate index, index of the first checkpoint at or
+    after birth) of the generation; positions wrap on the torus unless
+    `half_side` is None.  A child's first checkpoint is its parent's
+    first one after death.  Coins come before increments, so only
+    splitting parents draw a death step (from their last checkpoint row,
+    or birth), in the wave's one `sample_increments` call.
     """
+    obs, step, pad = grid
+    m = len(obs)
     birth, pos, rep, i0 = state
-    n = len(birth)
-    death = birth + np.asarray(law.sample(rng, size=n), dtype=float)
-    i1 = np.searchsorted(obs, death, side="left")
+    death = np.asarray(law.sample(rng, size=len(birth)), dtype=float)
+    death += birth
+    i1 = _first_index(death, pad, step)
     parents = np.flatnonzero(death <= horizon)
     parents = np.take(parents, np.flatnonzero(rng.random(len(parents)) < p_two))
 
-    # checkpoint rows: particle has[j] owns rows starts[j] .. ends[j] - 1,
-    # the r-th of them at checkpoint i0 + r and key rep * m + i0 + r
+    # checkpoint rows: particle has[j] owns rows starts[j] .. starts[j] + kh[j]
+    # - 1, the r-th of them at checkpoint i0 + r
     k = i1 - i0
     cum_k = np.cumsum(k)
-    has = np.flatnonzero(k)
+    has = np.flatnonzero(k > 0)
     kh = np.take(k, has)
-    ends = np.take(cum_k, has)
-    starts = ends - kh
-    row_of = np.repeat(np.arange(len(has)), kh)
+    starts = np.take(cum_k, has)
+    starts -= kh
+    total = int(cum_k[-1])
     i0_h = np.take(i0, has)
-    key = np.take(np.take(rep, has) * m + (i0_h - starts), row_of)
-    key += np.arange(len(row_of))
-    # time since the previous checkpoint, or since birth at segment starts,
-    # then each parent's death step from its last checkpoint or its birth
-    dt = np.take(np.tile(np.diff(obs, prepend=obs[0]), reps), key)
-    dt[starts] = np.take(obs, i0_h) - np.take(birth, has)
     k_p = np.take(k, parents)
-    t_last = np.where(k_p > 0, np.take(obs, np.take(i1, parents) - 1),
-                      np.take(birth, parents))
-    inc = sample_increments(kernel, np.concatenate(
-        [dt, np.take(death, parents) - t_last]), rng)
-    inc_death = inc[len(dt):]
-    inc = inc[: len(dt)]
-    cs = np.cumsum(inc, axis=0)
-    before = np.take(cs, starts, axis=0) - np.take(inc, starts, axis=0)
-    # a row sits at its running sum plus its birth position less `before`
-    flat_pos = np.take(np.take(pos, has, axis=0) - before, row_of, axis=0)
-    flat_pos += cs
-    if half_side is not None:
-        flat_pos = _wrap(flat_pos, half_side)
+    # time steps: one obs step per row, or the time since birth at segment
+    # starts, then each parent's death step from its last checkpoint or birth
+    dts = np.empty(total + len(parents))
+    dts[:total] = step
+    dts[starts] = np.take(obs, i0_h) - np.take(birth, has)
+    # obs[i1 - 1] is the last checkpoint if there is one, else before birth
+    t_last = np.maximum(np.take(pad, np.take(i1, parents)), np.take(birth, parents))
+    np.subtract(np.take(death, parents), t_last, out=dts[total:])
+    inc = sample_increments(kernel, dts, rng)
+    # running sums one column at a time: a 2-D cumsum, like np.repeat,
+    # holds the GIL, and two chunks of a pool then take turns
+    cs = np.empty((total, inc.shape[1]))
+    for j in range(inc.shape[1]):
+        np.cumsum(inc[:total, j], out=cs[:, j])
+    # a row sits at its running sum plus its birth position less `before`,
+    # the running sum before its segment; seg is each row's segment
+    before = np.take(cs, starts, axis=0)
+    before -= np.take(inc, starts, axis=0)
+    base = np.take(pos, has, axis=0)
+    base -= before
+    seg = np.zeros(total, dtype=np.intp)
+    seg[starts[1:]] = 1
+    np.cumsum(seg, out=seg)
+    cs += np.take(base, seg, axis=0)
+    flat_pos = cs if half_side is None else _wrap(cs, half_side, out=cs)
 
+    # row keys rep * m + checkpoint: a running sum of ones, jumping at each
+    # segment start from the previous segment's last key to its first
+    first = np.take(rep, has) * m + i0_h
+    jump = first.copy()
+    jump[1:] -= first[:-1] + kh[:-1] - 1
+    key = np.ones(total, dtype=np.intp)
+    key[starts] = jump
+    np.cumsum(key, out=key)
     for name, w in weights.items():
         acc[name] += np.bincount(key, weights=w(flat_pos), minlength=reps * m)
     acc["count"] += np.bincount(key, minlength=reps * m)
@@ -196,13 +271,13 @@ def _wave(kernel, law, rng, obs, horizon, half_side, p_two, state, weights,
     if len(parents) == 0:
         return None
     death_pos = np.take(pos, parents, axis=0)
-    seen = np.flatnonzero(k_p)
+    seen = np.flatnonzero(k_p > 0)
     death_pos[seen] = np.take(flat_pos, np.take(cum_k, np.take(parents, seen)) - 1,
                               axis=0)
-    death_pos += inc_death
+    death_pos += inc[total:]
     if half_side is not None:
-        death_pos = _wrap(death_pos, half_side)
-    twice = np.repeat(np.arange(len(parents)), 2)
+        _wrap(death_pos, half_side, out=death_pos)
+    twice = np.arange(2 * len(parents)) >> 1
     parents = np.take(parents, twice)
     return (np.take(death, parents), np.take(death_pos, twice, axis=0),
             np.take(rep, parents), np.take(i1, parents))
@@ -212,10 +287,11 @@ def _run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
                population_cap, state, weights, reps):
     """Run one chunk from its ancestors' (birth, position, replicate) state."""
     m = len(obs)
+    grid = (obs, _grid_step(obs), _padded(obs))
     acc = {name: np.zeros(reps * m) for name in [*weights, "count"]}
     cum = np.zeros(reps, dtype=np.int64)
     aborted = np.zeros(reps, dtype=bool)
-    state = (*state, np.searchsorted(obs, state[0], side="left"))
+    state = (*state, _first_index(state[0], grid[2], grid[1]))
     while state is not None:
         cum += np.bincount(state[2], minlength=reps)
         aborted |= cum > population_cap
@@ -224,23 +300,23 @@ def _run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
             state = tuple(a[keep] for a in state)
         if len(state[0]) == 0:
             break
-        state = _wave(kernel, law, rng, obs, horizon, half_side, p_two, state,
-                      weights, acc, m, reps)
+        state = _wave(kernel, law, rng, grid, horizon, half_side, p_two, state,
+                      weights, acc, reps)
     series = {name: a.reshape(reps, m) for name, a in acc.items()}
     return series, cum, aborted
 
 
-def _batch(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
-           half_side, seed, weights, p_two, population_cap, stream_key, threads):
-    """Chunk the replicates, run the chunks, and join their series.
+def _plan(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
+          half_side, seed, weights, p_two, population_cap, stream_key):
+    """Check the grid and keys and size the chunks; nothing is drawn.
 
     `ancestors(rng, first, reps)` draws one chunk's initial population as
     (count per replicate, positions, replicate index per particle).
     """
     obs = np.asarray(obs_times, dtype=float)
+    step = _grid_step(obs)
     horizon = float(obs[-1])
     weights = weights or {}
-    step = obs[1] - obs[0] if len(obs) > 1 else max(horizon, 1.0)
     if not 0 <= stream_key < _KEY_WORD:
         raise ValueError(f"stream_key must be in [0, 2^32), got {stream_key}")
     sizes = _chunk_sizes(replicates,
@@ -249,31 +325,62 @@ def _batch(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
         raise ValueError(f"{len(sizes)} chunks exceed the 2^32 chunk keys")
     firsts = np.cumsum([0, *sizes])
 
-    def _do(ci, reps):
+    def chunk(ci):
+        reps = sizes[ci]
         rng = replicate_stream(seed, stream_key, ci)
         counts, pos, rep = ancestors(rng, firsts[ci], reps)
         state = (np.zeros(len(rep)), pos, rep)
         return (counts, *_run_chunk(kernel, law, rng, obs, horizon, half_side,
                                     p_two, population_cap, state, weights, reps))
 
-    counts, series, cum, aborted = zip(*_map_chunks(_do, sizes, threads))
-    return BatchResult(
-        obs_times=obs,
-        series={k: np.concatenate([s[k] for s in series]) for k in series[0]},
-        initial_counts=np.concatenate(counts),
-        event_counts=np.concatenate(cum),
-        aborted=np.concatenate(aborted),
-    )
+    return BatchPlan(obs, sizes, mean_n0 * len(obs), chunk)
 
 
-def field_batch(kernel: StableKernel, law, *, replicates: int, obs_times,
-                half_side: float, seed: int, intensity: float = 1.0,
-                weights: dict | None = None, p_two: float = 0.5,
-                population_cap: int = DEFAULT_POPULATION_CAP,
-                stream_key: int = 0, threads: int = 1) -> BatchResult:
-    """Simulate `replicates` independent Poisson fields on the torus [-L, L)^d.
+def run_plans(plans: list[BatchPlan], threads: int = 1) -> list[BatchResult]:
+    """Run every chunk of every plan and join each batch by chunk index.
 
-    The fields run from time 0 to the last of the increasing `obs_times`.
+    The chunks go to one pool of `threads` workers, largest expected
+    cost first, so the small batches of a ladder fill the time the
+    large ones leave idle; at most `threads` chunks are alive at once.
+    Every chunk draws from its own stream, so the results are identical
+    whatever the order or the thread count.
+    """
+    tasks = sorted(((plan.cost * reps, bi, ci) for bi, plan in enumerate(plans)
+                    for ci, reps in enumerate(plan.sizes)), key=lambda t: -t[0])
+
+    def run(task):
+        return plans[task[1]].chunk(task[2])
+
+    if threads > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outs = list(pool.map(run, tasks))
+    else:
+        outs = [run(task) for task in tasks]
+    parts = [[None] * len(plan.sizes) for plan in plans]
+    for (_, bi, ci), out in zip(tasks, outs):
+        parts[bi][ci] = out
+    results = []
+    for plan, part in zip(plans, parts):
+        counts, series, cum, aborted = zip(*part)
+        results.append(BatchResult(
+            obs_times=plan.obs,
+            series={k: np.concatenate([s[k] for s in series]) for k in series[0]},
+            initial_counts=np.concatenate(counts),
+            event_counts=np.concatenate(cum),
+            aborted=np.concatenate(aborted),
+        ))
+    return results
+
+
+def field_plan(kernel: StableKernel, law, *, replicates: int, obs_times,
+               half_side: float, seed: int, intensity: float = 1.0,
+               weights: dict | None = None, p_two: float = 0.5,
+               population_cap: int = DEFAULT_POPULATION_CAP,
+               stream_key: int = 0) -> BatchPlan:
+    """Plan `replicates` independent Poisson fields on the torus [-L, L)^d.
+
+    The fields run from time 0 to the last of `obs_times`, which must be
+    an increasing arithmetic grid (ValueError, before anything is drawn).
     `weights` maps series names to vectorised functions of particle
     positions; each yields a (replicates, observations) matrix of
     sums over the live population.  Chunk ci draws from
@@ -289,11 +396,16 @@ def field_batch(kernel: StableKernel, law, *, replicates: int, obs_times,
         pos = rng.uniform(-half_side, half_side, size=(len(rep), d))
         return counts, pos, rep
 
-    return _batch(kernel, law, ancestors, replicates=replicates,
-                  mean_n0=mean_n0, obs_times=obs_times, half_side=half_side,
-                  seed=seed, weights=weights, p_two=p_two,
-                  population_cap=population_cap, stream_key=stream_key,
-                  threads=threads)
+    return _plan(kernel, law, ancestors, replicates=replicates,
+                 mean_n0=mean_n0, obs_times=obs_times, half_side=half_side,
+                 seed=seed, weights=weights, p_two=p_two,
+                 population_cap=population_cap, stream_key=stream_key)
+
+
+def field_batch(kernel: StableKernel, law, *, threads: int = 1,
+                **plan_args) -> BatchResult:
+    """Simulate the fields `field_plan` plans, on `threads` workers."""
+    return run_plans([field_plan(kernel, law, **plan_args)], threads)[0]
 
 
 def tree_batch(kernel: StableKernel, law, x0s, *, obs_times, seed: int,
@@ -302,7 +414,8 @@ def tree_batch(kernel: StableKernel, law, x0s, *, obs_times, seed: int,
                stream_key: int = 0, threads: int = 1) -> BatchResult:
     """Simulate one free-space tree per row of `x0s` (shape (R, dim)).
 
-    The trees run from time 0 to the last of the increasing `obs_times`.
+    The trees run from time 0 to the last of `obs_times`, an increasing
+    arithmetic grid as in `field_plan`.
     """
     x0s = _start_points(x0s, kernel.dim)
 
@@ -310,8 +423,8 @@ def tree_batch(kernel: StableKernel, law, x0s, *, obs_times, seed: int,
         return (np.ones(reps, dtype=np.int64), x0s[first : first + reps],
                 np.arange(reps))
 
-    return _batch(kernel, law, ancestors, replicates=len(x0s), mean_n0=1.0,
-                  obs_times=obs_times, half_side=None, seed=seed,
-                  weights=weights, p_two=p_two,
-                  population_cap=population_cap, stream_key=stream_key,
-                  threads=threads)
+    plan = _plan(kernel, law, ancestors, replicates=len(x0s), mean_n0=1.0,
+                 obs_times=obs_times, half_side=None, seed=seed,
+                 weights=weights, p_two=p_two, population_cap=population_cap,
+                 stream_key=stream_key)
+    return run_plans([plan], threads)[0]

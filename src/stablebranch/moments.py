@@ -388,16 +388,18 @@ def decay_exponent_prediction(dim: int, alpha: float,
     """Dominant T-exponent of Var(T^{-1} <phi, J_T>) in the validated regimes.
 
     Heavy-tail lifetimes (tail exponent ``gamma``) require
-    alpha*gamma < d < 2*alpha and give max(-2, -1, -d/alpha,
-    gamma - d/alpha); finite-mean lifetimes (no ``gamma``) require
-    d > alpha and give max(-1, -d/alpha, 1 - d/alpha).  Any other
-    regime, and either critical equality, raises RegimeError.
+    alpha*gamma < d < 2*alpha and give max(-1, gamma - d/alpha);
+    finite-mean lifetimes (no ``gamma``) require d > alpha and give
+    max(-1, 1 - d/alpha).  The terms -2 and -d/alpha can never win
+    the max: -2 < -1, and gamma - d/alpha (or 1 - d/alpha) exceeds
+    -d/alpha because gamma > 0.  Any other regime, and either critical
+    equality, raises RegimeError.
     """
     regime = classify_regime(dim, alpha, gamma)
     if regime == "heavy_intermediate":
-        return max(-2.0, -1.0, -dim / alpha, gamma - dim / alpha)
+        return max(-1.0, gamma - dim / alpha)
     if regime == "finite_mean":
-        return max(-1.0, -dim / alpha, 1.0 - dim / alpha)
+        return max(-1.0, 1.0 - dim / alpha)
     raise RegimeError(
         f"no variance decay prediction in the {regime} regime; it applies "
         f"for alpha*gamma < d < 2*alpha (heavy tail) or d > alpha (finite mean)"

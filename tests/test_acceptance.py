@@ -4,8 +4,9 @@ Each test emits a single PASS/FAIL line (replayed in the terminal
 summary after the run) and asserts it.  Replicate counts, windows, and
 seeds are frozen; every Monte Carlo budget was sized so the statistical
 margins are comfortable (trend and slope checks sit at 4-6 SE), making
-the frozen-seed outcomes stable.  Full module runtime is a few minutes
-on one core.
+the frozen-seed outcomes stable.  The four longest configs run on two
+threads, which changes no output byte (chunk streams do not depend on the
+thread count); the module takes a couple of minutes.
 
 Criteria:
   1. mean identity of the rescaled occupation time in three regimes
@@ -74,7 +75,8 @@ MEAN_IDENTITY_CONFIGS = [
     ExperimentConfig(
         kind="mean_identity", kernel=StableKernel(alpha=2.0, dim=3), law=EXP1,
         horizons=(25.0, 50.0, 100.0), replicates=2000, phi=bump(3),
-        half_side=3.0, obs_step=1.0, seed=101, label="mean-d3-a2-exp"),
+        half_side=3.0, obs_step=1.0, seed=101, threads=2,
+        label="mean-d3-a2-exp"),
     # heavy-tail intermediate regime: d=1, alpha=1.5, gamma=0.5
     ExperimentConfig(
         kind="lln_heavy_intermediate", kernel=StableKernel(alpha=1.5, dim=1),
@@ -125,7 +127,7 @@ def test_criterion_2_heavy_tail_concentration():
         kind="lln_heavy_intermediate", kernel=StableKernel(alpha=1.5, dim=1),
         law=make_pareto_tail(0.5), horizons=(25.0, 50.0, 100.0, 200.0),
         replicates=4000, phi=bump(1), window_scale=2.0, obs_step=0.5,
-        seed=201, label="decay-d1-a15-g05")
+        seed=201, threads=2, label="decay-d1-a15-g05")
     _criterion_2(config, -1.0 / 6.0)
 
 
@@ -134,7 +136,7 @@ def test_criterion_2_finite_mean_concentration():
     config = ExperimentConfig(
         kind="lln_finite_mean", kernel=StableKernel(alpha=2.0, dim=3),
         law=EXP1, horizons=(25.0, 50.0, 100.0, 200.0), replicates=500,
-        phi=bump(3), window_scale=0.4, obs_step=1.0, seed=202,
+        phi=bump(3), window_scale=0.4, obs_step=1.0, seed=202, threads=2,
         label="decay-d3-a2-exp")
     _criterion_2(config, -0.5)
 
@@ -150,7 +152,7 @@ def test_criterion_3_occupancy_vanishes():
         law=make_pareto_tail(0.7), horizons=(50.0, 800.0), replicates=1500,
         phi=TestFunction(shape="indicator", center=np.zeros(1), radius=1.0),
         window_scale=1.0,
-        obs_step=0.5, seed=301, label="occupancy-d1-a2-g07")
+        obs_step=0.5, seed=301, threads=2, label="occupancy-d1-a2-g07")
     rows = run_experiment(config)
     first, last = rows[0], rows[-1]
     sep_se = math.hypot(first.se, last.se)

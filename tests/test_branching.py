@@ -9,6 +9,8 @@ test here is that the two agree in distribution on the same functionals.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablebranch import (
     Exponential,
@@ -193,6 +195,37 @@ def test_chunk_and_auxiliary_stream_keys_are_distinct():
     assert len(firsts) == len(keys)
 
 
+@settings(max_examples=200, deadline=None)
+@given(step=st.sampled_from([0.1, 0.25, 0.3, 1.0 / 3.0]),
+       n=st.integers(1, 500), start=st.sampled_from([0.0, 0.7, 25.0]),
+       extra=st.lists(st.floats(-10.0, 300.0), max_size=20))
+def test_arithmetic_index_matches_searchsorted(step, n, start, extra):
+    """The ceiling index with its two corrections is np.searchsorted(side=
+    "left") for times on the grid points, one ulp to either side of them,
+    below the first point and past the last."""
+    obs = obs_grid(n * step, step) + start
+    times = np.concatenate([
+        obs, np.nextafter(obs, -np.inf), np.nextafter(obs, np.inf),
+        [start - 1.0, -0.0, obs[-1] + step, 10.0 * obs[-1] + 1.0, 1e300], extra,
+    ])
+    got = fastsim._first_index(times, fastsim._padded(obs), fastsim._grid_step(obs))
+    assert np.array_equal(got, np.searchsorted(obs, times, side="left"))
+
+
+@pytest.mark.parametrize("obs", [[0.0, 1.0, 2.0, 4.0], [1.0, 2.0, 4.0],
+                                 [0.0, 1.0, 1.0], [2.0, 1.0], [0.0, np.nan], []])
+def test_batches_refuse_non_arithmetic_grids_before_drawing(monkeypatch, obs):
+    def no_stream(*args):
+        raise AssertionError("a stream was drawn from")
+
+    monkeypatch.setattr(fastsim, "replicate_stream", no_stream)
+    with pytest.raises(ValueError, match="obs_times"):
+        field_batch(KERNEL_1D, EXP1, replicates=4, obs_times=obs,
+                    half_side=2.0, seed=0)
+    with pytest.raises(ValueError, match="obs_times"):
+        tree_batch(KERNEL_1D, EXP1, np.zeros((4, 1)), obs_times=obs, seed=0)
+
+
 def _assert_same_batch(a, b):
     assert a.series.keys() == b.series.keys()
     for name in a.series:
@@ -332,12 +365,13 @@ def test_children_start_from_their_parents_death_position(p_two):
     E B_t^2 = 2t, so E sum_i (x_i(t)^2 - x0^2 - 2t) = 0 for any p_two.  A
     child started anywhere but its parent's death position (for instance
     without the death step) would bias the sum."""
-    x0, times = 1.5, [1.0, 2.0, 4.0]
+    x0, times = 1.5, obs_grid(4.0, 1.0)
     batch = tree_batch(KERNEL_1D, EXP1, np.full((20_000, 1), x0),
                        obs_times=times, seed=41, p_two=p_two,
                        weights={"x2": lambda p: p[:, 0] ** 2})
     assert not batch.aborted.any()
-    for j, t in enumerate(times):
+    for j in (1, 2, 4):
+        t = times[j]
         y = batch.series["x2"][:, j] - (x0**2 + 2.0 * t) * batch.series["count"][:, j]
         z = y.mean() / (y.std(ddof=1) / np.sqrt(len(y)))
         assert abs(z) < 4.0, (p_two, t, z)

@@ -362,6 +362,9 @@ BAD_VALUE_CASES = [
     ("simulate", SIMULATE_CONFIG, ("half_side",), -1.0),
     ("lln", LLN_CONFIG, ("lifetime", "rate"), -1.0),
     ("covariance", COVARIANCE_CONFIG, ("pairs",), [[2.0, 1.0]]),
+    # no common step, and a common step too fine for a bounded grid
+    ("covariance", COVARIANCE_CONFIG, ("pairs",), [[1.0, 1.4142135623730951]]),
+    ("covariance", COVARIANCE_CONFIG, ("pairs",), [[0.001, 2.0]]),
     ("simulate", SIMULATE_CONFIG, ("intensity",), -1.0),
     ("simulate", SIMULATE_CONFIG, ("replicates",), 0),
     ("simulate", SIMULATE_CONFIG, ("phi", "center"), [0.0, 0.0]),

@@ -1,6 +1,7 @@
 """Tests for the experiment drivers, regime gates, and report tables."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from stablebranch import (
     ResultRow,
     StableKernel,
     TestFunction,
+    field_batch,
     lebesgue_integral,
     make_pareto_tail,
+    obs_grid,
     run_experiment,
     run_validation_suite,
     write_check_rows,
@@ -26,6 +29,7 @@ from stablebranch import experiments
 from stablebranch.experiments import (
     check_regime,
     fit_decay_slope,
+    pair_grid,
     run_covariance_comparison,
     run_tree_moment_comparison,
     window_half_side,
@@ -187,6 +191,35 @@ def test_lln_runner_rows_and_determinism():
     assert run_experiment(cfg) == rows  # frozen seed => frozen report
 
 
+def _rows_by_field_batch(config):
+    """run_experiment's statistics from one field_batch per horizon, in
+    ladder order on one thread: the oracle for the pooled ladder."""
+    out = []
+    for ti, horizon in enumerate(config.horizons):
+        obs = obs_grid(horizon, config.obs_step)
+        batch = field_batch(
+            config.kernel, config.law, replicates=config.replicates,
+            obs_times=obs, half_side=window_half_side(config, horizon),
+            seed=config.seed, intensity=config.intensity,
+            weights={"phi": config.phi.evaluate}, stream_key=ti + 1)
+        avg = np.trapezoid(batch.ok("phi"), obs, axis=1) / horizon
+        out.append((horizon, len(avg), float(avg.mean()),
+                    float(avg.var(ddof=1)), int(batch.aborted.sum())))
+    return out
+
+
+def test_pooled_ladder_changes_no_bytes(chunk_counts):
+    """Every chunk of every horizon goes to one pool; the rows are the same
+    at 1, 2 and 3 threads and equal a plain per-horizon loop."""
+    cfg = _config(replicates=400, horizons=(1.0, 2.0, 4.0), half_side=None,
+                  window_scale=100.0)
+    by_threads = [run_experiment(replace(cfg, threads=n)) for n in (1, 2, 3)]
+    assert min(chunk_counts) >= 2 and len(set(chunk_counts)) > 1
+    assert by_threads[0] == by_threads[1] == by_threads[2]
+    assert [(r.horizon, r.replicates, r.mean, r.variance, r.aborted)
+            for r in by_threads[0]] == _rows_by_field_batch(cfg)
+
+
 def test_lln_runner_mean_identity_statistically_correct():
     rows = run_experiment(_config(replicates=600, horizons=(2.0,)))
     assert rows[0].passed, (rows[0].mean, rows[0].target, rows[0].z)
@@ -277,6 +310,22 @@ def test_covariance_comparison_smoke():
         run_covariance_comparison(kernel(2.0, 1), EXP1, BUMP_1D, BUMP_1D,
                                   [(2.0, 1.0)], half_side=4.0,
                                   replicates=100, seed=7)
+
+
+def test_pair_grid_steps_from_zero_on_the_common_step():
+    assert np.array_equal(pair_grid([(1.0, 1.0), (1.0, 2.0), (2.0, 4.0)]),
+                          [0.0, 1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(pair_grid([(0.5, 1.0)]), [0.0, 0.5, 1.0])
+    assert np.array_equal(pair_grid([(0.0, 2.0)]), [0.0, 2.0])
+    assert np.allclose(pair_grid([(0.1, 0.3)]), [0.0, 0.1, 0.2, 0.3])
+    assert np.allclose(pair_grid([(1.0 / 3.0, 1.0)]), np.arange(4) / 3.0)
+    assert len(pair_grid([(0.002, 2.0)])) == 1001  # 1000 steps: the most
+    for irrational_or_too_fine in ([(1.0, 2.0**0.5)], [(1.0, np.pi)],
+                                   [(0.001, 2.0)], [(1.0, 1.0 + 1e-7)]):
+        with pytest.raises(ValueError, match="no common step"):
+            pair_grid(irrational_or_too_fine)
+    with pytest.raises(ValueError, match="positive time"):
+        pair_grid([(0.0, 0.0)])
 
 
 def test_covariance_comparison_refuses_psi_outside_the_window(monkeypatch):
