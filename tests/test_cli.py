@@ -362,9 +362,6 @@ BAD_VALUE_CASES = [
     ("simulate", SIMULATE_CONFIG, ("half_side",), -1.0),
     ("lln", LLN_CONFIG, ("lifetime", "rate"), -1.0),
     ("covariance", COVARIANCE_CONFIG, ("pairs",), [[2.0, 1.0]]),
-    # no common step, and a common step too fine for a bounded grid
-    ("covariance", COVARIANCE_CONFIG, ("pairs",), [[1.0, 1.4142135623730951]]),
-    ("covariance", COVARIANCE_CONFIG, ("pairs",), [[0.001, 2.0]]),
     ("simulate", SIMULATE_CONFIG, ("intensity",), -1.0),
     ("simulate", SIMULATE_CONFIG, ("replicates",), 0),
     ("simulate", SIMULATE_CONFIG, ("phi", "center"), [0.0, 0.0]),
@@ -388,6 +385,16 @@ def test_bad_config_values_exit_2(tmp_path, command, config, path, value):
     cfg = write_config(tmp_path, "cfg.json", _with(config, path, value))
     error = _exit_2_error(tmp_path, [command, "--config", cfg])
     assert re.search(rf"\b{path[-1]}\b", error), error
+
+
+@pytest.mark.parametrize("pairs", [[[1.0, 1.4142135623730951]], [[0.001, 2.0]]],
+                         ids=["irrational", "too-fine"])
+def test_covariance_pairs_without_a_common_step_exit_2(tmp_path, pairs):
+    """The batch observes on the pairs' common step: none, or one needing
+    more than 1000 steps, is refused before anything is simulated."""
+    cfg = write_config(tmp_path, "cfg.json", {**COVARIANCE_CONFIG, "pairs": pairs})
+    error = _exit_2_error(tmp_path, ["covariance", "--config", cfg])
+    assert "common step" in error, error
 
 
 def _exit_2_error(tmp_path, argv, env=None):
