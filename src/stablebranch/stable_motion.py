@@ -118,10 +118,14 @@ def sample_increments(kernel: StableKernel, dts, rng) -> np.ndarray:
 #     A_d = Gamma(d/2) (2/z)^(d/2-1) J_{d/2-1}(z)  in general,
 # all equal to 1 at z = 0.  The integrand mixes a decaying envelope with
 # oscillation of wavelength 2 pi / r, so the nodes are composite
-# Gauss-Legendre panels no wider than half a wavelength.
+# Gauss-Legendre panels no wider than half a wavelength.  For alpha < 2
+# the envelope exp(-t k^alpha) has a kink at k = 0, so the panels are
+# graded geometrically toward it.
 # ---------------------------------------------------------------------------
 
 _GL_POINTS = 16
+_MIN_PANELS = 24  # uniform panels on [0, k_max], at the least
+_HALVINGS = 12  # geometric panels toward k = 0 below the smallest cut
 
 
 @lru_cache(maxsize=None)
@@ -131,19 +135,30 @@ def _gl_rule(npts: int):
 
 
 @lru_cache(maxsize=4096)
-def _panel_nodes(k_max: float, wavelength: float, min_panels: int = 24):
-    """Composite Gauss-Legendre nodes on [0, k_max] resolving the oscillation."""
-    width = k_max / min_panels
+def _panel_nodes(k_max: float, wavelength: float, k_low: float | None = None):
+    """Composite Gauss-Legendre nodes on [0, k_max] resolving the oscillation.
+
+    Uniform panels, at least `_MIN_PANELS` and none wider than half the
+    wavelength, except the first: it is split by repeated halving toward
+    k = 0 until `_HALVINGS` edges lie at or below ``k_low`` (default: the
+    first panel's width), the smallest cut a caller will sum to.  Returns
+    nodes, weights and the panels' right edges, one panel per
+    `_GL_POINTS` consecutive nodes.
+    """
+    width = k_max / _MIN_PANELS
     if np.isfinite(wavelength):
         width = min(width, wavelength / 2.0)
-    n_panels = max(min_panels, int(math.ceil(k_max / width)))
-    edges = np.linspace(0.0, k_max, n_panels + 1)
+    n_panels = max(_MIN_PANELS, int(math.ceil(k_max / width)))
+    uniform = np.linspace(0.0, k_max, n_panels + 1)
+    reach = 0 if k_low is None else max(0, math.ceil(math.log2(uniform[1] / k_low)))
+    halvings = uniform[1] * 0.5 ** np.arange(_HALVINGS + reach, 0, -1)
+    edges = np.concatenate([[0.0], halvings, uniform[1:]])
     x, w = _gl_rule(_GL_POINTS)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return nodes, weights, edges[1:]
 
 
 def _angular_factor(dim: int, z) -> np.ndarray:
@@ -189,7 +204,7 @@ def radial_fourier_inverse(fhat, dim: int, radii, k_max: float, *,
     radii, repeat = np.unique(radii, return_inverse=True)
     extent = radii.max(initial=0.0) + reach
     wavelength = 2.0 * np.pi / extent if extent > 0 else np.inf
-    nodes, weights = _panel_nodes(float(k_max), float(wavelength))
+    nodes, weights, _ = _panel_nodes(float(k_max), float(wavelength))
     omega = 2.0 * np.pi ** (dim / 2.0) / special.gamma(dim / 2.0)
     profiles = np.asarray(fhat(nodes), dtype=float)
     integ = profiles.reshape(len(nodes), -1) * (
@@ -208,13 +223,13 @@ def radial_fourier_inverse(fhat, dim: int, radii, k_max: float, *,
     return out if profiles.ndim == 2 else out[:, 0]
 
 
-def _check_tail(tail, scale, tail_tol):
+def _check_tail(tail, scale, tail_tol, at: str = ""):
     tail = abs(float(tail))
     floor = max(abs(float(scale)), 1e-12)
     if tail > tail_tol * floor:
         raise QuadratureError(
-            f"Fourier integral truncated too early: last panel or shell carries "
-            f"{tail:.3e} against scale {floor:.3e}"
+            f"Fourier integral truncated too early{at}: last panel or shell "
+            f"carries {tail:.3e} against scale {floor:.3e}"
         )
 
 

@@ -10,6 +10,7 @@ values and its regime gates against both sides of every boundary.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,137 @@ def test_torus_series_refuses_oversized_lattice_before_allocating():
     kernel = StableKernel(alpha=1.0, dim=2)
     with pytest.raises(QuadratureError, match="u=0.001"):
         pair_correlation(kernel, bump(2), bump(2), 1e-3, torus_half_side=2.0)
+
+
+# ---------------------------------------------------------------------------
+# pair correlation tables: one node set or lattice walk for many lags
+# ---------------------------------------------------------------------------
+
+# unsorted, with repeats and zeros
+TABLE_LAGS = np.array([3.0, 0.0, 0.5, 400.0, 0.5, 17.25, 0.0, 1.0, 123.5, 2.0])
+
+
+@pytest.mark.parametrize("alpha,dim,offset,half_side", [
+    (1.5, 1, 0.0, None),
+    (2.0, 3, 0.0, None),
+    (1.5, 2, 0.7, None),
+    (2.0, 1, 0.0, 6.0),
+    (2.0, 3, 0.0, 5.66),
+])
+def test_pair_correlation_table_matches_scalar_calls(alpha, dim, offset, half_side):
+    """An array of lags shares one graded node set (free space) or one
+    lattice walk (torus) sized by its smallest lag; each lag's value is
+    its own one-lag call's to 1e-12 of max |G|."""
+    kernel = StableKernel(alpha=alpha, dim=dim)
+    phi, psi = bump(dim), bump(dim, center=offset)
+    table = pair_correlation(kernel, phi, psi, TABLE_LAGS, torus_half_side=half_side)
+    one = np.array([pair_correlation(kernel, phi, psi, u, torus_half_side=half_side)
+                    for u in TABLE_LAGS])
+    assert table.shape == TABLE_LAGS.shape
+    assert isinstance(one[0], float)
+    assert np.max(np.abs(table - one)) < 1e-12 * np.max(np.abs(one))
+
+
+def test_pair_correlation_table_rejects_bad_lags():
+    kernel = StableKernel(alpha=2.0, dim=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pair_correlation(kernel, bump(1), bump(1), np.array([1.0, -0.5]))
+    with pytest.raises(ValueError, match="1-D"):
+        pair_correlation(kernel, bump(1), bump(1), np.ones((2, 2)))
+
+
+def _sqrt_substituted_g_1d(phi, alpha, u, panels=2000):
+    """G(u) for phi = psi at one centre in d = 1 as (1/pi) Int 2 v
+    phi^(v^2)^2 exp(-u v^(2 alpha)) dv, k = v^2: smooth at v = 0, so
+    uniform Gauss-Legendre panels reach rounding level."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, (math.log(1e18) / u) ** (0.5 / alpha), panels + 1)
+    half, mid = np.diff(edges) / 2.0, (edges[1:] + edges[:-1]) / 2.0
+    v = (mid[:, None] + half[:, None] * x).ravel()
+    wv = (half[:, None] * w).ravel()
+    f = phi.fourier_profile(v * v) ** 2 * 2.0 * v * np.exp(-u * v ** (2 * alpha))
+    return float(wv @ f) / math.pi
+
+
+def test_pair_correlation_table_matches_fine_reference():
+    """alpha = 1.5, d = 1 on the bench variance's lag step 0.5: the graded
+    node set resolves the k^alpha kink for every lag up to 400 (uniform
+    panels from k = 0, one set per lag, were 1.2e-8 of max |G| off)."""
+    kernel = StableKernel(alpha=1.5, dim=1)
+    phi = bump(1)
+    lags = np.arange(1, 801) * 0.5
+    got = pair_correlation(kernel, phi, phi, lags)
+    picks = np.array([0, 1, 3, 9, 39, 99, 199, 399, 599, 799])
+    ref = np.array([_sqrt_substituted_g_1d(phi, 1.5, u) for u in lags[picks]])
+    assert np.max(np.abs(got[picks] - ref)) < 1e-10 * np.max(np.abs(ref))
+
+
+def test_free_space_cut_too_early_raises_naming_the_lag(monkeypatch):
+    """Each lag checks the last 24th of its own cut; a cut where
+    exp(-u k^alpha) is still 0.1 leaves too much there."""
+    kernel = StableKernel(alpha=2.0, dim=1)
+    lags = np.array([0.5, 2.0, 8.0, 32.0])
+    pair_correlation(kernel, bump(1), bump(1), lags)
+    monkeypatch.setattr(moments, "_LOG_TRUNC", math.log(10.0))
+    with pytest.raises(QuadratureError, match=r"at lag u=(0\.5|2|8|32):"):
+        pair_correlation(kernel, bump(1), bump(1), lags)
+    with pytest.raises(QuadratureError, match="at lag u=8:"):
+        pair_correlation(kernel, bump(1), bump(1), 8.0)
+
+
+def test_torus_table_refuses_oversized_lattice_before_allocating():
+    """The lattice is sized by the smallest lag, so a table holding a tiny
+    lag is refused naming it, with nothing large allocated first."""
+    kernel = StableKernel(alpha=1.0, dim=2)
+    lags = np.array([1.0, 1e-3, 0.5])
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match="u=0.001"):
+            pair_correlation(kernel, bump(2), bump(2), lags, torus_half_side=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_free_space_table_refuses_oversized_node_set():
+    """alpha = 0.5 at u = 1e-3 cuts near k = 1e9: hundreds of millions of
+    nodes, refused naming the lag instead of allocated."""
+    kernel = StableKernel(alpha=0.5, dim=1)
+    with pytest.raises(QuadratureError, match="u=0.001"):
+        pair_correlation(kernel, bump(1), bump(1), np.array([1e-3, 1.0]))
+
+
+def test_wide_lag_range_sums_prefixes_in_bounded_blocks(monkeypatch):
+    """alpha = 1, d = 1: u = 1e-3 alone needs ~352k nodes, so every lag
+    summing the whole node set would be 7e7 entries.  Each lag sums only
+    up to its own cut, in blocks of at most 2M entries; a smaller block
+    limit splits a table without changing a value beyond rounding."""
+    kernel = StableKernel(alpha=1.0, dim=1)
+    phi = bump(1)
+    lags = np.concatenate([[1e-3], np.arange(1.0, 201.0)])
+    one = np.array([pair_correlation(kernel, phi, phi, u) for u in lags])
+    blocks = []
+    real_block = moments._lag_block
+
+    def spy(block_lags, x, coef, tail_coef, starts, ends):
+        blocks.append(len(block_lags) * int(ends.max()))
+        return real_block(block_lags, x, coef, tail_coef, starts, ends)
+
+    monkeypatch.setattr(moments, "_lag_block", spy)
+    table = pair_correlation(kernel, phi, phi, lags)
+    assert np.max(np.abs(table - one)) < 1e-12 * np.max(np.abs(one))
+    assert max(blocks) <= 2_000_000
+    assert sum(blocks) < 1_000_000
+    # 800 lags, about 200k prefix entries in all: a 50k limit takes five blocks
+    kernel = StableKernel(alpha=1.5, dim=1)
+    lags = np.arange(1, 801) * 0.5
+    whole = pair_correlation(kernel, phi, phi, lags)
+    blocks.clear()
+    monkeypatch.setattr(moments, "_BLOCK_ENTRIES", 50_000)
+    split = pair_correlation(kernel, phi, phi, lags)
+    assert len(blocks) > 3 and max(blocks) <= 50_000
+    np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

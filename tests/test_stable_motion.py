@@ -216,9 +216,8 @@ def test_repeated_radii_batch_maps_back_to_direct_values():
 def test_density_columns_match_one_time_at_a_time(alpha, dim):
     """An array of times gives one column per time.  Closed forms are the
     same arithmetic; at alpha = 1.5 every column shares the node set of
-    the smallest time, whose wider first panel resolves the k^alpha kink
-    at k = 0 less finely for the largest time (d = 1, t = 3: 9e-8 of
-    the column's scale against a fine-panel reference, 1.2e-8 alone)."""
+    the smallest time, and the panels graded toward k = 0 resolve the
+    k^alpha kink there for the largest time too."""
     kernel = StableKernel(alpha=alpha, dim=dim)
     times = np.array([0.05, 0.4, 1.0, 3.0])
     r = np.linspace(0.0, 6.0, 37)
@@ -226,8 +225,34 @@ def test_density_columns_match_one_time_at_a_time(alpha, dim):
     assert cols.shape == (len(r), len(times))
     for j, t in enumerate(times):
         one = transition_density_radial(kernel, t, r)
-        atol = 1e-7 * one.max() if alpha == 1.5 else 0.0
+        atol = 1e-12 * one.max() if alpha == 1.5 else 0.0
         assert_allclose(cols[:, j], one, rtol=1e-14, atol=atol)
+
+
+def _sqrt_substituted_density_1d(alpha, t, r, panels=4000):
+    """p_t(r) in d = 1 as (1/pi) Int 2 v exp(-t v^(2 alpha)) cos(v^2 r) dv,
+    k = v^2: smooth in v at v = 0, so uniform Gauss-Legendre panels on
+    [0, V] with exp(-t V^(2 alpha)) = 1e-18 reach rounding level."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, (math.log(1e18) / t) ** (0.5 / alpha), panels + 1)
+    half, mid = np.diff(edges) / 2.0, (edges[1:] + edges[:-1]) / 2.0
+    v = (mid[:, None] + half[:, None] * x).ravel()
+    wv = (half[:, None] * w).ravel()
+    f = 2.0 * v * np.exp(-t * v ** (2 * alpha))
+    return np.cos(np.outer(r, v * v)) @ (wv * f) / math.pi
+
+
+def test_graded_panels_resolve_the_kink_at_k_zero():
+    """alpha = 1.5, d = 1, t = 3 on r <= 6: with uniform panels from k = 0
+    the exp(-t k^alpha) kink left 1.2e-8 of the peak alone and 9.3e-8
+    beside t = 0.05, over the 1e-8 inversion tolerance."""
+    kernel = StableKernel(alpha=1.5, dim=1)
+    r = np.linspace(0.0, 6.0, 61)
+    ref = _sqrt_substituted_density_1d(1.5, 3.0, r)
+    alone = transition_density_radial(kernel, 3.0, r)
+    shared = transition_density_radial(kernel, np.array([0.05, 3.0]), r)[:, 1]
+    assert np.max(np.abs(alone - ref)) < 1e-12 * ref.max()
+    assert np.max(np.abs(shared - ref)) < 1e-12 * ref.max()
 
 
 def test_tail_guard_checks_every_column():
