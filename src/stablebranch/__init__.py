@@ -19,7 +19,6 @@ from .experiments import (
 from .fastsim import BatchResult, field_batch, obs_grid, replicate_stream, tree_batch
 from .lifetimes import Exponential, Gamma, ParetoTail, make_pareto_tail
 from .moments import (
-    CovarianceSpec,
     decay_exponent_prediction,
     field_covariance,
     occupation_mean,
@@ -41,7 +40,6 @@ __all__ = [
     "BatchResult",
     "CheckRow",
     "ConfigError",
-    "CovarianceSpec",
     "ExperimentConfig",
     "Exponential",
     "Gamma",

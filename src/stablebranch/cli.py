@@ -9,9 +9,11 @@ Carlo, ``renewal`` and ``density`` tabulate the numerical kernels, and
 Every command writes CSV to ``--out`` (or stdout) and returns exit code
 0 on success, 1 when a statistical check or experiment row fails, and 2
 on configuration errors, among them any config key the subcommand does
-not read and any out-of-range config value.  Seeds resolve as: ``--seed``
-flag, then the config file, then the ``STABLEBRANCH_SEED`` environment
-variable, then 0; each must be an integer >= 0.
+not read, any out-of-range config value, and a configuration whose
+numerical integral cannot meet its tolerance (QuadratureError).  Seeds
+resolve as: ``--seed`` flag, then the config file, then the
+``STABLEBRANCH_SEED`` environment variable, then 0; each must be an
+integer >= 0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError
+from .errors import ConfigError, QuadratureError, RegimeError
 from .experiments import (
     ExperimentConfig,
     pair_grid,
@@ -372,7 +374,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, RegimeError) as exc:
+    except (ConfigError, QuadratureError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

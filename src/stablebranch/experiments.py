@@ -34,12 +34,7 @@ from .fastsim import (
     tree_batch,
 )
 from .lifetimes import Exponential, Gamma, LifetimeLaw, make_pareto_tail
-from .moments import (
-    CovarianceSpec,
-    classify_regime,
-    field_covariance,
-    tree_second_moment,
-)
+from .moments import classify_regime, field_covariance, tree_second_moment
 from .occupation import TestFunction, check_inside_window, lebesgue_integral
 from .renewal import RenewalTable, build_renewal, elementary_renewal_check
 from .stable_motion import (
@@ -303,7 +298,8 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
     mc_se, z, passed (|z| <= 3).  The analytic side is the covariance
     on the simulated torus, so phi and psi must lie inside the window.
     The batch observes on `pair_grid(pairs)`.  Both checks raise
-    ValueError before anything is simulated.
+    ValueError, and every analytic value is computed (a QuadratureError
+    raises), before anything is simulated.
     """
     pairs = [(float(s), float(t)) for s, t in pairs]
     if not all(0 <= s <= t for s, t in pairs):
@@ -312,6 +308,8 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
     obs = pair_grid(pairs)
     step = obs[1]
     table = default_renewal_table(law, max(t for _, t in pairs))
+    analytic = [field_covariance(kernel, table, s, t, phi, psi,
+                                 torus_half_side=half_side) for s, t in pairs]
     batch = field_batch(
         kernel, law, replicates=replicates, obs_times=obs,
         half_side=half_side, seed=seed,
@@ -321,18 +319,16 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
     sa = batch.ok("phi")
     sb = batch.ok("psi")
     out = []
-    for s, t in pairs:
+    for (s, t), exact in zip(pairs, analytic):
         i, j = round(s / step), round(t / step)
         # sample covariance and its influence-function standard error
         a, b = sa[:, i], sb[:, j]
         resid = (a - a.mean()) * (b - b.mean())
         mc = float(resid.sum() / (len(a) - 1))
         se = float(resid.std(ddof=1) / math.sqrt(len(a)))
-        spec = CovarianceSpec(kernel, table, phi, psi, s, t)
-        analytic = field_covariance(spec, torus_half_side=half_side)
-        z = _zscore(mc, se, analytic)
+        z = _zscore(mc, se, exact)
         out.append({
-            "s": s, "t": t, "analytic": analytic, "mc_estimate": mc,
+            "s": s, "t": t, "analytic": exact, "mc_estimate": mc,
             "mc_se": se, "z": z, "passed": abs(z) <= 3.0,
         })
     return out
@@ -341,14 +337,10 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
 def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
                                s: float, t: float, phi: TestFunction,
                                psi: TestFunction, *, replicates: int,
-                               seed: int, stream_key: int = 220, threads: int = 1,
-                               r_points: int = 33,
-                               nodes_per_dim: int | None = None) -> dict:
-    """MC single-tree product moment E[<phi,Z_s><psi,Z_t>] vs analytic.
-
-    ``r_points`` and ``nodes_per_dim`` set the analytic side's grids
-    (see `tree_second_moment`).
-    """
+                               seed: int, stream_key: int = 220,
+                               threads: int = 1) -> dict:
+    """MC single-tree product moment E[<phi,Z_s><psi,Z_t>] vs analytic
+    (`tree_second_moment` on its default grids)."""
     if not 0 <= s <= t:
         raise ValueError("need 0 <= s <= t")
     table = default_renewal_table(law, max(s, 1e-3))
@@ -360,8 +352,7 @@ def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
     )
     # the grid is s alone, or s and t: phi's column first, psi's last
     prod = batch.ok("phi")[:, 0] * batch.ok("psi")[:, -1]
-    analytic = tree_second_moment(kernel, table, x0, s, t, phi, psi,
-                                  r_points=r_points, nodes_per_dim=nodes_per_dim)
+    analytic = tree_second_moment(kernel, table, x0, s, t, phi, psi)
     mc, se, z = _mean_se_z(prod, analytic)
     return {
         "s": s, "t": t, "analytic": analytic, "mc_estimate": mc, "mc_se": se,

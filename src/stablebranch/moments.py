@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -38,6 +37,7 @@ from .errors import QuadratureError, RegimeError
 from .occupation import TestFunction, check_inside_window, lebesgue_integral
 from .renewal import RenewalTable
 from .stable_motion import (
+    _BLOCK_ENTRIES,
     _GL_POINTS,
     _LOG_TRUNC,
     _MIN_PANELS,
@@ -58,7 +58,6 @@ _TAIL_TOL = 1e-6  # share of G a cut may leave in its last panel or shell
 # tested extreme (d = 3, L = 5.66, u = 0.0156, n_max = 77) has a 24,025-row
 # block, so this leaves over 40x room.
 _SERIES_MAX_TERMS = 1 << 20
-_BLOCK_ENTRIES = 2_000_000  # lag-by-term entries per block of a G table
 
 
 def occupation_mean(phi: TestFunction, t: float) -> float:
@@ -68,22 +67,14 @@ def occupation_mean(phi: TestFunction, t: float) -> float:
     return lebesgue_integral(phi) * t
 
 
-def _radial_profile(tf: TestFunction):
-    if tf.shape == "indicator":
-        return lambda s: np.where(s <= tf.radius, 1.0, 0.0)
-    r2 = tf.radius**2
-    return lambda s: np.where(
-        s <= tf.radius, np.clip(1.0 - s * s / r2, 0.0, None) ** 2, 0.0
-    )
-
-
 def _overlap_integral(phi: TestFunction, psi: TestFunction, delta: float,
                       dim: int) -> float:
     """Int phi(x) psi(x) dx for centers a distance ``delta`` apart."""
     r1, r2 = phi.radius, psi.radius
     if delta >= r1 + r2:
         return 0.0
-    f1, f2 = _radial_profile(phi), _radial_profile(psi)
+    # phi and psi at a distance s from their own centres
+    f1, f2 = (lambda s, f=f: f.shape_at(s * s / f.radius**2) for f in (phi, psi))
     x, w = _gl_rule(128)
     if delta == 0.0:
         hi = min(r1, r2)
@@ -134,8 +125,9 @@ def pair_correlation(kernel: StableKernel, phi: TestFunction, psi: TestFunction,
     lattice walk; phi and psi must lie inside the window (ValueError).
     Each lag sums only up to its own cut, where exp(-u k^alpha) < 1e-12,
     and raises QuadratureError naming the lag if the last 24th of its cut
-    or its outer lattice shell carries over 1e-6 of G.  At u = 0 both are
-    Int phi psi.
+    or its outer lattice shell carries over 1e-6 of G; a node set or
+    lattice too large for the smallest lag also raises, naming that lag.
+    At u = 0 both are Int phi psi.
     """
     lags = np.asarray(u, dtype=float)
     if lags.ndim > 1:
@@ -173,17 +165,12 @@ def _free_table(kernel, phi, psi, lags, dist):
     at sorted positive lags, centres ``dist`` apart."""
     d, alpha = kernel.dim, kernel.alpha
     cuts = 1.25 * (_LOG_TRUNC / lags) ** (1.0 / alpha)
-    k_max = float(cuts[0])
-    osc = phi.radius + psi.radius + dist
-    wavelength = 2.0 * np.pi / osc
-    # a lag's row spans the node set; refuse one that cannot fit a block
-    n_nodes = _GL_POINTS * max(_MIN_PANELS, math.ceil(2.0 * k_max / wavelength))
-    if n_nodes > _BLOCK_ENTRIES:
-        raise QuadratureError(
-            f"radial integral at lag u={lags[0]:g} needs about {n_nodes} nodes, "
-            f"over the {_BLOCK_ENTRIES} limit"
-        )
-    nodes, weights, right = _panel_nodes(k_max, float(wavelength), float(cuts[-1]))
+    wavelength = 2.0 * np.pi / (phi.radius + psi.radius + dist)
+    try:  # a lag's row spans the node set, so the set must fit one block
+        nodes, weights, right = _panel_nodes(float(cuts[0]), float(wavelength),
+                                             float(cuts[-1]))
+    except QuadratureError as exc:
+        raise QuadratureError(f"radial integral at lag u={lags[0]:g}: {exc}") from exc
     omega = 2.0 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
     coef = ((2.0 * np.pi) ** (-d) * omega * weights * phi.fourier_profile(nodes)
             * psi.fourier_profile(nodes) * _angular_factor(d, nodes * dist)
@@ -290,41 +277,26 @@ def pair_correlation_realspace(kernel: StableKernel, phi: TestFunction,
     return float(w @ (phi.evaluate(pts) * semigroup_apply(kernel, psi, u, pts)))
 
 
-@dataclass(frozen=True)
-class CovarianceSpec:
-    """Inputs of the field covariance Cov(<phi, X_s>, <psi, X_t>)."""
-
-    kernel: StableKernel
-    table: RenewalTable
-    phi: TestFunction
-    psi: TestFunction
-    s: float
-    t: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.s <= self.t:
-            raise ValueError("need 0 <= s <= t")
-        if self.t > self.table.horizon + 1e-12:
-            raise ValueError(
-                f"t={self.t} exceeds the renewal table horizon {self.table.horizon}"
-            )
-
-
-def field_covariance(spec: CovarianceSpec, *,
+def field_covariance(kernel: StableKernel, table: RenewalTable, s: float,
+                     t: float, phi: TestFunction, psi: TestFunction, *,
                      torus_half_side: float | None = None) -> float:
     """Cov(<phi, X_s>, <psi, X_t>) for the stationary branching field.
 
     Equals G(t-s) plus the renewal-smoothed correlation picked up by
     shared branching ancestry on (0, s]; the renewal measure is applied
     by a trapezoidal Stieltjes rule on 129 nodes with U interpolated
-    from the table.  G at all 130 lags is one `pair_correlation` table.
+    from the table.  G at all 130 lags is one `pair_correlation` table
+    (on the torus [-L, L)^d when ``torus_half_side`` L is given).  Needs
+    0 <= s <= t with t within the table's horizon (ValueError).
     """
-    s, t = spec.s, spec.t
+    if not 0.0 <= s <= t:
+        raise ValueError("need 0 <= s <= t")
+    if t > table.horizon + 1e-12:
+        raise ValueError(f"t={t} exceeds the renewal table horizon {table.horizon}")
     rs = np.linspace(0.0, s, 129 if s > 0.0 else 0)
-    g = pair_correlation(spec.kernel, spec.phi, spec.psi,
-                         np.concatenate([[t - s], s + t - 2.0 * rs]),
+    g = pair_correlation(kernel, phi, psi, np.concatenate([[t - s], s + t - 2.0 * rs]),
                          torus_half_side=torus_half_side)
-    du = np.diff(spec.table.value(rs))
+    du = np.diff(table.value(rs))
     return float(g[0] + np.sum(0.5 * (g[2:] + g[1:-1]) * du))
 
 
@@ -357,8 +329,7 @@ def tree_second_moment(kernel: StableKernel, table: RenewalTable, x0, s: float,
     n = nodes_per_dim or _default_nodes(d)
 
     pts, w = support_quadrature(phi.center, phi.radius, d, n)
-    inner = psi.evaluate(pts) if t == s else semigroup_apply(kernel, psi, t - s, pts)
-    fy = phi.evaluate(pts) * inner * w
+    fy = phi.evaluate(pts) * semigroup_apply(kernel, psi, t - s, pts) * w
     rad = np.linalg.norm(pts - x0[None, :], axis=1)
     out = float(transition_density_radial(kernel, s, rad) @ fy)
 
@@ -392,7 +363,8 @@ def occupation_variance(kernel: StableKernel, table: RenewalTable,
     most 321 points).  Each C entry is G at the lag plus the renewal
     integral of `field_covariance`, itself a trapezoid in dU on the same
     grid, so every entry needs G only at integer multiples of the step:
-    one `pair_correlation` table of 2m + 1 lags.  This is a quadrature of
+    one `pair_correlation` table of 2m + 1 lags, summed with one weight
+    per lag and no covariance matrix.  This is a quadrature of
     the continuous-time variance, not the exact variance of a discretized
     occupation estimator: the renewal integral keeps the coarse grid's
     error, with no error control (alpha = 2, d = 3, Exp(1), T = 200,
@@ -413,25 +385,21 @@ def occupation_variance(kernel: StableKernel, table: RenewalTable,
     delta = horizon / m
     gd = pair_correlation(kernel, phi, phi, np.arange(2 * m + 1) * delta,
                           torus_half_side=torus_half_side)
-    uu = table.value(np.arange(m + 1) * delta)
-    du = np.diff(uu)
-    cov = np.empty((m + 1, m + 1))
-    for i in range(m + 1):
-        js = np.arange(i, m + 1)
-        row = gd[js - i].copy()
-        if i > 0:
-            cw = np.empty(i + 1)
-            cw[0] = du[0] / 2.0
-            cw[-1] = du[i - 1] / 2.0
-            if i > 1:
-                cw[1:-1] = 0.5 * (du[: i - 1] + du[1:i])
-            idx = (i + js)[None, :] - 2 * np.arange(i + 1)[:, None]
-            row += cw @ gd[idx]
-        cov[i, i:] = row
-        cov[i:, i] = row
+    du = np.diff(table.value(np.arange(m + 1) * delta))
     tw = np.full(m + 1, delta)
     tw[[0, -1]] = delta / 2.0
-    return float(tw @ cov @ tw)
+    # weights[k] multiplies G(k delta); the G(|i - j|) terms weigh lag k
+    # by the autocorrelation of tw at k and -k
+    weights = np.zeros(2 * m + 1)
+    np.add.at(weights, np.abs(np.arange(-m, m + 1)), np.correlate(tw, tw, "full"))
+    # Renewal interval l enters C(i, j) for i, j > l as du_l / 2 times
+    # G(i + j - 2l) + G(i + j - 2l - 2): with p = i + j - 2(l + 1), the
+    # tw_i tw_j mass on each p is a self-convolution of tw[l + 1:].
+    for l in range(m):
+        mass = du[l] / 2.0 * np.convolve(tw[l + 1:], tw[l + 1:])
+        weights[: len(mass)] += mass
+        weights[2 : len(mass) + 2] += mass
+    return float(weights @ gd)
 
 
 def classify_regime(dim: int, alpha: float, gamma: float | None = None) -> str:

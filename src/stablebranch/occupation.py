@@ -53,11 +53,15 @@ class TestFunction:
             rows = rows[np.abs(np.take(flat[:, j], rows) - self.center[j]) <= reach]
         q = np.sum((np.take(flat, rows, axis=0) - self.center) ** 2, axis=-1) / self.radius**2
         out = np.zeros(len(flat))
-        if self.shape == "bump":
-            out[rows] = np.where(q < 1.0, (1.0 - q) ** 2, 0.0)
-        else:
-            out[rows] = q <= 1.0
+        out[rows] = self.shape_at(q)
         return out.reshape(pts.shape[:-1])
+
+    def shape_at(self, q) -> np.ndarray:
+        """The shape's value at q = |x - c|^2 / r^2: (1 - q)^2 (bump) or 1
+        (indicator) on the closed ball q <= 1, and 0 outside it."""
+        if self.shape == "bump":
+            return np.where(q < 1.0, (1.0 - q) ** 2, 0.0)
+        return np.where(q <= 1.0, 1.0, 0.0)
 
     def fourier_profile(self, k) -> np.ndarray:
         """Fourier transform at |y| = k of the shape centered at the origin.

@@ -27,6 +27,7 @@ from .errors import QuadratureError
 
 _LOG_TRUNC = math.log(1e12)  # integrand cut where exp(-t k^alpha) < 1e-12
 _INVERSE_TAIL_TOL = 1e-8  # share of the output the last inversion panel may carry
+_BLOCK_ENTRIES = 2_000_000  # largest node set, and largest row-by-node block
 
 
 @dataclass(frozen=True)
@@ -143,15 +144,23 @@ def _panel_nodes(k_max: float, wavelength: float, k_low: float | None = None):
     k = 0 until `_HALVINGS` edges lie at or below ``k_low`` (default: the
     first panel's width), the smallest cut a caller will sum to.  Returns
     nodes, weights and the panels' right edges, one panel per
-    `_GL_POINTS` consecutive nodes.
+    `_GL_POINTS` consecutive nodes.  A set of over `_BLOCK_ENTRIES` nodes
+    raises QuadratureError before anything is allocated.
     """
     width = k_max / _MIN_PANELS
     if np.isfinite(wavelength):
         width = min(width, wavelength / 2.0)
     n_panels = max(_MIN_PANELS, int(math.ceil(k_max / width)))
+    first = k_max / n_panels  # the first uniform panel's right edge
+    reach = 0 if k_low is None else max(0, math.ceil(math.log2(first / k_low)))
+    n_nodes = _GL_POINTS * (n_panels + _HALVINGS + reach)
+    if n_nodes > _BLOCK_ENTRIES:
+        raise QuadratureError(
+            f"radial node set to k={k_max:.4g} needs {n_nodes} nodes, over the "
+            f"{_BLOCK_ENTRIES} limit"
+        )
     uniform = np.linspace(0.0, k_max, n_panels + 1)
-    reach = 0 if k_low is None else max(0, math.ceil(math.log2(uniform[1] / k_low)))
-    halvings = uniform[1] * 0.5 ** np.arange(_HALVINGS + reach, 0, -1)
+    halvings = first * 0.5 ** np.arange(_HALVINGS + reach, 0, -1)
     edges = np.concatenate([[0.0], halvings, uniform[1:]])
     x, w = _gl_rule(_GL_POINTS)
     half = np.diff(edges) / 2.0
@@ -211,7 +220,7 @@ def radial_fourier_inverse(fhat, dim: int, radii, k_max: float, *,
         (2.0 * np.pi) ** (-dim) * omega * nodes ** (dim - 1))[:, None]
     weighted = weights[:, None] * integ
     out = np.empty((len(radii), integ.shape[1]))
-    block = max(1, 2_000_000 // len(nodes))  # radius-by-node entries per block
+    block = _BLOCK_ENTRIES // len(nodes)  # radius-by-node entries per block
     for lo in range(0, len(radii), block):
         z = radii[lo : lo + block, None] * nodes[None, :]
         out[lo : lo + block] = _angular_factor(dim, z) @ weighted

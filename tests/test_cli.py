@@ -397,6 +397,35 @@ def test_covariance_pairs_without_a_common_step_exit_2(tmp_path, pairs):
     assert "common step" in error, error
 
 
+def test_covariance_quadrature_error_exit_2_before_simulating(tmp_path, capsys,
+                                                              monkeypatch):
+    """alpha = 2, d = 3: the torus series at s = t = 0.001 needs a lag of
+    1.5625e-5, too large a lattice; refused with exit 2 (not a failed
+    check) before any batch is simulated."""
+    from stablebranch import experiments
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("field_batch ran before the analytic values")
+
+    monkeypatch.setattr(experiments, "field_batch", no_batch)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "alpha": 2.0, "dim": 3, "lifetime": {"type": "exponential"},
+        "phi": {"radius": 0.5}, "pairs": [[0.001, 0.001]], "half_side": 6.0,
+        "replicates": 2,
+    })
+    assert main(["covariance", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "u=1.5625e-05" in err, err
+
+
+def test_density_oversized_node_set_exit_2(tmp_path):
+    """alpha = 0.5 at t = 1e-3 would need about 4.9e9 inversion nodes."""
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"alpha": 0.5, "dim": 1, "t": 1e-3, "r_max": 1.0})
+    error = _exit_2_error(tmp_path, ["density", "--config", cfg])
+    assert "nodes" in error, error
+
+
 def _exit_2_error(tmp_path, argv, env=None):
     """Run the CLI as a process; assert exit 2, one error line, no traceback."""
     src = str(Path(stablebranch.__file__).resolve().parents[1])

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from stablebranch import (
-    CovarianceSpec,
     Exponential,
     QuadratureError,
     RegimeError,
@@ -401,22 +400,18 @@ def exp_table():
     return build_renewal(EXP1, 8.5, 0.005)
 
 
-def test_covariance_spec_validation(exp_table):
-    phi = bump(1)
-    with pytest.raises(ValueError):
-        CovarianceSpec(kernel=StableKernel(alpha=2.0, dim=1), table=exp_table,
-                       phi=phi, psi=phi, s=2.0, t=1.0)
-    with pytest.raises(ValueError):
-        CovarianceSpec(kernel=StableKernel(alpha=2.0, dim=1), table=exp_table,
-                       phi=phi, psi=phi, s=1.0, t=100.0)
+def test_field_covariance_validation(exp_table):
+    kernel, phi = StableKernel(alpha=2.0, dim=1), bump(1)
+    with pytest.raises(ValueError, match="0 <= s <= t"):
+        field_covariance(kernel, exp_table, 2.0, 1.0, phi, phi)
+    with pytest.raises(ValueError, match="horizon"):
+        field_covariance(kernel, exp_table, 1.0, 100.0, phi, phi)
 
 
 def test_covariance_at_s_zero_is_pair_correlation(exp_table):
     kernel = StableKernel(alpha=2.0, dim=1)
     phi, psi = bump(1), bump(1, center=0.4)
-    spec = CovarianceSpec(kernel=kernel, table=exp_table, phi=phi, psi=psi,
-                          s=0.0, t=1.5)
-    assert field_covariance(spec) == pytest.approx(
+    assert field_covariance(kernel, exp_table, 0.0, 1.5, phi, psi) == pytest.approx(
         pair_correlation(kernel, phi, psi, 1.5), rel=1e-12)
 
 
@@ -428,9 +423,8 @@ def test_covariance_gram_matrix_is_psd(exp_table):
     mat = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            spec = CovarianceSpec(kernel=kernel, table=exp_table, phi=phi,
-                                  psi=phi, s=times[i], t=times[j])
-            mat[i, j] = mat[j, i] = field_covariance(spec)
+            mat[i, j] = mat[j, i] = field_covariance(kernel, exp_table, times[i],
+                                                     times[j], phi, phi)
     eig = np.linalg.eigvalsh(mat)
     assert mat == pytest.approx(mat.T)
     assert eig.min() >= -1e-6 * eig.max(), eig
@@ -442,8 +436,7 @@ def test_covariance_cauchy_schwarz(exp_table):
     psi = indicator(1, center=0.5, radius=0.8)
 
     def cov(f, g, s, t):
-        return field_covariance(CovarianceSpec(
-            kernel=kernel, table=exp_table, phi=f, psi=g, s=s, t=t))
+        return field_covariance(kernel, exp_table, s, t, f, g)
 
     c = cov(phi, psi, 1.0, 2.0)
     v1 = cov(phi, phi, 1.0, 1.0)
@@ -455,10 +448,8 @@ def test_covariance_swap_symmetry_at_equal_times(exp_table):
     kernel = StableKernel(alpha=2.0, dim=1)
     phi = bump(1)
     psi = indicator(1, center=0.3, radius=0.6)
-    a = field_covariance(CovarianceSpec(kernel=kernel, table=exp_table,
-                                        phi=phi, psi=psi, s=1.0, t=1.0))
-    b = field_covariance(CovarianceSpec(kernel=kernel, table=exp_table,
-                                        phi=psi, psi=phi, s=1.0, t=1.0))
+    a = field_covariance(kernel, exp_table, 1.0, 1.0, phi, psi)
+    b = field_covariance(kernel, exp_table, 1.0, 1.0, psi, phi)
     assert a == pytest.approx(b, rel=1e-6)
 
 
@@ -513,19 +504,14 @@ def test_tree_second_moment_matches_monte_carlo(exp_table):
     assert abs(z) <= 3.5, (prods.mean(), analytic, z)
 
 
-@pytest.mark.parametrize("dim,seed,grid", [
-    (1, 47, {}),
-    # a coarser outer grid keeps d = 2 affordable
-    (2, 48, {"nodes_per_dim": 45, "r_points": 17}),
-    (3, 49, {}),
-], ids=["d1", "d2", "d3"])
-def test_tree_second_moment_heavy_tailed_motion_matches_monte_carlo(dim, seed,
-                                                                    grid):
+@pytest.mark.parametrize("dim,seed", [(1, 47), (2, 48), (3, 49)],
+                         ids=["d1", "d2", "d3"])
+def test_tree_second_moment_heavy_tailed_motion_matches_monte_carlo(dim, seed):
     """alpha < 2: the 4 t**(1/alpha) cut of the outer integral must
     hold for heavy-tailed jumps too."""
     out = run_tree_moment_comparison(
         StableKernel(alpha=1.5, dim=dim), EXP1, np.zeros(dim), 1.0, 2.0,
-        bump(dim), bump(dim), replicates=40000, seed=seed, **grid)
+        bump(dim), bump(dim), replicates=40000, seed=seed)
     assert out["passed"], out
 
 
@@ -551,14 +537,15 @@ def test_tree_second_moment_default_grid_values(dim, x0, expected):
 # ---------------------------------------------------------------------------
 
 
-def naive_occupation_variance(kernel, table, phi, horizon, grid_points):
+def naive_occupation_variance(kernel, table, phi, horizon, grid_points,
+                              torus_half_side=None):
     """Direct double-loop reimplementation of the variance quadrature."""
     m = grid_points - 1
     delta = horizon / m
     ts = np.arange(m + 1) * delta
 
     def g(u):
-        return pair_correlation(kernel, phi, phi, u)
+        return pair_correlation(kernel, phi, phi, u, torus_half_side=torus_half_side)
 
     def cov(s, t):
         out = g(abs(t - s))
@@ -578,11 +565,22 @@ def naive_occupation_variance(kernel, table, phi, horizon, grid_points):
     return float(w @ mat @ w)
 
 
-def test_occupation_variance_matches_naive_reimplementation(exp_table):
+@pytest.mark.parametrize("pareto,half_side,grid_points", [
+    (False, None, 9),
+    (True, None, 9),  # a gamma = 0.5 tail: uneven renewal increments dU
+    (False, 2.0, 9),
+    (False, None, 17),
+], ids=["exp1", "pareto", "torus", "m16"])
+def test_occupation_variance_matches_naive_reimplementation(exp_table, pareto,
+                                                            half_side, grid_points):
+    """The lag-weight sum equals the double loop over the covariance matrix."""
     kernel = StableKernel(alpha=2.0, dim=1)
     phi = bump(1)
-    fast = occupation_variance(kernel, exp_table, phi, 2.0, grid_points=9)
-    slow = naive_occupation_variance(kernel, exp_table, phi, 2.0, 9)
+    table = default_renewal_table(make_pareto_tail(0.5), 2.0) if pareto else exp_table
+    fast = occupation_variance(kernel, table, phi, 2.0, grid_points=grid_points,
+                               torus_half_side=half_side)
+    slow = naive_occupation_variance(kernel, table, phi, 2.0, grid_points,
+                                     torus_half_side=half_side)
     assert fast == pytest.approx(slow, rel=1e-9)
 
 

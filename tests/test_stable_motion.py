@@ -6,6 +6,7 @@ that pins down the general-alpha sampler and quadrature.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,29 @@ def test_fourier_inversion_recovers_closed_forms(dim):
     c = math.gamma((dim + 1) / 2) / math.pi ** ((dim + 1) / 2)
     expected = c * t / (t**2 + r**2) ** ((dim + 1) / 2)
     assert np.max(np.abs(cauchy - expected)) < 1e-6
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_fourier_inversion_bessel_branch_recovers_heat_kernel(dim):
+    """From d = 4 on the angular factor is a general-order Bessel function."""
+    r = np.array([0.0, 1e-7, 0.3, 0.9, 2.0, 4.0])
+    got = radial_fourier_inverse(lambda k: np.exp(-k**2), dim, r, 8.0)
+    expected = (4 * math.pi) ** (-dim / 2) * np.exp(-(r**2) / 4)
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_oversized_node_set_is_refused_before_allocating():
+    """alpha = 0.5, t = 1e-3 on r <= 1 cuts near k = 9.5e8: about 3.0e8
+    panels, 4.9e9 nodes or 39 GB per float64 array, refused at once."""
+    kernel = StableKernel(alpha=0.5, dim=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match="over the 2000000 limit"):
+            transition_density_radial(kernel, 1e-3, np.linspace(0.0, 1.0, 101))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_self_similarity_of_general_alpha_density():
