@@ -13,7 +13,7 @@ not read, any out-of-range config value, and a configuration whose
 numerical integral cannot meet its tolerance (QuadratureError).  Seeds
 resolve as: ``--seed`` flag, then the config file, then the
 ``STABLEBRANCH_SEED`` environment variable, then 0; each must be an
-integer >= 0.
+integer >= 0.  ``--threads`` must be at least 1.
 """
 
 from __future__ import annotations
@@ -373,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _count(args.threads, "--threads", 1)
         return args.func(args)
     except (ConfigError, QuadratureError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

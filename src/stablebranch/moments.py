@@ -28,7 +28,7 @@ functions sit inside the window.
 from __future__ import annotations
 
 import itertools
-import math
+import numbers
 
 import numpy as np
 from scipy import special
@@ -37,7 +37,6 @@ from .errors import QuadratureError, RegimeError
 from .occupation import TestFunction, check_inside_window, lebesgue_integral
 from .renewal import RenewalTable
 from .stable_motion import (
-    _BLOCK_ENTRIES,
     _GL_POINTS,
     _LOG_TRUNC,
     _MIN_PANELS,
@@ -45,6 +44,7 @@ from .stable_motion import (
     _angular_factor,
     _check_tail,
     _default_nodes,
+    _density_k_max,
     _gl_rule,
     _panel_nodes,
     semigroup_apply,
@@ -65,6 +65,14 @@ def occupation_mean(phi: TestFunction, t: float) -> float:
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     return lebesgue_integral(phi) * t
+
+
+def _check_count(value, name: str, least: int) -> int:
+    """A grid size: an integer >= ``least``, else ValueError naming it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _overlap_integral(phi: TestFunction, psi: TestFunction, delta: float,
@@ -162,11 +170,12 @@ def pair_correlation(kernel: StableKernel, phi: TestFunction, psi: TestFunction,
 
 def _free_table(kernel, phi, psi, lags, dist):
     """The radial integral of `pair_correlation` and its tails (`_lag_sums`)
-    at sorted positive lags, centres ``dist`` apart."""
+    at sorted positive lags, centres ``dist`` apart: each lag cuts at
+    `_density_k_max`, and one `_panel_nodes` set serves every lag."""
     d, alpha = kernel.dim, kernel.alpha
-    cuts = 1.25 * (_LOG_TRUNC / lags) ** (1.0 / alpha)
+    cuts = _density_k_max(alpha, lags)
     wavelength = 2.0 * np.pi / (phi.radius + psi.radius + dist)
-    try:  # a lag's row spans the node set, so the set must fit one block
+    try:  # the smallest lag's cut sizes the set
         nodes, weights, right = _panel_nodes(float(cuts[0]), float(wavelength),
                                              float(cuts[-1]))
     except QuadratureError as exc:
@@ -185,7 +194,8 @@ def _free_table(kernel, phi, psi, lags, dist):
 
 def _torus_table(kernel, phi, psi, lags, half_side, offset):
     """The dual-lattice series of `pair_correlation` on [-L, L)^d and its
-    tails (`_lag_sums`) at sorted positive lags."""
+    tails (`_lag_sums`) at sorted positive lags: one lattice walk sized by
+    the smallest lag, one table entry per |n| (d = 1) or |n|^2."""
     d, alpha, step = kernel.dim, kernel.alpha, np.pi / half_side
     # |n| <= n_max reaches one unit shell past the cut; that shell is checked
     n_max = np.ceil((_LOG_TRUNC / lags) ** (1.0 / alpha) / step).astype(int) + 1
@@ -230,34 +240,14 @@ def _torus_table(kernel, phi, psi, lags, half_side, offset):
 def _lag_sums(lags, x, coef, tail_coef, starts, ends):
     """G at each lag u_i, the sum of coef_j exp(-u_i x_j) over j < ends_i,
     and the tail that checks its cut, the sum of tail_coef_j exp(-u_i x_j)
-    over starts_i <= j < ends_i; in blocks of at most `_BLOCK_ENTRIES`
-    lag-by-term entries."""
+    over starts_i <= j < ends_i.  One row per lag, no longer than the node
+    set (at most 2M nodes, `_panel_nodes`) or the lattice table."""
     out, tails = np.empty(len(lags)), np.empty(len(lags))
-    order = np.argsort(ends, kind="stable")
-    lo = 0
-    while lo < len(order):
-        # the longest run of lags whose count times longest prefix fits
-        size = np.arange(1, len(order) - lo + 1) * ends[order[lo:]]
-        hi = lo + max(1, int(np.searchsorted(size, _BLOCK_ENTRIES, side="right")))
-        rows = order[lo:hi]
-        out[rows], tails[rows] = _lag_block(lags[rows], x, coef, tail_coef,
-                                            starts[rows], ends[rows])
-        lo = hi
+    for i, (u, start, end) in enumerate(zip(lags, starts, ends)):
+        terms = np.exp(-u * x[:end])
+        out[i] = terms @ coef[:end]
+        tails[i] = terms[start:] @ tail_coef[start:end]
     return out, tails
-
-
-def _lag_block(lags, x, coef, tail_coef, starts, ends):
-    """Sums and tail sums of `_lag_sums` for one block of lags."""
-    width = int(ends.max())
-    cols = np.arange(width)
-    terms = np.multiply.outer(-lags, x[:width])
-    terms[cols >= ends[:, None]] = -np.inf  # past a lag's own cut
-    np.exp(terms, out=terms)
-    span = starts[:, None] + np.arange(int((ends - starts).max()))
-    inside = span < ends[:, None]
-    span = np.where(inside, span, 0)
-    tail = np.take_along_axis(terms, span, axis=1) * tail_coef[span] * inside
-    return terms @ coef[:width], tail.sum(axis=1)
 
 
 def pair_correlation_realspace(kernel: StableKernel, phi: TestFunction,
@@ -268,11 +258,13 @@ def pair_correlation_realspace(kernel: StableKernel, phi: TestFunction,
     Cross-check route for `pair_correlation`: only the outer integral is
     real-space; S_u psi comes from `semigroup_apply`, a radial Fourier
     inversion at each node, instead of the product of the two transforms.
+    ``nodes_per_dim`` (default `_default_nodes`) must be an integer >= 3.
     """
+    d = kernel.dim
+    n = (_default_nodes(d) if nodes_per_dim is None
+         else _check_count(nodes_per_dim, "nodes_per_dim", 3))
     if u <= 0.0:  # the exact overlap at u = 0; a negative lag raises there
         return pair_correlation(kernel, phi, psi, u)
-    d = kernel.dim
-    n = nodes_per_dim or _default_nodes(d)
     pts, w = support_quadrature(phi.center, phi.radius, d, n)
     return float(w @ (phi.evaluate(pts) * semigroup_apply(kernel, psi, u, pts)))
 
@@ -314,19 +306,24 @@ def tree_second_moment(kernel: StableKernel, table: RenewalTable, x0, s: float,
     anchoring the Stieltjes rule.  The r-ladder is three matrices with
     one column per r-point, S_{s-r} phi and S_{t-r} psi on the grid and
     p_r at |z - x0|, built from one angular matrix per radius set (phi
-    and psi share theirs when their centres coincide).
+    and psi share theirs when their centres coincide).  ``r_points`` must
+    be an integer >= 2 and ``nodes_per_dim`` (default `_default_nodes`,
+    per axis of both grids) one >= 3; anything else raises ValueError
+    before any inversion.
     """
+    d = kernel.dim
+    _check_count(r_points, "r_points", 2)
+    n = (_default_nodes(d) if nodes_per_dim is None
+         else _check_count(nodes_per_dim, "nodes_per_dim", 3))
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (kernel.dim,):
-        raise ValueError(f"x0 must have shape ({kernel.dim},)")
+    if x0.shape != (d,):
+        raise ValueError(f"x0 must have shape ({d},)")
     if not 0.0 <= s <= t:
         raise ValueError("need 0 <= s <= t")
     if s > table.horizon + 1e-12:
         raise ValueError(f"s={s} exceeds the renewal table horizon {table.horizon}")
     if s == 0.0:
         return float(phi.evaluate(x0[None, :])[0] * semigroup_apply(kernel, psi, t, x0))
-    d = kernel.dim
-    n = nodes_per_dim or _default_nodes(d)
 
     pts, w = support_quadrature(phi.center, phi.radius, d, n)
     fy = phi.evaluate(pts) * semigroup_apply(kernel, psi, t - s, pts) * w
@@ -354,13 +351,13 @@ def tree_second_moment(kernel: StableKernel, table: RenewalTable, x0, s: float,
 
 def occupation_variance(kernel: StableKernel, table: RenewalTable,
                         phi: TestFunction, horizon: float, *,
-                        grid_points: int | None = None,
+                        grid_points: int,
                         torus_half_side: float | None = None) -> float:
     """Var<phi, J_T> of the stationary field's occupation time.
 
     Double trapezoid of the covariance kernel C(u, v) over [0, T]^2 on a
-    uniform grid of ``grid_points`` points (default: a step near 0.25, at
-    most 321 points).  Each C entry is G at the lag plus the renewal
+    uniform grid of ``grid_points`` points, a required integer >= 2
+    (ValueError otherwise).  Each C entry is G at the lag plus the renewal
     integral of `field_covariance`, itself a trapezoid in dU on the same
     grid, so every entry needs G only at integer multiples of the step:
     one `pair_correlation` table of 2m + 1 lags, summed with one weight
@@ -371,6 +368,7 @@ def occupation_variance(kernel: StableKernel, table: RenewalTable,
     step 1 gives 239.80, about 20% above a per-Fourier-mode evaluation
     on the same grid).
     """
+    _check_count(grid_points, "grid_points", 2)
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
     if horizon == 0.0:
@@ -379,8 +377,6 @@ def occupation_variance(kernel: StableKernel, table: RenewalTable,
         raise ValueError(
             f"horizon {horizon} exceeds the renewal table horizon {table.horizon}"
         )
-    if grid_points is None:
-        grid_points = int(min(320, max(8, math.ceil(horizon / 0.25)))) + 1
     m = grid_points - 1
     delta = horizon / m
     gd = pair_correlation(kernel, phi, phi, np.arange(2 * m + 1) * delta,

@@ -135,7 +135,6 @@ def _gl_rule(npts: int):
     return x, w
 
 
-@lru_cache(maxsize=4096)
 def _panel_nodes(k_max: float, wavelength: float, k_low: float | None = None):
     """Composite Gauss-Legendre nodes on [0, k_max] resolving the oscillation.
 
@@ -145,7 +144,7 @@ def _panel_nodes(k_max: float, wavelength: float, k_low: float | None = None):
     first panel's width), the smallest cut a caller will sum to.  Returns
     nodes, weights and the panels' right edges, one panel per
     `_GL_POINTS` consecutive nodes.  A set of over `_BLOCK_ENTRIES` nodes
-    raises QuadratureError before anything is allocated.
+    raises QuadratureError before anything is allocated.  Nothing is cached.
     """
     width = k_max / _MIN_PANELS
     if np.isfinite(wavelength):

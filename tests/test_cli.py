@@ -452,6 +452,15 @@ def test_bad_seed_sources_exit_2(tmp_path, argv, env, key):
     assert key in error, error
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exit_2(tmp_path, threads):
+    """--threads 0 or -2 used to run on one thread and exit 0."""
+    error = _exit_2_error(tmp_path, ["validate", "--checks",
+                                     "self_similarity,poisson_counts",
+                                     "--threads", threads])
+    assert "--threads" in error, error
+
+
 def test_import_loads_no_heavy_scipy_subpackages():
     """`import stablebranch, stablebranch.cli` needs numpy and
     scipy.special only; each of these subpackages adds start-up time

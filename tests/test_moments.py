@@ -9,6 +9,7 @@ Monte Carlo; the decay-exponent table is asserted against hand-computed
 values and its regime gates against both sides of every boundary.
 """
 
+import gc
 import math
 import tracemalloc
 
@@ -33,7 +34,7 @@ from stablebranch import (
     tree_batch,
     tree_second_moment,
 )
-from stablebranch import moments
+from stablebranch import moments, stable_motion
 from stablebranch.experiments import default_renewal_table, run_tree_moment_comparison
 from stablebranch.moments import pair_correlation_realspace
 
@@ -324,11 +325,12 @@ def test_pair_correlation_table_matches_fine_reference():
 
 def test_free_space_cut_too_early_raises_naming_the_lag(monkeypatch):
     """Each lag checks the last 24th of its own cut; a cut where
-    exp(-u k^alpha) is still 0.1 leaves too much there."""
+    exp(-u k^alpha) is still 0.1 leaves too much there.  The free-space
+    cut is `_density_k_max`, which reads stable_motion's constant."""
     kernel = StableKernel(alpha=2.0, dim=1)
     lags = np.array([0.5, 2.0, 8.0, 32.0])
     pair_correlation(kernel, bump(1), bump(1), lags)
-    monkeypatch.setattr(moments, "_LOG_TRUNC", math.log(10.0))
+    monkeypatch.setattr(stable_motion, "_LOG_TRUNC", math.log(10.0))
     with pytest.raises(QuadratureError, match=r"at lag u=(0\.5|2|8|32):"):
         pair_correlation(kernel, bump(1), bump(1), lags)
     with pytest.raises(QuadratureError, match="at lag u=8:"):
@@ -358,36 +360,43 @@ def test_free_space_table_refuses_oversized_node_set():
         pair_correlation(kernel, bump(1), bump(1), np.array([1e-3, 1.0]))
 
 
-def test_wide_lag_range_sums_prefixes_in_bounded_blocks(monkeypatch):
+def test_wide_lag_range_sums_only_each_lags_prefix(monkeypatch):
     """alpha = 1, d = 1: u = 1e-3 alone needs ~352k nodes, so every lag
     summing the whole node set would be 7e7 entries.  Each lag sums only
-    up to its own cut, in blocks of at most 2M entries; a smaller block
-    limit splits a table without changing a value beyond rounding."""
+    up to its own cut, and matches a table of that lag alone."""
     kernel = StableKernel(alpha=1.0, dim=1)
     phi = bump(1)
     lags = np.concatenate([[1e-3], np.arange(1.0, 201.0)])
     one = np.array([pair_correlation(kernel, phi, phi, u) for u in lags])
-    blocks = []
-    real_block = moments._lag_block
+    prefixes = []
+    real_sums = moments._lag_sums
 
-    def spy(block_lags, x, coef, tail_coef, starts, ends):
-        blocks.append(len(block_lags) * int(ends.max()))
-        return real_block(block_lags, x, coef, tail_coef, starts, ends)
+    def spy(lags, x, coef, tail_coef, starts, ends):
+        prefixes.append(int(np.sum(ends)))  # entries summed over all lags
+        return real_sums(lags, x, coef, tail_coef, starts, ends)
 
-    monkeypatch.setattr(moments, "_lag_block", spy)
+    monkeypatch.setattr(moments, "_lag_sums", spy)
     table = pair_correlation(kernel, phi, phi, lags)
     assert np.max(np.abs(table - one)) < 1e-12 * np.max(np.abs(one))
-    assert max(blocks) <= 2_000_000
-    assert sum(blocks) < 1_000_000
-    # 800 lags, about 200k prefix entries in all: a 50k limit takes five blocks
-    kernel = StableKernel(alpha=1.5, dim=1)
-    lags = np.arange(1, 801) * 0.5
-    whole = pair_correlation(kernel, phi, phi, lags)
-    blocks.clear()
-    monkeypatch.setattr(moments, "_BLOCK_ENTRIES", 50_000)
-    split = pair_correlation(kernel, phi, phi, lags)
-    assert len(blocks) > 3 and max(blocks) <= 50_000
-    np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0.0)
+    assert prefixes and prefixes[0] < 1_000_000
+
+
+def test_wide_tables_leave_no_node_sets_behind():
+    """Three wide alpha = 1 tables each build a ~350k-node set; once
+    they return and are collected, none of it stays allocated."""
+    kernel = StableKernel(alpha=1.0, dim=1)
+    phi = bump(1)
+    pair_correlation(kernel, phi, phi, np.array([1.0, 2.0]))  # first-call set-up
+    tracemalloc.start()
+    try:
+        for low in (1e-3, 2e-3, 4e-3):
+            pair_correlation(kernel, phi, phi,
+                             np.concatenate([[low], np.arange(1.0, 201.0)]))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +487,29 @@ def test_tree_second_moment_validation(exp_table):
         tree_second_moment(kernel, exp_table, [0.0, 0.0], 1.0, 2.0, phi, phi)
     with pytest.raises(ValueError):
         tree_second_moment(kernel, exp_table, [0.0], 50.0, 60.0, phi, phi)
+
+
+@pytest.mark.parametrize("knob,bad", [
+    ("nodes_per_dim", 0), ("nodes_per_dim", 1), ("nodes_per_dim", 2),
+    ("nodes_per_dim", 65.0), ("r_points", 0), ("r_points", 1), ("r_points", 5.0),
+])
+def test_tree_moment_grid_sizes_refused_before_any_inversion(exp_table, monkeypatch,
+                                                             knob, bad):
+    """A grid size that is not an integer >= 3 nodes or >= 2 r-points is
+    refused by name; nodes_per_dim = 0 used to mean the default grid and
+    1 gave nan."""
+    def no_inversion(*args, **kwargs):
+        raise AssertionError("inverted before refusing the grid")
+
+    monkeypatch.setattr(stable_motion, "radial_fourier_inverse", no_inversion)
+    kernel = StableKernel(alpha=1.5, dim=1)
+    with pytest.raises(ValueError, match=knob):
+        tree_second_moment(kernel, exp_table, [0.0], 1.0, 2.0, bump(1), bump(1),
+                           **{knob: bad})
+    if knob == "nodes_per_dim":
+        with pytest.raises(ValueError, match=knob):
+            pair_correlation_realspace(kernel, bump(1), bump(1), 1.0,
+                                       nodes_per_dim=bad)
 
 
 def test_tree_second_moment_swap_symmetry_at_equal_times(exp_table):
@@ -603,11 +635,17 @@ def test_occupation_variance_grid_insensitivity(exp_table):
 def test_occupation_variance_edge_cases(exp_table):
     kernel = StableKernel(alpha=2.0, dim=1)
     phi = bump(1)
-    assert occupation_variance(kernel, exp_table, phi, 0.0) == 0.0
+    assert occupation_variance(kernel, exp_table, phi, 0.0, grid_points=9) == 0.0
     with pytest.raises(ValueError):
-        occupation_variance(kernel, exp_table, phi, -1.0)
+        occupation_variance(kernel, exp_table, phi, -1.0, grid_points=9)
     with pytest.raises(ValueError):
-        occupation_variance(kernel, exp_table, phi, 100.0)
+        occupation_variance(kernel, exp_table, phi, 100.0, grid_points=9)
+    with pytest.raises(TypeError, match="grid_points"):
+        occupation_variance(kernel, exp_table, phi, 2.0)
+    for bad in (0, 1, 2.5, True, None):
+        with pytest.raises(ValueError, match="grid_points"):
+            occupation_variance(kernel, exp_table, phi, 2.0, grid_points=bad)
+    assert occupation_variance(kernel, exp_table, phi, 2.0, grid_points=2) > 0.0
 
 
 def test_occupation_variance_torus_exceeds_free_space(exp_table):
