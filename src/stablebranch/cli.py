@@ -13,7 +13,8 @@ not read, any out-of-range config value, and a configuration whose
 numerical integral cannot meet its tolerance (QuadratureError).  Seeds
 resolve as: ``--seed`` flag, then the config file, then the
 ``STABLEBRANCH_SEED`` environment variable, then 0; each must be an
-integer >= 0.  ``--threads`` must be at least 1.
+integer >= 0.  ``--threads`` must be at least 1, ``--p-two`` lie in
+[0, 1], and every config number be finite (no NaN or Infinity).
 """
 
 from __future__ import annotations
@@ -86,10 +87,14 @@ def _check_keys(obj, allowed: set, where: str) -> None:
         )
 
 
+def _refuse_constant(name: str):
+    raise ConfigError(f"config holds {name}; every number must be finite")
+
+
 def _load_config(path: str, allowed: set) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -374,6 +379,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _count(args.threads, "--threads", 1)
+        if not 0.0 <= getattr(args, "p_two", 0.5) <= 1.0:
+            raise ConfigError(f"--p-two must lie in [0, 1], got {args.p_two}")
         return args.func(args)
     except (ConfigError, QuadratureError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ functions sit inside the window.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 
 import numpy as np
@@ -38,7 +37,6 @@ from .occupation import TestFunction, check_inside_window, lebesgue_integral
 from .renewal import RenewalTable
 from .stable_motion import (
     _GL_POINTS,
-    _LOG_TRUNC,
     _MIN_PANELS,
     StableKernel,
     _angular_factor,
@@ -54,15 +52,14 @@ from .stable_motion import (
 )
 
 _TAIL_TOL = 1e-6  # share of G a cut may leave in its last panel or shell
-# Largest radial table or lattice block the torus series may allocate: the
-# tested extreme (d = 3, L = 5.66, u = 0.0156, n_max = 77) has a 24,025-row
-# block, so this leaves over 40x room.
+# Largest table the torus series may allocate: the tested extreme (d = 3,
+# L = 5.66, u = 0.0156, n_max = 96) has 9,217 entries, over 100x below this.
 _SERIES_MAX_TERMS = 1 << 20
 
 
 def occupation_mean(phi: TestFunction, t: float) -> float:
     """E<phi, J_t> = <phi, Lambda> * t, exact under criticality."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("t must be nonnegative")
     return lebesgue_integral(phi) * t
 
@@ -130,18 +127,19 @@ def pair_correlation(kernel: StableKernel, phi: TestFunction, psi: TestFunction,
     positive lag and graded toward k = 0 below the largest lag's cut).
     Torus [-L, L)^d (``torus_half_side`` L): its exact dual-lattice series,
     (2L)^-d times the same summand over k_n = pi n / L, n in Z^d, from one
-    lattice walk; phi and psi must lie inside the window (ValueError).
-    Each lag sums only up to its own cut, where exp(-u k^alpha) < 1e-12,
-    and raises QuadratureError naming the lag if the last 24th of its cut
-    or its outer lattice shell carries over 1e-6 of G; a node set or
-    lattice too large for the smallest lag also raises, naming that lag.
-    At u = 0 both are Int phi psi.
+    table per |n|^2 built as a product of per-axis sums (`_torus_table`);
+    phi and psi must lie inside the window (ValueError).  Both routes cut
+    each lag at `_density_k_max`, past exp(-u k^alpha) < 1e-12, and raise
+    QuadratureError naming the lag if the last 24th of its cut or its
+    outer lattice shell carries over 1e-6 of G; a node set or table too
+    large for the smallest lag also raises, naming that lag.  A negative
+    or non-finite lag raises ValueError.  At u = 0 both are Int phi psi.
     """
     lags = np.asarray(u, dtype=float)
     if lags.ndim > 1:
         raise ValueError("time lags must be a number or a 1-D array")
-    if np.any(lags < 0.0):
-        raise ValueError("time lag must be nonnegative")
+    if not np.all((lags >= 0.0) & (lags < np.inf)):
+        raise ValueError("time lags must be finite and nonnegative")
     if torus_half_side is not None:
         check_inside_window(torus_half_side, phi, psi)
     d = kernel.dim
@@ -194,46 +192,43 @@ def _free_table(kernel, phi, psi, lags, dist):
 
 def _torus_table(kernel, phi, psi, lags, half_side, offset):
     """The dual-lattice series of `pair_correlation` on [-L, L)^d and its
-    tails (`_lag_sums`) at sorted positive lags: one lattice walk sized by
-    the smallest lag, one table entry per |n| (d = 1) or |n|^2."""
+    tails (`_lag_sums`) at sorted positive lags: one entry per value of
+    |n|^2 <= n_max^2, n_max sized by the smallest lag's `_density_k_max`.
+
+    phi^ psi^ exp(-u k^alpha) depends on n only through |n|^2, and the sum
+    of cos(k_n . D) over |n|^2 = m is the x^m coefficient of the product
+    over axes of sum_j a_j x^(j^2), a_0 = 1 and a_j = 2 cos(pi j D_i / L).
+    The same product at D = 0 counts the entry's lattice points, which
+    bounds its sum of |cos| in the tail check."""
     d, alpha, step = kernel.dim, kernel.alpha, np.pi / half_side
     # |n| <= n_max reaches one unit shell past the cut; that shell is checked
-    n_max = np.ceil((_LOG_TRUNC / lags) ** (1.0 / alpha) / step).astype(int) + 1
+    n_max = np.ceil(_density_k_max(alpha, lags) / step).astype(int) + 1
     top = int(n_max[0])
-    lead = max(d - 2, 0)
     table_size = top + 1 if d == 1 else top**2 + 1
-    block_rows = (2 * top + 1) ** (d - lead)
-    if max(table_size, block_rows) > _SERIES_MAX_TERMS:
+    if table_size > _SERIES_MAX_TERMS:
         raise QuadratureError(
             f"torus series at lag u={lags[0]:g} needs |n| <= {top}: a "
-            f"{table_size}-entry table and a {block_rows}-row lattice block, over the "
-            f"{_SERIES_MAX_TERMS} limit"
+            f"{table_size}-entry table, over the {_SERIES_MAX_TERMS} limit"
         )
-    # phi^ psi^ exp(-u k^alpha) depends on n only through |n|^2, so the walk
-    # sums cos(k_n . D) and |cos(k_n . D)| into one entry per table index:
-    # |n| in d = 1 (one slab, n_1^2 = 0), |n|^2 from d = 2 on
-    ns = np.arange(-top, top + 1)
-    # one block spans the last min(d, 2) coordinates; slabs walk the rest
-    block = np.stack(np.meshgrid(*[ns] * (d - lead)), axis=-1).reshape(-1, d - lead)
-    block_m2 = np.sum(block**2, axis=1)
-    block_phase = block @ offset[lead:]
-    block_index = np.abs(block[:, 0]) if d == 1 else block_m2
-    cos_sum, abs_sum = np.zeros(table_size), np.zeros(table_size)
-    for slab in itertools.product(ns, repeat=lead):
-        slab_m2 = sum(n * n for n in slab)
-        keep = block_m2 <= top**2 - slab_m2
-        cos = np.cos(step * (block_phase[keep] + np.dot(slab, offset[:lead])))
-        index = block_index[keep] + slab_m2
-        cos_sum += np.bincount(index, weights=cos, minlength=table_size)
-        abs_sum += np.bincount(index, weights=np.abs(cos), minlength=table_size)
-    k = step * (np.arange(table_size) if d == 1 else np.sqrt(np.arange(table_size)))
+    j = np.arange(top + 1)
+    # per axis, row 0 sums cos over n_i = +-j and row 1 counts those n_i
+    axes = [np.where(j > 0, 2.0, 1.0) * np.stack([np.cos(step * (j * x)),
+                                                  np.ones(top + 1)])
+            for x in offset]
+    m2, sums = j**2, axes[0]
+    for axis in axes[1:]:
+        dense = np.zeros((2, top**2 + 1))
+        for i, shift in enumerate(j**2):  # m2 is sorted: keep a prefix
+            keep = np.searchsorted(m2, top**2 - shift, "right")
+            dense[:, m2[:keep] + shift] += sums[:, :keep] * axis[:, i, None]
+        m2 = np.flatnonzero(dense[1])
+        sums = dense[:, m2]
+    k = step * np.sqrt(m2)
     radial = phi.fourier_profile(k) * psi.fourier_profile(k) / (2.0 * half_side) ** d
     # a lag sums |n| <= its n_max; its outer shell is |n| > n_max - 1
-    if d == 1:
-        starts, ends = n_max, n_max + 1
-    else:
-        starts, ends = (n_max - 1) ** 2 + 1, n_max**2 + 1
-    return _lag_sums(lags, k**alpha, radial * cos_sum, np.abs(radial) * abs_sum,
+    starts = np.searchsorted(m2, (n_max - 1) ** 2, "right")
+    ends = np.searchsorted(m2, n_max**2, "right")
+    return _lag_sums(lags, k**alpha, radial * sums[0], np.abs(radial) * sums[1],
                      starts, ends)
 
 
@@ -263,7 +258,7 @@ def pair_correlation_realspace(kernel: StableKernel, phi: TestFunction,
     d = kernel.dim
     n = (_default_nodes(d) if nodes_per_dim is None
          else _check_count(nodes_per_dim, "nodes_per_dim", 3))
-    if u <= 0.0:  # the exact overlap at u = 0; a negative lag raises there
+    if not 0.0 < u < np.inf:  # the exact overlap at u = 0; other lags raise there
         return pair_correlation(kernel, phi, psi, u)
     pts, w = support_quadrature(phi.center, phi.radius, d, n)
     return float(w @ (phi.evaluate(pts) * semigroup_apply(kernel, psi, u, pts)))
@@ -369,7 +364,7 @@ def occupation_variance(kernel: StableKernel, table: RenewalTable,
     on the same grid).
     """
     _check_count(grid_points, "grid_points", 2)
-    if horizon < 0.0:
+    if not horizon >= 0.0:  # an infinite horizon exceeds the table's
         raise ValueError("horizon must be nonnegative")
     if horizon == 0.0:
         return 0.0

@@ -50,7 +50,7 @@ class RenewalTable:
     def value(self, r):
         """U(r) by linear interpolation; r may be an array."""
         r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0) or np.any(r > self.horizon * (1.0 + 1e-12)):
+        if not np.all((r >= 0.0) & (r <= self.horizon * (1.0 + 1e-12))):
             raise ValueError("query outside the tabulated range")
         return np.interp(r, self.grid, self.values)
 

@@ -254,8 +254,8 @@ def transition_density_radial(kernel: StableKernel, t, radii) -> np.ndarray:
     inversion for all times together.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(times <= 0.0):
-        raise ValueError("transition density requires t > 0")
+    if not np.all((times > 0.0) & (times < np.inf)):
+        raise ValueError("transition density requires finite t > 0")
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     d, alpha = kernel.dim, kernel.alpha
     r = radii[:, None]

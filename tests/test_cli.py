@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -459,6 +460,36 @@ def test_threads_below_one_exit_2(tmp_path, threads):
                                      "self_similarity,poisson_counts",
                                      "--threads", threads])
     assert "--threads" in error, error
+
+
+NON_FINITE_CASES = [
+    ("lln", LLN_CONFIG, ("horizons",), [1.0, math.inf], "Infinity"),
+    ("occupancy", OCCUPANCY_CONFIG, ("ball", "radius"), math.nan, "NaN"),
+    ("covariance", COVARIANCE_CONFIG, ("half_side",), -math.inf, "-Infinity"),
+    ("renewal", RENEWAL_CONFIG, ("horizon",), math.inf, "Infinity"),
+    ("density", DENSITY_CONFIG, ("t",), math.inf, "Infinity"),
+    ("simulate", SIMULATE_CONFIG, ("horizon",), math.inf, "Infinity"),
+]
+
+
+@pytest.mark.parametrize("command,config,path,value,name", NON_FINITE_CASES,
+                         ids=[c[0] for c in NON_FINITE_CASES])
+def test_non_finite_config_numbers_exit_2(tmp_path, command, config, path, value,
+                                          name):
+    """JSON's NaN, Infinity and -Infinity are refused naming the constant
+    (an infinite horizon used to end in an OverflowError traceback, and
+    density at t = Infinity wrote nan rows with exit 0)."""
+    cfg = write_config(tmp_path, "cfg.json", _with(config, path, value))
+    error = _exit_2_error(tmp_path, [command, "--config", cfg])
+    assert re.search(rf"(^|\s){re.escape(name)}\b", error), error
+
+
+@pytest.mark.parametrize("p_two", ["nan", "1.5", "-0.5"])
+def test_p_two_outside_unit_interval_exit_2(tmp_path, p_two):
+    """A split probability outside [0, 1] used to run and fail a check."""
+    error = _exit_2_error(tmp_path, ["validate", "--checks", "criticality",
+                                     "--p-two", p_two])
+    assert "--p-two" in error, error
 
 
 def test_import_loads_no_heavy_scipy_subpackages():

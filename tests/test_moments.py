@@ -210,6 +210,51 @@ def test_torus_series_matches_wrapped_cauchy_closed_form(u):
     assert got == pytest.approx(exact, rel=1e-10)
 
 
+def test_torus_images_equal_free_space_sum_off_centre_d2():
+    """alpha = 2, d = 2, psi off phi's centre on both axes: the lattice
+    series equals the free-space G summed over psi's periodic images
+    (a Gaussian kernel, so 7 x 7 images reach 1e-10)."""
+    kernel = StableKernel(alpha=2.0, dim=2)
+    L = 2.0
+    phi = TestFunction(shape="bump", center=np.array([0.3, -0.4]), radius=1.0)
+    centre = np.array([-0.5, 0.6])
+    psi = TestFunction(shape="bump", center=centre, radius=0.7)
+    lags = np.array([0.2, 1.5])
+    got = pair_correlation(kernel, phi, psi, lags, torus_half_side=L)
+    free = sum(pair_correlation(kernel, phi, TestFunction(
+        shape="bump", center=centre + 2.0 * L * (np.array(m) - 3), radius=0.7), lags)
+        for m in np.ndindex(7, 7))
+    np.testing.assert_allclose(got, free, rtol=1e-8)
+
+
+def _torus_box_sum(kernel, phi, psi, u, L, n):
+    """The dual-lattice series of G on [-L, L)^d summed over the whole box
+    |n_i| <= n, one term per lattice point."""
+    axes = np.meshgrid(*[np.arange(-n, n + 1) * math.pi / L] * kernel.dim,
+                       indexing="ij")
+    k_vec = np.stack([a.ravel() for a in axes], axis=1)
+    k = np.linalg.norm(k_vec, axis=1)
+    terms = (phi.fourier_profile(k) * psi.fourier_profile(k)
+             * np.cos(k_vec @ (psi.center - phi.center)))
+    return np.array([np.sum(terms * np.exp(-v * k**kernel.alpha)) for v in u]
+                    ) / (2.0 * L) ** kernel.dim
+
+
+def test_torus_series_matches_box_sum_off_centre_d3():
+    """alpha = 1.5, d = 3, an indicator off the bump's centre on every axis:
+    the table equals a brute-force sum over the lattice box |n_i| <= 40,
+    where exp(-u k^alpha) at the box's faces is below 1e-23."""
+    kernel = StableKernel(alpha=1.5, dim=3)
+    L = 3.0
+    phi = TestFunction(shape="bump", center=np.array([0.3, -0.2, 0.4]), radius=1.0)
+    psi = TestFunction(shape="indicator", center=np.array([-0.5, 0.6, -0.3]),
+                       radius=0.8)
+    lags = np.array([0.2, 1.0, 5.0])
+    got = pair_correlation(kernel, phi, psi, lags, torus_half_side=L)
+    ref = _torus_box_sum(kernel, phi, psi, lags, L, 40)
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
 def test_torus_long_lag_limit_d3():
     """Mass spreads evenly over the torus: G(u) -> <phi,1><psi,1>/(2L)^d."""
     kernel = StableKernel(alpha=2.0, dim=3)
@@ -243,17 +288,21 @@ def test_torus_refuses_supports_outside_the_window():
 
 
 def test_torus_series_cut_too_early_raises(monkeypatch):
-    """The outermost lattice shell is checked: a cut where exp(-u k^alpha)
-    is still 0.1 leaves too much out."""
-    kernel = StableKernel(alpha=2.0, dim=1)
-    pair_correlation(kernel, bump(1), bump(1), 0.5, torus_half_side=20.0)
-    monkeypatch.setattr(moments, "_LOG_TRUNC", math.log(10.0))
-    with pytest.raises(QuadratureError):
-        pair_correlation(kernel, bump(1), bump(1), 0.5, torus_half_side=20.0)
+    """The outermost lattice shell is checked, in d = 1 and d = 3: a cut
+    where exp(-u k^alpha) is still 0.1 leaves too much out.  The torus
+    cut is `_density_k_max`, which reads stable_motion's constant."""
+    cases = [(StableKernel(alpha=2.0, dim=d), bump(d), half_side)
+             for d, half_side in ((1, 20.0), (3, 6.0))]
+    for kernel, phi, half_side in cases:
+        pair_correlation(kernel, phi, phi, 0.5, torus_half_side=half_side)
+    monkeypatch.setattr(stable_motion, "_LOG_TRUNC", math.log(10.0))
+    for kernel, phi, half_side in cases:
+        with pytest.raises(QuadratureError, match="at lag u=0.5:"):
+            pair_correlation(kernel, phi, phi, 0.5, torus_half_side=half_side)
 
 
 def test_torus_series_refuses_oversized_lattice_before_allocating():
-    """A tiny lag needs |n| up to ~17,600 in d = 2, a 3.1e8-entry table:
+    """A tiny lag needs |n| up to ~22,000 in d = 2, a 4.8e8-entry table:
     refused at once, naming the lag, instead of exhausting memory."""
     kernel = StableKernel(alpha=1.0, dim=2)
     with pytest.raises(QuadratureError, match="u=0.001"):
@@ -261,7 +310,7 @@ def test_torus_series_refuses_oversized_lattice_before_allocating():
 
 
 # ---------------------------------------------------------------------------
-# pair correlation tables: one node set or lattice walk for many lags
+# pair correlation tables: one node set or lattice table for many lags
 # ---------------------------------------------------------------------------
 
 # unsorted, with repeats and zeros
@@ -273,11 +322,12 @@ TABLE_LAGS = np.array([3.0, 0.0, 0.5, 400.0, 0.5, 17.25, 0.0, 1.0, 123.5, 2.0])
     (2.0, 3, 0.0, None),
     (1.5, 2, 0.7, None),
     (2.0, 1, 0.0, 6.0),
+    (1.0, 2, 0.7, 2.5),
     (2.0, 3, 0.0, 5.66),
 ])
 def test_pair_correlation_table_matches_scalar_calls(alpha, dim, offset, half_side):
     """An array of lags shares one graded node set (free space) or one
-    lattice walk (torus) sized by its smallest lag; each lag's value is
+    lattice table (torus) sized by its smallest lag; each lag's value is
     its own one-lag call's to 1e-12 of max |G|."""
     kernel = StableKernel(alpha=alpha, dim=dim)
     phi, psi = bump(dim), bump(dim, center=offset)
@@ -295,6 +345,24 @@ def test_pair_correlation_table_rejects_bad_lags():
         pair_correlation(kernel, bump(1), bump(1), np.array([1.0, -0.5]))
     with pytest.raises(ValueError, match="1-D"):
         pair_correlation(kernel, bump(1), bump(1), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("half_side", [None, 3.0], ids=["free", "torus"])
+def test_pair_correlation_refuses_non_finite_lags(monkeypatch, half_side):
+    """NaN used to give G(0), and inf a ZeroDivisionError (free space) or
+    nan (torus); both are refused before any table is built."""
+    def no_table(*args):
+        raise AssertionError("a table was built for a non-finite lag")
+
+    monkeypatch.setattr(moments, "_free_table", no_table)
+    monkeypatch.setattr(moments, "_torus_table", no_table)
+    kernel = StableKernel(alpha=1.5, dim=1)
+    for bad in (math.nan, math.inf, [1.0, math.nan], [math.inf, 0.5]):
+        with pytest.raises(ValueError, match="finite"):
+            pair_correlation(kernel, bump(1), bump(1), bad, torus_half_side=half_side)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            pair_correlation_realspace(kernel, bump(1), bump(1), bad)
 
 
 def _sqrt_substituted_g_1d(phi, alpha, u, panels=2000):
@@ -646,6 +714,18 @@ def test_occupation_variance_edge_cases(exp_table):
         with pytest.raises(ValueError, match="grid_points"):
             occupation_variance(kernel, exp_table, phi, 2.0, grid_points=bad)
     assert occupation_variance(kernel, exp_table, phi, 2.0, grid_points=2) > 0.0
+
+
+def test_occupation_variance_refuses_non_finite_horizon(exp_table, monkeypatch):
+    """horizon = nan used to return nan; nan and inf raise before G is built."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("G was tabulated for a non-finite horizon")
+
+    monkeypatch.setattr(moments, "pair_correlation", no_table)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            occupation_variance(StableKernel(alpha=2.0, dim=1), exp_table, bump(1),
+                                bad, grid_points=9)
 
 
 def test_occupation_variance_torus_exceeds_free_space(exp_table):

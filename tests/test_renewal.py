@@ -110,6 +110,14 @@ def test_table_interpolation_and_range():
     assert table.horizon == pytest.approx(5.0)
 
 
+def test_table_refuses_non_finite_queries():
+    """U(nan) used to pass the range check and interpolate to nan."""
+    table = build_renewal(Exponential(rate=1.0), 5.0, 0.01)
+    for bad in (math.nan, math.inf, -math.inf, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="tabulated range"):
+            table.value(bad)
+
+
 def test_coarse_grid_warns():
     with pytest.warns(UserWarning, match="discretisation error"):
         build_renewal(Exponential(rate=2.0), 1.0, 0.25)

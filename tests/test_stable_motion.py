@@ -302,6 +302,15 @@ def test_transition_density_rejects_nonpositive_time():
         transition_density_radial(kernel, 0.0, [0.1])
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.0, 1.5])
+def test_transition_density_rejects_non_finite_time(alpha):
+    """t = nan used to give nan at alpha = 2; nan and inf are refused."""
+    kernel = StableKernel(alpha=alpha, dim=2)
+    for bad in (math.nan, math.inf, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            transition_density_radial(kernel, bad, [0.1])
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_support_quadrature_integrates_bump_exactly(dim):
     phi = TestFunction(shape="bump", center=np.zeros(dim), radius=1.3)
