@@ -34,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it at import, not in a first call
 
 from .stable_motion import StableKernel, sample_increments
 

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+from .specfun import gammainc, gammaincc
 
 
 def _as_array(u):
@@ -70,16 +71,18 @@ class Gamma:
 
     def cdf(self, u):
         u = _as_array(u)
-        return special.gammainc(self.shape, self.rate * np.clip(u, 0.0, None))
+        return gammainc(self.shape, self.rate * np.clip(u, 0.0, None))
 
     def sf(self, u):
         u = _as_array(u)
-        return special.gammaincc(self.shape, self.rate * np.clip(u, 0.0, None))
+        return gammaincc(self.shape, self.rate * np.clip(u, 0.0, None))
 
     def mean(self) -> float:
         return self.shape / self.rate
 
     def sample(self, rng, size=None):
+        from scipy import special  # sampling only: cdf and sf need no scipy
+
         v = rng.random(size=size)
         return special.gammaincinv(self.shape, v) / self.rate
 
@@ -128,7 +131,7 @@ def make_pareto_tail(gamma: float) -> ParetoTail:
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    scale = float(special.gamma(1.0 - gamma)) ** (-1.0 / gamma)
+    scale = math.gamma(1.0 - gamma) ** (-1.0 / gamma)
     return ParetoTail(gamma=gamma, scale=scale)
 
 

@@ -30,11 +30,11 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
-from scipy import special
 
 from .errors import QuadratureError, RegimeError
 from .occupation import TestFunction, check_inside_window, lebesgue_integral
 from .renewal import RenewalTable
+from .specfun import sphere_area
 from .stable_motion import (
     _GL_POINTS,
     _MIN_PANELS,
@@ -85,8 +85,7 @@ def _overlap_integral(phi: TestFunction, psi: TestFunction, delta: float,
         hi = min(r1, r2)
         s = hi / 2.0 * (x + 1.0)
         ws = w * hi / 2.0
-        omega = 2.0 * np.pi ** (dim / 2.0) / special.gamma(dim / 2.0)
-        return float(omega * np.sum(ws * f1(s) * f2(s) * s ** (dim - 1)))
+        return float(sphere_area(dim) * np.sum(ws * f1(s) * f2(s) * s ** (dim - 1)))
     lo, hi = max(-r1, delta - r2), min(r1, delta + r2)
     if dim == 1:
         z = (hi + lo) / 2.0 + (hi - lo) / 2.0 * x
@@ -96,7 +95,6 @@ def _overlap_integral(phi: TestFunction, psi: TestFunction, delta: float,
     # active transverse bound switches between the two balls.
     cross = (r1**2 - r2**2 + delta**2) / (2.0 * delta)
     edges = sorted({lo, hi} | ({cross} if lo < cross < hi else set()))
-    omega = 2.0 * np.pi ** ((dim - 1) / 2.0) / special.gamma((dim - 1) / 2.0)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         z = (b + a) / 2.0 + (b - a) / 2.0 * x
@@ -112,7 +110,7 @@ def _overlap_integral(phi: TestFunction, psi: TestFunction, delta: float,
             * rho ** (dim - 2)
         )
         total += float(np.sum(wz * np.sum(wr * vals, axis=1)))
-    return omega * total
+    return sphere_area(dim - 1) * total
 
 
 def pair_correlation(kernel: StableKernel, phi: TestFunction, psi: TestFunction,
@@ -178,10 +176,9 @@ def _free_table(kernel, phi, psi, lags, dist):
                                              float(cuts[-1]))
     except QuadratureError as exc:
         raise QuadratureError(f"radial integral at lag u={lags[0]:g}: {exc}") from exc
-    omega = 2.0 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
-    coef = ((2.0 * np.pi) ** (-d) * omega * weights * phi.fourier_profile(nodes)
-            * psi.fourier_profile(nodes) * _angular_factor(d, nodes * dist)
-            * nodes ** (d - 1))
+    coef = ((2.0 * np.pi) ** (-d) * sphere_area(d) * weights
+            * phi.fourier_profile(nodes) * psi.fourier_profile(nodes)
+            * _angular_factor(d, nodes * dist) * nodes ** (d - 1))
     # each lag sums through the first panel that reaches its cut and checks
     # the nodes in the last 24th of the cut (one panel at the 24-panel
     # minimum), not a whole graded panel, which can hold real mass

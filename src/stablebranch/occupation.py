@@ -3,18 +3,20 @@
 Two compactly supported shapes are enough for every experiment here: a
 C^1 polynomial bump (1 - |x-c|^2/r^2)^2 on a ball, and the plain ball
 indicator.  Both have closed-form Lebesgue integrals and closed-form
-radial Fourier profiles (via Bessel functions), which the moment
-formulas exploit.  The simulators sum `TestFunction.evaluate` over the
-live population; the indicator of the closed ball is also the occupancy
-target.
+radial Fourier profiles (via Bessel functions, `specfun`), which the
+moment formulas exploit.  The simulators sum `TestFunction.evaluate`
+over the live population; the indicator of the closed ball is also the
+occupancy target.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+from .specfun import scaled_bessel_j, sphere_area
 
 _SHAPES = ("bump", "indicator")
 
@@ -71,18 +73,14 @@ class TestFunction:
 
         Both are real (the shapes are symmetric); a shifted center only
         multiplies the transform by a phase, which callers account for.
+        At k = 0 either is the integral of the function.
         """
         k = np.atleast_1d(np.asarray(k, dtype=float))
         d, r = self.dim, self.radius
-        z = k * r
-        tiny = z < 1e-6
-        zs = np.where(tiny, 1.0, z)
         bump = self.shape == "bump"
         nu = d / 2.0 + (2.0 if bump else 0.0)
         scale = (8.0 if bump else 1.0) * ((2.0 * np.pi) ** (d / 2.0) * r**d)
-        vals = scale * special.jv(nu, zs) / zs**nu
-        # at k = 0 the transform is the integral of the function
-        return np.where(tiny, lebesgue_integral(self), vals)
+        return scale * scaled_bessel_j(nu, k * r)
 
 
 def check_inside_window(half_side: float, *fns: TestFunction) -> None:
@@ -98,6 +96,5 @@ def lebesgue_integral(phi: TestFunction) -> float:
     """Closed-form integral of the test function over R^d."""
     d, r = phi.dim, phi.radius
     if phi.shape == "indicator":
-        return float(np.pi ** (d / 2.0) / special.gamma(d / 2.0 + 1.0) * r**d)
-    surface = 2.0 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
-    return float(surface * 8.0 / (d * (d + 2.0) * (d + 4.0)) * r**d)
+        return float(np.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * r**d)
+    return float(sphere_area(d) * 8.0 / (d * (d + 2.0) * (d + 4.0)) * r**d)

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy import special
+import numpy.polynomial  # numpy loads it lazily: load it at import, not in a first call
 
 from .errors import QuadratureError
+from .specfun import scaled_bessel_j, sphere_area
 
 _LOG_TRUNC = math.log(1e12)  # integrand cut where exp(-t k^alpha) < 1e-12
 _INVERSE_TAIL_TOL = 1e-8  # share of the output the last inversion panel may carry
@@ -89,8 +90,8 @@ def sample_increments(kernel: StableKernel, dts, rng) -> np.ndarray:
     ``exp(-dt_i * |y|**alpha)``.
     """
     dts = np.asarray(dts, dtype=float)
-    if np.any(dts < 0.0):
-        raise ValueError("time steps must be nonnegative")
+    if not np.all((dts >= 0.0) & (dts < np.inf)):  # NaN fails both
+        raise ValueError("time steps must be finite and nonnegative")
     n = dts.shape[0]
     d = kernel.dim
     if kernel.alpha == 2.0:
@@ -172,20 +173,21 @@ def _panel_nodes(k_max: float, wavelength: float, k_low: float | None = None):
 def _angular_factor(dim: int, z) -> np.ndarray:
     """Spherical average A_d(z) of exp(i xi . w) over |xi| = 1 at |w| = z.
 
-    Elementary in d = 1, 2, 3 (cos, j0, sin z / z); a general-order
-    Bessel function only from d = 4 on.
+    cos z and sin z / z in d = 1 and 3, and Gamma(d/2) 2^nu J_nu(z) / z^nu
+    with nu = d/2 - 1 from d = 4 on (`scaled_bessel_j`).  Only even d
+    needs scipy, for j0 or an integer-order J_nu.
     """
     z = np.asarray(z, dtype=float)
     if dim == 1:
         return np.cos(z)
     if dim == 2:
-        return special.j0(z)
+        from scipy.special import j0  # even dimensions only
+
+        return j0(z)
     if dim == 3:
         return np.divide(np.sin(z), z, out=np.ones_like(z), where=z != 0.0)
     nu = dim / 2.0 - 1.0
-    zs = np.where(z < 1e-6, 1.0, z)
-    return np.where(z < 1e-6, 1.0,
-                    special.gamma(dim / 2.0) * (2.0 / zs) ** nu * special.jv(nu, zs))
+    return math.gamma(dim / 2.0) * 2.0**nu * scaled_bessel_j(nu, z)
 
 
 def radial_fourier_inverse(fhat, dim: int, radii, k_max: float, *,
@@ -213,10 +215,9 @@ def radial_fourier_inverse(fhat, dim: int, radii, k_max: float, *,
     extent = radii.max(initial=0.0) + reach
     wavelength = 2.0 * np.pi / extent if extent > 0 else np.inf
     nodes, weights, _ = _panel_nodes(float(k_max), float(wavelength))
-    omega = 2.0 * np.pi ** (dim / 2.0) / special.gamma(dim / 2.0)
     profiles = np.asarray(fhat(nodes), dtype=float)
     integ = profiles.reshape(len(nodes), -1) * (
-        (2.0 * np.pi) ** (-dim) * omega * nodes ** (dim - 1))[:, None]
+        (2.0 * np.pi) ** (-dim) * sphere_area(dim) * nodes ** (dim - 1))[:, None]
     weighted = weights[:, None] * integ
     out = np.empty((len(radii), integ.shape[1]))
     block = _BLOCK_ENTRIES // len(nodes)  # radius-by-node entries per block
@@ -264,7 +265,7 @@ def transition_density_radial(kernel: StableKernel, t, radii) -> np.ndarray:
         out = (4.0 * np.pi * times) ** (-d / 2.0) * np.exp(-r**2 / (4.0 * times))
     elif alpha == 1.0:
         # isotropic Cauchy kernel
-        c = special.gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0)
+        c = math.gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0)
         out = c * times / (times**2 + r**2) ** ((d + 1) / 2.0)
     else:
         out = radial_fourier_inverse(
@@ -327,8 +328,8 @@ def semigroup_columns(kernel: StableKernel, columns, x) -> np.ndarray:
     out = np.empty((len(x), len(columns)))
     by_center = {}
     for j, (f, t) in enumerate(columns):
-        if t < 0.0:
-            raise ValueError("t must be nonnegative")
+        if not 0.0 <= t < math.inf:  # NaN fails this too
+            raise ValueError(f"t must be finite and nonnegative, got {t!r}")
         if f.dim != kernel.dim:
             raise ValueError(f"phi has {f.dim} coordinates, the kernel {kernel.dim}")
         if t == 0.0:

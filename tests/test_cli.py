@@ -492,17 +492,47 @@ def test_p_two_outside_unit_interval_exit_2(tmp_path, p_two):
     assert "--p-two" in error, error
 
 
-def test_import_loads_no_heavy_scipy_subpackages():
-    """`import stablebranch, stablebranch.cli` needs numpy and
-    scipy.special only; each of these subpackages adds start-up time
-    to every process."""
+def test_import_loads_no_heavy_scipy_subpackages(tmp_path):
+    """No scipy module at all is loaded by `import stablebranch,
+    stablebranch.cli`, nor by an `lln` run, a `validate` run of the Gamma
+    renewal and covariance checks, or the odd-d moment formulas: their
+    special functions are numpy (`specfun`), and scipy.special alone costs
+    about 0.3 s of start-up per process.  scipy stays for even-d Bessel
+    functions and Gamma-law sampling."""
     src = str(Path(stablebranch.__file__).resolve().parents[1])
-    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.fft",
-             "scipy.signal"]
-    code = ("import sys, stablebranch, stablebranch.cli; "
-            f"print([m for m in {heavy!r} if m in sys.modules])")
+    lln = write_config(tmp_path, "lln.json", {
+        **LLN_CONFIG, "alpha": 1.5, "lifetime": {"type": "pareto", "gamma": 0.5},
+        "replicates": 20})
+    code = f"""
+import sys
+import numpy as np
+import stablebranch, stablebranch.cli
+from stablebranch import (Exponential, StableKernel, TestFunction,
+                          occupation_variance, pair_correlation)
+from stablebranch.experiments import default_renewal_table
+
+def scipy_modules(stage):
+    print(stage, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
+scipy_modules("import")
+cli = stablebranch.cli.main
+assert cli(["lln", "--config", {lln!r}, "--out", {str(tmp_path / "lln.csv")!r}]) == 0
+scipy_modules("lln")
+assert cli(["validate", "--checks", "elementary_renewal,covariance_oracle",
+            "--seed", "0", "--out", {str(tmp_path / "checks.csv")!r}]) == 0
+scipy_modules("validate")
+bump = TestFunction(shape="bump", center=np.zeros(3), radius=1.0)
+occupation_variance(StableKernel(alpha=2.0, dim=3),
+                    default_renewal_table(Exponential(rate=1.0), 4.0), bump, 4.0,
+                    grid_points=9)
+scipy_modules("occupation_variance")
+line = TestFunction(shape="indicator", center=np.zeros(1), radius=0.5)
+pair_correlation(StableKernel(alpha=1.5, dim=1), line, line, [0.0, 0.5, 2.0])
+scipy_modules("pair_correlation")
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src},
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]", proc.stdout
+    stages = ["import", "lln", "validate", "occupation_variance", "pair_correlation"]
+    assert proc.stdout.splitlines() == [f"{s} []" for s in stages], proc.stdout

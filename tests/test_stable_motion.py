@@ -142,6 +142,16 @@ def test_one_sided_stable_is_finite_and_positive_at_the_angle_ends(rho):
     assert np.all(np.isfinite(s)) and np.all(s > 0.0), s
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_increments_reject_non_finite_or_negative_steps(alpha, bad):
+    """A NaN step used to give a nan increment and an infinite one inf,
+    without raising."""
+    kernel = StableKernel(alpha=alpha, dim=2)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        sample_increments(kernel, [bad, 1.0], replicate_stream(0, 1))
+
+
 def test_zero_time_increment_is_zero():
     kernel = StableKernel(alpha=1.5, dim=2)
     rng = replicate_stream(0, 1)
@@ -401,6 +411,18 @@ def test_semigroup_rejects_dimension_mismatch():
     phi = TestFunction(shape="bump", center=np.zeros(2), radius=1.0)
     with pytest.raises(ValueError):
         semigroup_apply(StableKernel(alpha=1.5, dim=1), phi, 0.5, np.zeros(1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_semigroup_rejects_non_finite_or_negative_time(bad):
+    """t = nan used to fail converting NaN to an integer, and t = inf with
+    a ZeroDivisionError; both are refused with a message naming t."""
+    kernel = StableKernel(alpha=1.5, dim=1)
+    phi = TestFunction(shape="bump", center=np.zeros(1), radius=1.0)
+    with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad}"):
+        semigroup_apply(kernel, phi, bad, np.zeros(1))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        semigroup_columns(kernel, [(phi, 1.0), (phi, bad)], np.zeros((2, 1)))
 
 
 def test_semigroup_against_monte_carlo():
