@@ -297,6 +297,8 @@ def cmd_simulate(args) -> int:
                        float(cfg.get("obs_step", 0.5)))
         phi = _parse_phi(cfg["phi"], kernel.dim) if "phi" in cfg else None
         half_side = _positive(cfg, "half_side")
+        if phi is not None:
+            check_inside_window(half_side, phi)
         intensity = float(cfg.get("intensity", 1.0))
         if intensity < 0:
             raise ConfigError(f"intensity must be nonnegative, got {intensity}")

@@ -310,14 +310,17 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
     table = default_renewal_table(law, max(t for _, t in pairs))
     analytic = [field_covariance(kernel, table, s, t, phi, psi,
                                  torus_half_side=half_side) for s, t in pairs]
+    # psi is phi for an autocovariance: one series serves both columns
+    weights = {"phi": phi.evaluate}
+    if psi is not phi:
+        weights["psi"] = psi.evaluate
     batch = field_batch(
         kernel, law, replicates=replicates, obs_times=obs,
-        half_side=half_side, seed=seed,
-        weights={"phi": phi.evaluate, "psi": psi.evaluate},
+        half_side=half_side, seed=seed, weights=weights,
         p_two=p_two, stream_key=stream_key, threads=threads,
     )
     sa = batch.ok("phi")
-    sb = batch.ok("psi")
+    sb = sa if psi is phi else batch.ok("psi")
     out = []
     for (s, t), exact in zip(pairs, analytic):
         i, j = round(s / step), round(t / step)

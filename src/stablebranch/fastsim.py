@@ -210,6 +210,14 @@ def _wave(kernel, law, rng, grid, horizon, half_side, p_two, state, weights,
     first one after death.  Coins come before increments, so only
     splitting parents draw a death step (from their last checkpoint row,
     or birth), in the wave's one `sample_increments` call.
+
+    Besides the generation's state, a wave keeps its death times, first
+    checkpoints after death, parents (with their last checkpoint rows)
+    and the increment buffer.  The positions live in that buffer: its
+    leading rows become the checkpoint positions, running sums taken in
+    place and then wrapped, and its trailing rows hold the death steps.
+    Every other array is freed after its last use, before the weights
+    run and the children's state is built.
     """
     obs, step, pad = grid
     m = len(obs)
@@ -229,8 +237,11 @@ def _wave(kernel, law, rng, grid, horizon, half_side, p_two, state, weights,
     starts = np.take(cum_k, has)
     starts -= kh
     total = int(cum_k[-1])
+    # the parents that own checkpoint rows, and the last of those rows
+    seen = np.flatnonzero(np.take(k, parents) > 0)
+    last = np.take(cum_k, np.take(parents, seen)) - 1
+    del k, cum_k
     i0_h = np.take(i0, has)
-    k_p = np.take(k, parents)
     # time steps: one obs step per row, or the time since birth at segment
     # starts, then each parent's death step from its last checkpoint or birth
     dts = np.empty(total + len(parents))
@@ -239,43 +250,53 @@ def _wave(kernel, law, rng, grid, horizon, half_side, p_two, state, weights,
     # obs[i1 - 1] is the last checkpoint if there is one, else before birth
     t_last = np.maximum(np.take(pad, np.take(i1, parents)), np.take(birth, parents))
     np.subtract(np.take(death, parents), t_last, out=dts[total:])
+    del t_last
+    # row keys rep * m + checkpoint are a running sum of ones, jumping at
+    # each segment start from the previous segment's last key to its first
+    jump = np.take(rep, has) * m + i0_h
+    jump[1:] -= jump[:-1] + kh[:-1] - 1
+    del kh, i0_h
     inc = sample_increments(kernel, dts, rng)
-    # running sums one column at a time: a 2-D cumsum, like np.repeat,
-    # holds the GIL, and two chunks of a pool then take turns
-    cs = np.empty((total, inc.shape[1]))
+    del dts
+    # the positions: running sums of the increments, taken in place in the
+    # leading `total` rows of `inc` one column at a time (a 2-D cumsum, like
+    # np.repeat, holds the GIL, and two chunks of a pool then take turns)
+    flat_pos = inc[:total]
+    first_inc = np.take(flat_pos, starts, axis=0)
     for j in range(inc.shape[1]):
-        np.cumsum(inc[:total, j], out=cs[:, j])
+        np.cumsum(flat_pos[:, j], out=flat_pos[:, j])
     # a row sits at its running sum plus its birth position less `before`,
     # the running sum before its segment; seg is each row's segment
-    before = np.take(cs, starts, axis=0)
-    before -= np.take(inc, starts, axis=0)
+    before = np.take(flat_pos, starts, axis=0)
+    before -= first_inc
+    del first_inc
     base = np.take(pos, has, axis=0)
     base -= before
+    del before
     seg = np.zeros(total, dtype=np.intp)
     seg[starts[1:]] = 1
     np.cumsum(seg, out=seg)
-    cs += np.take(base, seg, axis=0)
-    flat_pos = cs if half_side is None else _wrap(cs, half_side, out=cs)
+    flat_pos += np.take(base, seg, axis=0)
+    del base
+    if half_side is not None:
+        _wrap(flat_pos, half_side, out=flat_pos)
 
-    # row keys rep * m + checkpoint: a running sum of ones, jumping at each
-    # segment start from the previous segment's last key to its first
-    first = np.take(rep, has) * m + i0_h
-    jump = first.copy()
-    jump[1:] -= first[:-1] + kh[:-1] - 1
-    key = np.ones(total, dtype=np.intp)
+    key = seg  # the row keys, in the `seg` buffer
+    key.fill(1)
     key[starts] = jump
     np.cumsum(key, out=key)
+    del seg, jump, has, starts
     for name, w in weights.items():
         acc[name] += np.bincount(key, weights=w(flat_pos), minlength=reps * m)
     acc["count"] += np.bincount(key, minlength=reps * m)
+    del key
 
     if len(parents) == 0:
         return None
     death_pos = np.take(pos, parents, axis=0)
-    seen = np.flatnonzero(k_p > 0)
-    death_pos[seen] = np.take(flat_pos, np.take(cum_k, np.take(parents, seen)) - 1,
-                              axis=0)
+    death_pos[seen] = np.take(flat_pos, last, axis=0)
     death_pos += inc[total:]
+    del inc, flat_pos
     if half_side is not None:
         _wrap(death_pos, half_side, out=death_pos)
     twice = np.arange(2 * len(parents)) >> 1
@@ -384,7 +405,9 @@ def field_plan(kernel: StableKernel, law, *, replicates: int, obs_times,
     an increasing arithmetic grid (ValueError, before anything is drawn).
     `weights` maps series names to vectorised functions of particle
     positions; each yields a (replicates, observations) matrix of
-    sums over the live population.  Chunk ci draws from
+    sums over the live population.  The (rows, d) positions a weight
+    receives are a view of a wave's buffer, valid only during the call:
+    a weight that keeps them must copy them.  Chunk ci draws from
     `replicate_stream(seed, stream_key, ci)`, so batches with distinct
     `stream_key`s in [0, 2^32) share one seed without overlap.
     """

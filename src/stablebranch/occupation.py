@@ -88,7 +88,8 @@ def check_inside_window(half_side: float, *fns: TestFunction) -> None:
     then is its sum over wrapped positions its periodic extension."""
     for f in fns:
         if np.max(np.abs(f.center)) + f.radius >= half_side:
-            raise ValueError(f"a test function's support leaves the torus "
+            raise ValueError(f"a test function's support, radius {f.radius:g} "
+                             f"about {f.center.tolist()}, leaves the torus "
                              f"window of half_side {half_side:g}")
 
 

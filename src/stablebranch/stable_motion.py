@@ -45,10 +45,11 @@ class StableKernel:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
 
 
-def _sin_double(h, scale: float = 1.0) -> np.ndarray:
+def _sin_double(h, scale: float = 1.0, out=None) -> np.ndarray:
     """sin(2x) at x = scale * h as 2 tan x / (1 + tan(x)**2), within an ulp
-    or two on (0, pi/2]: np.tan is SIMD on float64, np.sin is not."""
-    t = np.multiply(h, scale)
+    or two on (0, pi/2]: np.tan is SIMD on float64, np.sin is not.  Written
+    into `out` if given."""
+    t = np.multiply(h, scale, out=out)
     np.tan(t, out=t)
     t *= 2.0
     t /= 0.25 * t * t + 1.0  # t is 2 tan x here: 0.25 t t = tan(x)**2
@@ -67,6 +68,7 @@ def _one_sided_stable(rho: float, t, rng, size) -> np.ndarray:
     and t**(1/rho) * A**... (exponent absorbed below) has the stated
     transform; the time scale enters only through t**(1/rho).  U = 2h,
     h uniform on (0, pi/2] (never 0), so each sine is a `_sin_double`.
+    Once W is used, its buffer holds each later factor in turn.
     """
     h = np.pi / 2.0 * (1.0 - rng.random(size=size))
     w = rng.standard_exponential(size=size)
@@ -74,11 +76,13 @@ def _one_sided_stable(rho: float, t, rng, size) -> np.ndarray:
     a = _sin_double(h, 1.0 - rho)
     a /= w
     np.power(a, (1.0 - rho) / rho, out=a)
-    a *= _sin_double(h, rho)
-    sin_u = _sin_double(h)
-    np.power(sin_u, 1.0 / rho, out=sin_u)
-    a /= sin_u
-    a *= np.power(t, 1.0 / rho)
+    factor = _sin_double(h, rho, out=w)
+    a *= factor
+    _sin_double(h, out=factor)
+    np.power(factor, 1.0 / rho, out=factor)
+    a /= factor
+    np.power(t, 1.0 / rho, out=factor)
+    a *= factor
     return a
 
 
@@ -97,7 +101,8 @@ def sample_increments(kernel: StableKernel, dts, rng) -> np.ndarray:
     if kernel.alpha == 2.0:
         # per-coordinate variance 2*dt
         z = rng.standard_normal(size=(n, d))
-        z *= np.sqrt(2.0 * dts)[:, None]
+        scale = np.multiply(dts, 2.0)
+        z *= np.sqrt(scale, out=scale)[:, None]
         return z
     # Brownian motion at an independent (alpha/2)-stable time:
     # E exp(i y . B_S) = E exp(-S |y|^2) = exp(-dt |y|^alpha).

@@ -5,6 +5,10 @@ replays those lines in a terminal section after the run, so they stay
 visible even though pytest captures stdout of passing tests.
 """
 
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import pytest
 
 from stablebranch import fastsim
@@ -14,6 +18,22 @@ ACCEPTANCE_LINES: list[str] = []
 
 def record_acceptance(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
+
+
+@contextmanager
+def traced_peak():
+    """Trace allocations inside the block.
+
+    Yields a namespace whose `peak` and `current` are set, in bytes since
+    the block began, when the block exits, also when it raises.
+    """
+    traced = SimpleNamespace(peak=None, current=None)
+    tracemalloc.start()
+    try:
+        yield traced
+    finally:
+        traced.current, traced.peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ test here is that the two agree in distribution on the same functionals.
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -357,6 +358,37 @@ def test_wrap_matches_one_pass_mod_bitwise(half_side):
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.all((got >= -L) & (got < L))
+
+
+def test_wrap_in_place_on_the_leading_rows_of_a_larger_array():
+    """A wave wraps its positions in the leading rows of the increment
+    buffer: the view is wrapped in place, the trailing rows stay as they
+    are."""
+    L = 2.5
+    buf = np.random.default_rng(9).normal(scale=4.0 * L, size=(1000, 3))
+    want = _oracle_wrap(buf[:700], L)
+    tail = buf[700:].copy()
+    lead = buf[:700]
+    got = fastsim._wrap(lead, L, out=lead)
+    assert got.base is buf
+    assert np.array_equal(buf[:700].view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(buf[700:].view(np.uint64), tail.view(np.uint64))
+
+
+def test_d3_field_chunk_traced_peak():
+    """One alpha = 2, d = 3 torus chunk, about 20k particles a wave.  With
+    every intermediate of a wave kept until the wave returned, its traced
+    peak was 8.19 MB; with each freed after its last use and the
+    positions kept in the increment buffer, 4.52 MB (numpy 2.4)."""
+    phi = TestFunction(shape="bump", center=np.zeros(3), radius=1.0)
+    plan = fastsim.field_plan(
+        StableKernel(alpha=2.0, dim=3), EXP1, replicates=40,
+        obs_times=obs_grid(100.0, 1.0), half_side=4.0, seed=7,
+        weights={"phi": phi.evaluate})
+    assert plan.sizes == [40]
+    with traced_peak() as traced:
+        plan.chunk(0)
+    assert traced.peak < 6_000_000
 
 
 @pytest.mark.parametrize("p_two", [0.5, 1.0])

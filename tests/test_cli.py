@@ -375,6 +375,8 @@ BAD_VALUE_CASES = [
     ("lln", LLN_CONFIG, ("seed",), -1),
     # phi (radius 1) does not fit inside the window: wrong analytic side
     ("covariance", COVARIANCE_CONFIG, ("half_side",), 0.5),
+    # nor here, where its column would not be the periodic extension
+    ("simulate", {**SIMULATE_CONFIG, "half_side": 0.5}, ("phi", "radius"), 1.0),
 ]
 
 

@@ -11,10 +11,10 @@ values and its regime gates against both sides of every boundary.
 
 import gc
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from stablebranch import (
     Exponential,
@@ -410,14 +410,9 @@ def test_torus_table_refuses_oversized_lattice_before_allocating():
     lag is refused naming it, with nothing large allocated first."""
     kernel = StableKernel(alpha=1.0, dim=2)
     lags = np.array([1.0, 1e-3, 0.5])
-    tracemalloc.start()
-    try:
-        with pytest.raises(QuadratureError, match="u=0.001"):
-            pair_correlation(kernel, bump(2), bump(2), lags, torus_half_side=2.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    with traced_peak() as traced, pytest.raises(QuadratureError, match="u=0.001"):
+        pair_correlation(kernel, bump(2), bump(2), lags, torus_half_side=2.0)
+    assert traced.peak < 1 << 20
 
 
 def test_free_space_table_refuses_oversized_node_set():
@@ -455,16 +450,12 @@ def test_wide_tables_leave_no_node_sets_behind():
     kernel = StableKernel(alpha=1.0, dim=1)
     phi = bump(1)
     pair_correlation(kernel, phi, phi, np.array([1.0, 2.0]))  # first-call set-up
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         for low in (1e-3, 2e-3, 4e-3):
             pair_correlation(kernel, phi, phi,
                              np.concatenate([[low], np.arange(1.0, 201.0)]))
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert retained < 1 << 20
+    assert traced.current < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ that pins down the general-alpha sampler and quadrature.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from numpy.testing import assert_allclose
 from scipy import special
 
@@ -206,14 +206,10 @@ def test_oversized_node_set_is_refused_before_allocating():
     """alpha = 0.5, t = 1e-3 on r <= 1 cuts near k = 9.5e8: about 3.0e8
     panels, 4.9e9 nodes or 39 GB per float64 array, refused at once."""
     kernel = StableKernel(alpha=0.5, dim=1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(QuadratureError, match="over the 2000000 limit"):
-            transition_density_radial(kernel, 1e-3, np.linspace(0.0, 1.0, 101))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    with traced_peak() as traced, pytest.raises(QuadratureError,
+                                                match="over the 2000000 limit"):
+        transition_density_radial(kernel, 1e-3, np.linspace(0.0, 1.0, 101))
+    assert traced.peak < 1 << 20
 
 
 def test_self_similarity_of_general_alpha_density():
