@@ -138,6 +138,19 @@ def _count(value, key: str, least: int) -> int:
     return int(value)
 
 
+def _numbers(value, key: str, size: int | None = None) -> list:
+    """A config list of numbers, of ``size`` entries when given.
+
+    A string, a bool or a nested list is refused, not split or cast.
+    """
+    if not (isinstance(value, list) and (size is None or len(value) == size)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in value)):
+        what = f"a list of {size} numbers" if size else "a list of numbers"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return [float(v) for v in value]
+
+
 def _replicates(cfg: dict, args, default: int, least: int = 1) -> int:
     """Replicate count: the --replicates flag, else the config, else default."""
     n = args.replicates if args.replicates is not None else cfg.get(
@@ -180,7 +193,7 @@ def _parse_phi(obj: dict, dim: int, where: str = "phi") -> TestFunction:
     _check_keys(obj, _PHI_KEYS, where)
     phi = TestFunction(
         shape=obj.get("shape", "bump"),
-        center=np.asarray(obj.get("center", [0.0] * dim), dtype=float),
+        center=np.asarray(_numbers(obj.get("center", [0.0] * dim), f"{where} center")),
         radius=float(obj.get("radius", 1.0)),
     )
     if phi.center.shape != (dim,):
@@ -205,7 +218,7 @@ def _experiment_config(cfg: dict, args) -> ExperimentConfig:
         kind=kind,
         kernel=kernel,
         law=law,
-        horizons=tuple(_require(cfg, "horizons")),
+        horizons=tuple(_numbers(_require(cfg, "horizons"), "horizons")),
         replicates=_replicates(cfg, args, 1000),
         phi=parse(cfg[target], kernel.dim) if target in cfg else None,
         half_side=(float(cfg["half_side"]) if cfg.get("half_side") is not None
@@ -247,8 +260,11 @@ def cmd_covariance(args) -> int:
         kernel, law = _system(cfg)
         phi = _parse_phi(_require(cfg, "phi"), kernel.dim)
         psi = _parse_phi(cfg["psi"], kernel.dim, "psi") if "psi" in cfg else phi
-        pairs = [(float(s), float(t)) for s, t in _require(cfg, "pairs")]
-        if not pairs or not all(0 <= s <= t for s, t in pairs):
+        pairs = _require(cfg, "pairs")
+        if isinstance(pairs, list):
+            pairs = [tuple(_numbers(pair, "each of pairs", 2)) for pair in pairs]
+        if not (isinstance(pairs, list) and pairs
+                and all(0 <= s <= t for s, t in pairs)):
             raise ConfigError("pairs must be a nonempty list of [s, t], 0 <= s <= t")
         pair_grid(pairs)  # the batch's grid: refuse pairs without a common step
         half_side = _positive(cfg, "half_side")

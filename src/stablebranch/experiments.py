@@ -86,8 +86,8 @@ class ExperimentConfig:
         object.__setattr__(self, "horizons", horizons)
         if not horizons or any(h <= 0 for h in horizons):
             raise ConfigError("horizons must be a nonempty list of positive times")
-        if list(horizons) != sorted(horizons):
-            raise ConfigError("horizons must be increasing")
+        if any(a >= b for a, b in zip(horizons, horizons[1:])):
+            raise ConfigError(f"horizons must be strictly increasing, got {horizons}")
         if self.replicates < 2:
             raise ConfigError("need at least 2 replicates")
         for h in horizons:

@@ -18,9 +18,9 @@ always included under the name "count".  The event-driven engine in
 `branching` returns the same `BatchResult` and serves as the reference
 these batches are tested against.
 
-Replicates are grouped into fixed-size chunks, each with its own stream
-keyed by (seed, stream key, chunk index).  Chunk size depends only on
-the configuration, so results are reproducible regardless of how chunks
+Replicates are grouped into chunks of even size, each with its own
+stream keyed by (seed, stream key, chunk index).  Chunk sizes depend
+only on the configuration, so results are reproducible regardless of how chunks
 are dispatched across workers.  `field_plan` and `run_plans` let a
 caller pool the chunks of several batches, such as a horizon ladder, on
 one set of threads; `field_batch` and `tree_batch` are the one-batch
@@ -39,7 +39,7 @@ import numpy.random  # numpy loads it lazily: load it at import, not in a first 
 from .stable_motion import StableKernel, sample_increments
 
 DEFAULT_POPULATION_CAP = 10**7
-_CHUNK_TARGET = 150_000  # particles per chunk wave, roughly
+_CHUNK_TARGET = 75_000  # expected checkpoint rows per chunk wave, roughly
 # SeedSequence splits each spawn-key part into 32-bit words and joins them,
 # so (2**32 + 1, 1) and (1, 2**32 + 1) are the same stream.  Keeping both
 # parts of a chunk key below 2^32 makes every chunk key exactly two words:
@@ -189,39 +189,43 @@ def _truncated_mean(law, horizon: float) -> float:
 
 
 def _chunk_sizes(replicates: int, wave_rows: float) -> list[int]:
+    """Replicates per chunk: as few chunks as keep about `_CHUNK_TARGET`
+    expected rows per wave, given `wave_rows` per replicate, and sizes
+    that differ by at most one (the larger first), so a pool's chunks are
+    even."""
     per = max(1, int(_CHUNK_TARGET / max(wave_rows, 1.0)))
-    sizes = []
-    left = replicates
-    while left > 0:
-        take = min(per, left)
-        sizes.append(take)
-        left -= take
-    return sizes
+    n = -(-replicates // per)
+    small, larger = divmod(replicates, n)
+    return [small + 1] * larger + [small] * (n - larger)
 
 
-def _wave(kernel, law, rng, grid, horizon, half_side, p_two, state, weights,
+def _wave(kernel, law, rng, grid, horizon, half_side, p_two, gen, weights,
           acc, reps):
-    """Advance one generation; returns the next generation's state.
+    """Advance one generation; returns the next generation, or None.
 
-    `grid` is (obs, step, padded obs).  `state` is (birth times, birth
-    positions, replicate index, index of the first checkpoint at or
-    after birth) of the generation; positions wrap on the torus unless
+    `grid` is (obs, step, padded obs).  `gen` is the list [birth times,
+    birth positions, replicate index, index of the first checkpoint at or
+    after birth] of the generation; positions wrap on the torus unless
     `half_side` is None.  A child's first checkpoint is its parent's
     first one after death.  Coins come before increments, so only
     splitting parents draw a death step (from their last checkpoint row,
     or birth), in the wave's one `sample_increments` call.
 
-    Besides the generation's state, a wave keeps its death times, first
-    checkpoints after death, parents (with their last checkpoint rows)
-    and the increment buffer.  The positions live in that buffer: its
-    leading rows become the checkpoint positions, running sums taken in
-    place and then wrapped, and its trailing rows hold the death steps.
-    Every other array is freed after its last use, before the weights
-    run and the children's state is built.
+    The wave owns its generation: it empties `gen`, so a caller that
+    keeps the list keeps none of its arrays, and it frees each array
+    after its last use.  Death times, first checkpoints after death and
+    replicates are cut to the splitting parents' entries once the full
+    arrays are used; birth times, first checkpoints and positions go once
+    the time steps, row keys, segment bases and parents' positions are
+    built from them.  The checkpoint positions live in the increment
+    buffer: its leading rows become them, running sums taken in place and
+    then wrapped, and its trailing rows hold the death steps.  The
+    children come back as a new list, which the next wave owns in turn.
     """
     obs, step, pad = grid
     m = len(obs)
-    birth, pos, rep, i0 = state
+    birth, pos, rep, i0 = gen
+    gen.clear()
     death = np.asarray(law.sample(rng, size=len(birth)), dtype=float)
     death += birth
     i1 = _first_index(death, pad, step)
@@ -242,20 +246,29 @@ def _wave(kernel, law, rng, grid, horizon, half_side, p_two, state, weights,
     last = np.take(cum_k, np.take(parents, seen)) - 1
     del k, cum_k
     i0_h = np.take(i0, has)
+    del i0
     # time steps: one obs step per row, or the time since birth at segment
     # starts, then each parent's death step from its last checkpoint or birth
     dts = np.empty(total + len(parents))
     dts[:total] = step
     dts[starts] = np.take(obs, i0_h) - np.take(birth, has)
+    # from here on only the splitting parents' deaths and checkpoints count;
     # obs[i1 - 1] is the last checkpoint if there is one, else before birth
-    t_last = np.maximum(np.take(pad, np.take(i1, parents)), np.take(birth, parents))
-    np.subtract(np.take(death, parents), t_last, out=dts[total:])
+    death = np.take(death, parents)
+    i1 = np.take(i1, parents)
+    t_last = np.maximum(np.take(pad, i1), np.take(birth, parents))
+    del birth
+    np.subtract(death, t_last, out=dts[total:])
     del t_last
     # row keys rep * m + checkpoint are a running sum of ones, jumping at
     # each segment start from the previous segment's last key to its first
     jump = np.take(rep, has) * m + i0_h
     jump[1:] -= jump[:-1] + kh[:-1] - 1
+    rep = np.take(rep, parents)
     del kh, i0_h
+    death_pos = np.take(pos, parents, axis=0)
+    base = np.take(pos, has, axis=0)
+    del pos, has
     inc = sample_increments(kernel, dts, rng)
     del dts
     # the positions: running sums of the increments, taken in place in the
@@ -270,7 +283,6 @@ def _wave(kernel, law, rng, grid, horizon, half_side, p_two, state, weights,
     before = np.take(flat_pos, starts, axis=0)
     before -= first_inc
     del first_inc
-    base = np.take(pos, has, axis=0)
     base -= before
     del before
     seg = np.zeros(total, dtype=np.intp)
@@ -285,7 +297,7 @@ def _wave(kernel, law, rng, grid, horizon, half_side, p_two, state, weights,
     key.fill(1)
     key[starts] = jump
     np.cumsum(key, out=key)
-    del seg, jump, has, starts
+    del seg, jump, starts
     for name, w in weights.items():
         acc[name] += np.bincount(key, weights=w(flat_pos), minlength=reps * m)
     acc["count"] += np.bincount(key, minlength=reps * m)
@@ -293,37 +305,44 @@ def _wave(kernel, law, rng, grid, horizon, half_side, p_two, state, weights,
 
     if len(parents) == 0:
         return None
-    death_pos = np.take(pos, parents, axis=0)
     death_pos[seen] = np.take(flat_pos, last, axis=0)
     death_pos += inc[total:]
     del inc, flat_pos
     if half_side is not None:
         _wrap(death_pos, half_side, out=death_pos)
     twice = np.arange(2 * len(parents)) >> 1
-    parents = np.take(parents, twice)
-    return (np.take(death, parents), np.take(death_pos, twice, axis=0),
-            np.take(rep, parents), np.take(i1, parents))
+    return [np.take(death, twice), np.take(death_pos, twice, axis=0),
+            np.take(rep, twice), np.take(i1, twice)]
 
 
 def _run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
-               population_cap, state, weights, reps):
-    """Run one chunk from its ancestors' (birth, position, replicate) state."""
+               population_cap, gen, weights, reps):
+    """Run one chunk from its ancestors, the list `gen` = [positions,
+    replicate index], all born at time 0.
+
+    `_run_chunk` owns the ancestors: it empties `gen`, and each
+    generation then lives only in the wave that advances it (`_wave`).
+    """
     m = len(obs)
     grid = (obs, _grid_step(obs), _padded(obs))
     acc = {name: np.zeros(reps * m) for name in [*weights, "count"]}
     cum = np.zeros(reps, dtype=np.int64)
     aborted = np.zeros(reps, dtype=bool)
-    state = (*state, _first_index(state[0], grid[2], grid[1]))
-    while state is not None:
-        cum += np.bincount(state[2], minlength=reps)
+    pos, rep = gen
+    gen.clear()
+    birth = np.zeros(len(rep))
+    gen = [birth, pos, rep, _first_index(birth, grid[2], grid[1])]
+    del birth, pos, rep
+    while gen is not None:
+        cum += np.bincount(gen[2], minlength=reps)
         aborted |= cum > population_cap
         if aborted.any():
-            keep = ~aborted[state[2]]
-            state = tuple(a[keep] for a in state)
-        if len(state[0]) == 0:
+            keep = ~aborted[gen[2]]
+            gen = [a[keep] for a in gen]
+        if len(gen[0]) == 0:
             break
-        state = _wave(kernel, law, rng, grid, horizon, half_side, p_two, state,
-                      weights, acc, reps)
+        gen = _wave(kernel, law, rng, grid, horizon, half_side, p_two, gen,
+                    weights, acc, reps)
     series = {name: a.reshape(reps, m) for name, a in acc.items()}
     return series, cum, aborted
 
@@ -339,6 +358,8 @@ def _plan(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
     step = _grid_step(obs)
     horizon = float(obs[-1])
     weights = weights or {}
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
     if not 0 <= stream_key < _KEY_WORD:
         raise ValueError(f"stream_key must be in [0, 2^32), got {stream_key}")
     sizes = _chunk_sizes(replicates,
@@ -350,10 +371,9 @@ def _plan(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
     def chunk(ci):
         reps = sizes[ci]
         rng = replicate_stream(seed, stream_key, ci)
-        counts, pos, rep = ancestors(rng, firsts[ci], reps)
-        state = (np.zeros(len(rep)), pos, rep)
+        counts, *gen = ancestors(rng, firsts[ci], reps)
         return (counts, *_run_chunk(kernel, law, rng, obs, horizon, half_side,
-                                    p_two, population_cap, state, weights, reps))
+                                    p_two, population_cap, gen, weights, reps))
 
     return BatchPlan(obs, sizes, mean_n0 * len(obs), chunk)
 

@@ -377,11 +377,21 @@ BAD_VALUE_CASES = [
     ("covariance", COVARIANCE_CONFIG, ("half_side",), 0.5),
     # nor here, where its column would not be the periodic extension
     ("simulate", {**SIMULATE_CONFIG, "half_side": 0.5}, ("phi", "radius"), 1.0),
+    # strings are refused, not split into horizons 2 and 5 or pairs (1, 2)
+    # and (3, 4) or cast to a centre, and so are equal horizons; a fifth
+    # entry names a case whose default id is already taken
+    ("lln", LLN_CONFIG, ("horizons",), "25"),
+    ("lln", LLN_CONFIG, ("horizons",), [2.0, 2.0]),
+    ("covariance", COVARIANCE_CONFIG, ("pairs",), ["12", "34"],
+     "covariance-pairs-strings"),
+    ("simulate", SIMULATE_CONFIG, ("phi", "center"), ["0.5"],
+     "simulate-phi.center-strings"),
 ]
 
 
-@pytest.mark.parametrize("command,config,path,value", BAD_VALUE_CASES,
-                         ids=[f"{c[0]}-{'.'.join(c[2])}"
+@pytest.mark.parametrize("command,config,path,value",
+                         [c[:4] for c in BAD_VALUE_CASES],
+                         ids=[c[4] if len(c) > 4 else f"{c[0]}-{'.'.join(c[2])}"
                               for c in BAD_VALUE_CASES])
 def test_bad_config_values_exit_2(tmp_path, command, config, path, value):
     """Run as a process: exit 2, one error line naming the key, no traceback."""
@@ -443,6 +453,22 @@ def _exit_2_error(tmp_path, argv, env=None):
     errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
     assert len(errors) == 1, proc.stderr
     return errors[0]
+
+
+def test_package_runs_as_a_module(tmp_path):
+    """`python -m stablebranch` is the CLI, with nothing installed."""
+    src = str(Path(stablebranch.__file__).resolve().parents[1])
+    cfg = write_config(tmp_path, "cfg.json", DENSITY_CONFIG)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablebranch", "density", "--config", cfg,
+         "--out", str(tmp_path / "module.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["density", "--config", cfg,
+                 "--out", str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "module.csv").read_text() == (tmp_path / "main.csv").read_text()
 
 
 @pytest.mark.parametrize("argv,env,key", [
