@@ -124,7 +124,8 @@ def _reading_config():
 
 def _positive(cfg: dict, key: str, default=None) -> float:
     """A config number that must be positive; required when no default."""
-    value = float(_require(cfg, key) if default is None else cfg.get(key, default))
+    value = _number(_require(cfg, key) if default is None else cfg.get(key, default),
+                    key)
     if not value > 0:
         raise ConfigError(f"{key} must be positive, got {value}")
     return value
@@ -138,17 +139,22 @@ def _count(value, key: str, least: int) -> int:
     return int(value)
 
 
+def _number(value, key: str) -> float:
+    """A config number; a string or a bool is refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _numbers(value, key: str, size: int | None = None) -> list:
     """A config list of numbers, of ``size`` entries when given.
 
     A string, a bool or a nested list is refused, not split or cast.
     """
-    if not (isinstance(value, list) and (size is None or len(value) == size)
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value)):
+    if not (isinstance(value, list) and (size is None or len(value) == size)):
         what = f"a list of {size} numbers" if size else "a list of numbers"
         raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return [float(v) for v in value]
+    return [_number(v, key) for v in value]
 
 
 def _replicates(cfg: dict, args, default: int, least: int = 1) -> int:
@@ -165,14 +171,14 @@ def _parse_law(obj: dict):
     if kind in _LAW_KEYS:
         _check_keys(obj, {"type"} | _LAW_KEYS[kind], "lifetime")
     if kind == "exponential":
-        return Exponential(rate=float(obj.get("rate", 1.0)))
+        return Exponential(rate=_number(obj.get("rate", 1.0), "rate"))
     if kind == "gamma":
-        return Gamma(shape=float(_require(obj, "shape")),
-                     rate=float(obj.get("rate", 1.0)))
+        return Gamma(shape=_number(_require(obj, "shape"), "shape"),
+                     rate=_number(obj.get("rate", 1.0), "rate"))
     if kind == "pareto":
-        gamma = float(_require(obj, "gamma"))
+        gamma = _number(_require(obj, "gamma"), "gamma")
         if "scale" in obj:
-            return ParetoTail(gamma=gamma, scale=float(obj["scale"]))
+            return ParetoTail(gamma=gamma, scale=_number(obj["scale"], "scale"))
         return make_pareto_tail(gamma)
     raise ConfigError(
         f"unknown lifetime type {kind!r}; expected exponential, gamma or pareto"
@@ -180,7 +186,7 @@ def _parse_law(obj: dict):
 
 
 def _kernel(cfg: dict) -> StableKernel:
-    return StableKernel(alpha=float(_require(cfg, "alpha")),
+    return StableKernel(alpha=_number(_require(cfg, "alpha"), "alpha"),
                         dim=_count(_require(cfg, "dim"), "dim", 1))
 
 
@@ -194,7 +200,7 @@ def _parse_phi(obj: dict, dim: int, where: str = "phi") -> TestFunction:
     phi = TestFunction(
         shape=obj.get("shape", "bump"),
         center=np.asarray(_numbers(obj.get("center", [0.0] * dim), f"{where} center")),
-        radius=float(obj.get("radius", 1.0)),
+        radius=_number(obj.get("radius", 1.0), f"{where} radius"),
     )
     if phi.center.shape != (dim,):
         raise ConfigError(f"{where} center must have {dim} coordinates")
@@ -221,12 +227,12 @@ def _experiment_config(cfg: dict, args) -> ExperimentConfig:
         horizons=tuple(_numbers(_require(cfg, "horizons"), "horizons")),
         replicates=_replicates(cfg, args, 1000),
         phi=parse(cfg[target], kernel.dim) if target in cfg else None,
-        half_side=(float(cfg["half_side"]) if cfg.get("half_side") is not None
-                   else None),
-        window_scale=float(cfg.get("window_scale", 1.0)),
-        obs_step=float(cfg.get("obs_step", 0.5)),
+        half_side=(_number(cfg["half_side"], "half_side")
+                   if cfg.get("half_side") is not None else None),
+        window_scale=_number(cfg.get("window_scale", 1.0), "window_scale"),
+        obs_step=_number(cfg.get("obs_step", 0.5), "obs_step"),
         seed=_resolve_seed(args.seed, cfg),
-        intensity=float(cfg.get("intensity", 1.0)),
+        intensity=_number(cfg.get("intensity", 1.0), "intensity"),
         threads=args.threads,
         label=cfg.get("label", ""),
     )
@@ -309,13 +315,13 @@ def cmd_simulate(args) -> int:
     with _reading_config():
         cfg = _load_config(args.config, _SIMULATE_KEYS)
         kernel, law = _system(cfg)
-        obs = obs_grid(float(_require(cfg, "horizon")),
-                       float(cfg.get("obs_step", 0.5)))
+        obs = obs_grid(_number(_require(cfg, "horizon"), "horizon"),
+                       _number(cfg.get("obs_step", 0.5), "obs_step"))
         phi = _parse_phi(cfg["phi"], kernel.dim) if "phi" in cfg else None
         half_side = _positive(cfg, "half_side")
         if phi is not None:
             check_inside_window(half_side, phi)
-        intensity = float(cfg.get("intensity", 1.0))
+        intensity = _number(cfg.get("intensity", 1.0), "intensity")
         if intensity < 0:
             raise ConfigError(f"intensity must be nonnegative, got {intensity}")
         replicates = _replicates(cfg, args, 1)

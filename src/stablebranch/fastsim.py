@@ -21,10 +21,10 @@ these batches are tested against.
 Replicates are grouped into chunks of even size, each with its own
 stream keyed by (seed, stream key, chunk index).  Chunk sizes depend
 only on the configuration, so results are reproducible regardless of how chunks
-are dispatched across workers.  `field_plan` and `run_plans` let a
-caller pool the chunks of several batches, such as a horizon ladder, on
-one set of threads; `field_batch` and `tree_batch` are the one-batch
-case.
+are dispatched across workers, and each writes straight into its rows
+of the batch's one result.  `field_plan` and `run_plans` let a caller
+pool the chunks of several batches, such as a horizon ladder, on one
+set of threads; `field_batch` and `tree_batch` are the one-batch case.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy loads it lazily: load it at import, not in a first call
 
 from .stable_motion import StableKernel, sample_increments
 
@@ -170,16 +169,23 @@ class BatchResult:
 class BatchPlan:
     """One batch split into chunks that can run in any order and thread.
 
-    `chunk(ci)` runs chunk ci and returns its part of the result.
-    `cost` is the expected checkpoint rows of one replicate, the mean
-    initial population (a martingale) times the checkpoints; it only
-    orders the chunks in `run_plans`.
+    `chunk(ci, out)` runs chunk ci into its rows of `out`, the batch's
+    `empty_result`.  `cost` is the expected checkpoint rows of one
+    replicate, the mean initial population (a martingale) times the
+    checkpoints; it only orders the chunks in `run_plans`.
     """
 
     obs: np.ndarray
     sizes: list  # replicates per chunk
+    names: list  # series names, [*weights, "count"]
     cost: float
     chunk: Callable
+
+    def empty_result(self) -> BatchResult:
+        """The batch's result, zeroed, for its chunks to accumulate into."""
+        n = sum(self.sizes)
+        return BatchResult(self.obs, {k: np.zeros((n, len(self.obs))) for k in self.names},
+                           *(np.zeros(n, dtype=t) for t in (np.int64, np.int64, bool)))
 
 
 def _truncated_mean(law, horizon: float) -> float:
@@ -316,18 +322,17 @@ def _wave(kernel, law, rng, grid, horizon, half_side, p_two, gen, weights,
 
 
 def _run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
-               population_cap, gen, weights, reps):
+               population_cap, gen, weights, acc, cum, aborted):
     """Run one chunk from its ancestors, the list `gen` = [positions,
     replicate index], all born at time 0.
 
+    It adds into views of its rows of the batch: `acc` each series, flat,
+    and `cum` (particles created) and `aborted` one entry per replicate.
     `_run_chunk` owns the ancestors: it empties `gen`, and each
     generation then lives only in the wave that advances it (`_wave`).
     """
-    m = len(obs)
+    reps = len(cum)
     grid = (obs, _grid_step(obs), _padded(obs))
-    acc = {name: np.zeros(reps * m) for name in [*weights, "count"]}
-    cum = np.zeros(reps, dtype=np.int64)
-    aborted = np.zeros(reps, dtype=bool)
     pos, rep = gen
     gen.clear()
     birth = np.zeros(len(rep))
@@ -343,8 +348,6 @@ def _run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
             break
         gen = _wave(kernel, law, rng, grid, horizon, half_side, p_two, gen,
                     weights, acc, reps)
-    series = {name: a.reshape(reps, m) for name, a in acc.items()}
-    return series, cum, aborted
 
 
 def _plan(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
@@ -368,18 +371,22 @@ def _plan(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
         raise ValueError(f"{len(sizes)} chunks exceed the 2^32 chunk keys")
     firsts = np.cumsum([0, *sizes])
 
-    def chunk(ci):
-        reps = sizes[ci]
+    def chunk(ci, out):
+        rows = slice(firsts[ci], firsts[ci + 1])
         rng = replicate_stream(seed, stream_key, ci)
-        counts, *gen = ancestors(rng, firsts[ci], reps)
-        return (counts, *_run_chunk(kernel, law, rng, obs, horizon, half_side,
-                                    p_two, population_cap, gen, weights, reps))
+        counts, *gen = ancestors(rng, firsts[ci], sizes[ci])
+        out.initial_counts[rows] = counts
+        _run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
+                   population_cap, gen, weights,
+                   {k: s[rows].reshape(-1) for k, s in out.series.items()},
+                   out.event_counts[rows], out.aborted[rows])
 
-    return BatchPlan(obs, sizes, mean_n0 * len(obs), chunk)
+    return BatchPlan(obs, sizes, [*weights, "count"], mean_n0 * len(obs), chunk)
 
 
 def run_plans(plans: list[BatchPlan], threads: int = 1) -> list[BatchResult]:
-    """Run every chunk of every plan and join each batch by chunk index.
+    """Allocate each batch's result once, then run every chunk of every
+    plan into its rows of it, so a batch holds one copy of its series.
 
     The chunks go to one pool of `threads` workers, largest expected
     cost first, so the small batches of a ladder fill the time the
@@ -389,28 +396,16 @@ def run_plans(plans: list[BatchPlan], threads: int = 1) -> list[BatchResult]:
     """
     tasks = sorted(((plan.cost * reps, bi, ci) for bi, plan in enumerate(plans)
                     for ci, reps in enumerate(plan.sizes)), key=lambda t: -t[0])
+    results = [plan.empty_result() for plan in plans]
 
     def run(task):
-        return plans[task[1]].chunk(task[2])
+        plans[task[1]].chunk(task[2], results[task[1]])
 
     if threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(run, tasks))
+            list(pool.map(run, tasks))
     else:
-        outs = [run(task) for task in tasks]
-    parts = [[None] * len(plan.sizes) for plan in plans]
-    for (_, bi, ci), out in zip(tasks, outs):
-        parts[bi][ci] = out
-    results = []
-    for plan, part in zip(plans, parts):
-        counts, series, cum, aborted = zip(*part)
-        results.append(BatchResult(
-            obs_times=plan.obs,
-            series={k: np.concatenate([s[k] for s in series]) for k in series[0]},
-            initial_counts=np.concatenate(counts),
-            event_counts=np.concatenate(cum),
-            aborted=np.concatenate(aborted),
-        ))
+        list(map(run, tasks))
     return results
 
 

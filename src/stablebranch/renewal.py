@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.fft  # numpy loads it lazily: load it at import, not in a first call
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-import numpy.polynomial  # numpy loads it lazily: load it at import, not in a first call
 
 from .errors import QuadratureError
 from .specfun import scaled_bessel_j, sphere_area

@@ -9,6 +9,9 @@ test here is that the two agree in distribution on the same functionals.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -354,13 +357,10 @@ def _oracle_wave(kernel, law, rng, obs, horizon, half_side, p_two, state,
 
 
 def _oracle_run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
-                      population_cap, gen, weights, reps):
+                      population_cap, gen, weights, acc, cum, aborted):
     pos, rep = gen
     state = (np.zeros(len(rep)), pos, rep)
-    m = len(obs)
-    acc = {name: np.zeros(reps * m) for name in [*weights, "count"]}
-    cum = np.zeros(reps, dtype=np.int64)
-    aborted = np.zeros(reps, dtype=bool)
+    m, reps = len(obs), len(cum)
     while state is not None:
         cum += np.bincount(state[2], minlength=reps)
         aborted |= cum > population_cap
@@ -371,8 +371,6 @@ def _oracle_run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
             break
         state = _oracle_wave(kernel, law, rng, obs, horizon, half_side, p_two,
                              state, weights, acc, m, reps)
-    series = {name: a.reshape(reps, m) for name, a in acc.items()}
-    return series, cum, aborted
 
 
 @pytest.mark.parametrize("alpha", [2.0, 1.5])
@@ -444,8 +442,9 @@ def test_d3_field_chunk_traced_peak():
         obs_times=obs_grid(100.0, 1.0), half_side=4.0, seed=7,
         weights={"phi": phi.evaluate})
     assert plan.sizes == [40]
+    out = plan.empty_result()
     with traced_peak() as traced:
-        plan.chunk(0)
+        plan.chunk(0, out)
     assert traced.peak < 6_000_000
 
 
@@ -462,9 +461,53 @@ def test_d3_field_chunk_hands_each_generation_to_its_wave():
         obs_times=obs_grid(100.0, 1.0), half_side=0.4 * 200.0**0.5, seed=7,
         weights={"phi": phi.evaluate})
     assert plan.sizes == [17]
+    out = plan.empty_result()
     with traced_peak() as traced:
-        plan.chunk(0)
+        plan.chunk(0, out)
     assert traced.peak < 4_800_000
+
+
+def test_tree_batch_holds_one_copy_of_its_series():
+    """4000 trees, 201 checkpoints and two series: a 12.9 MB result that
+    dwarfs any one wave.  While each chunk kept its own part and the
+    batch was joined by np.concatenate, the traced peak was 25.9 MB, two
+    copies of the series; with every chunk accumulating into its rows of
+    the one result, one copy and a wave (numpy 2.4)."""
+    with traced_peak() as traced:
+        batch = tree_batch(KERNEL_1D, EXP1, np.zeros((4000, 1)),
+                           obs_times=np.linspace(0.0, 2.0, 201), seed=3,
+                           weights={"x": lambda p: p[:, 0]})
+    assert sum(s.nbytes for s in batch.series.values()) == 2 * 4000 * 201 * 8
+    assert traced.peak < 18_000_000
+
+
+def test_first_stream_drawn_in_pool_threads_matches_one_thread():
+    """numpy loads `numpy.random` on first use, so in a fresh process the
+    first streams are built inside the pool's threads, which import it
+    together; Python's module import lock makes them wait for one import.
+    Every series then equals a one-thread run bit for bit."""
+    src = str(Path(fastsim.__file__).resolve().parents[1])
+    code = """
+import sys
+import numpy as np
+from stablebranch import Exponential, StableKernel, TestFunction, field_batch, obs_grid
+assert "numpy.random" not in sys.modules
+phi = TestFunction(shape="bump", center=np.zeros(1), radius=1.0)
+args = dict(replicates=1000, obs_times=obs_grid(2.0, 0.5), half_side=50.0,
+            seed=21, weights={"phi": phi.evaluate})
+kernel, law = StableKernel(alpha=1.5, dim=1), Exponential(rate=1.0)
+a = field_batch(kernel, law, **args, threads=2)
+b = field_batch(kernel, law, **args, threads=1)
+for x, y in [(a.initial_counts, b.initial_counts), (a.event_counts, b.event_counts),
+             (a.aborted, b.aborted), *((a.series[k], b.series[k]) for k in b.series)]:
+    assert np.array_equal(x, y)
+print(list(a.series), a.series["count"][:, 1:].sum() > 0)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['phi',", "'count']", "True"], proc.stdout
 
 
 @pytest.mark.parametrize("p_two", [0.5, 1.0])
@@ -494,6 +537,24 @@ def test_field_batch_thread_count_invariance(chunk_counts):
     b = field_batch(KERNEL_1D, EXP1, **args, threads=3)
     # at least three chunks, so threads=3 runs the pool
     assert chunk_counts[0] >= 3 and chunk_counts[0] == chunk_counts[1]
+    _assert_same_batch(a, b)
+
+
+def test_pool_chunks_share_a_result_under_fast_thread_switching(chunk_counts):
+    """Chunks add into disjoint rows of one shared result: with more
+    threads than cores and a thread switch every microsecond, a lost or
+    misplaced update would break equality with the one-thread run."""
+    args = dict(obs_times=obs_grid(1.0, 0.01), seed=26,
+                weights={"x": lambda p: p[:, 0]})
+    x0s = np.linspace(-1.0, 1.0, 6000)[:, None]
+    a = tree_batch(KERNEL_1D, EXP1, x0s, **args, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        b = tree_batch(KERNEL_1D, EXP1, x0s, **args, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert chunk_counts[0] >= 4 and chunk_counts[0] == chunk_counts[1]
     _assert_same_batch(a, b)
 
 

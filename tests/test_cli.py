@@ -386,6 +386,26 @@ BAD_VALUE_CASES = [
      "covariance-pairs-strings"),
     ("simulate", SIMULATE_CONFIG, ("phi", "center"), ["0.5"],
      "simulate-phi.center-strings"),
+    # scalar numbers given as strings or bools are refused, not cast
+    *[(command, config, path, value, f"{command}-{'.'.join(path)}-string")
+      for command, config, path, value in [
+          ("simulate", SIMULATE_CONFIG, ("alpha",), "2.0"),
+          ("simulate", SIMULATE_CONFIG, ("lifetime", "rate"), "1"),
+          ("simulate", SIMULATE_CONFIG, ("phi", "radius"), "1.0"),
+          ("simulate", SIMULATE_CONFIG, ("horizon",), "1.0"),
+          ("simulate", SIMULATE_CONFIG, ("obs_step",), "0.5"),
+          ("simulate", SIMULATE_CONFIG, ("half_side",), "4"),
+          ("simulate", SIMULATE_CONFIG, ("intensity",), "1"),
+          ("renewal", RENEWAL_CONFIG, ("horizon",), "5"),
+          ("renewal", RENEWAL_CONFIG, ("lifetime", "shape"), "2"),
+          ("density", DENSITY_CONFIG, ("t",), "1.0"),
+          ("density", DENSITY_CONFIG, ("r_max",), "5"),
+          ("lln", LLN_CONFIG, ("window_scale",), "1"),
+          ("lln", LLN_CONFIG, ("obs_step",), "0.5"),
+          ("lln", LLN_CONFIG, ("half_side",), "2"),
+          ("occupancy", OCCUPANCY_CONFIG, ("lifetime", "gamma"), "0.7"),
+          ("covariance", COVARIANCE_CONFIG, ("half_side",), "4")]],
+    ("density", DENSITY_CONFIG, ("t",), True, "density-t-bool"),
 ]
 
 
@@ -564,3 +584,46 @@ scipy_modules("pair_correlation")
     assert proc.returncode == 0, proc.stderr
     stages = ["import", "lln", "validate", "occupation_variance", "pair_correlation"]
     assert proc.stdout.splitlines() == [f"{s} []" for s in stages], proc.stdout
+
+
+def test_import_maps_no_rng_fft_or_polynomial(tmp_path):
+    """numpy loads `numpy.random`, `numpy.fft` and `numpy.polynomial` on
+    first attribute access, and the package leaves them to that:
+    `import stablebranch, stablebranch.cli` maps none of them
+    (`numpy.random` alone is about 6 MB resident), a `renewal` run and
+    `occupation_variance` draw nothing and so never load the RNG, and an
+    `lln` run loads it at its first stream."""
+    src = str(Path(stablebranch.__file__).resolve().parents[1])
+    renewal = write_config(tmp_path, "renewal.json", RENEWAL_CONFIG)
+    lln = write_config(tmp_path, "lln.json", {**LLN_CONFIG, "replicates": 20})
+    code = f"""
+import sys
+import numpy as np
+import stablebranch, stablebranch.cli
+from stablebranch import Exponential, StableKernel, TestFunction, occupation_variance
+from stablebranch.experiments import default_renewal_table
+
+def lazy_modules(stage):
+    print(stage, [m for m in ("numpy.random", "numpy.fft", "numpy.polynomial")
+                  if m in sys.modules])
+
+lazy_modules("import")
+cli = stablebranch.cli.main
+assert cli(["renewal", "--config", {renewal!r},
+            "--out", {str(tmp_path / "renewal.csv")!r}]) == 0
+bump = TestFunction(shape="bump", center=np.zeros(3), radius=1.0)
+occupation_variance(StableKernel(alpha=2.0, dim=3),
+                    default_renewal_table(Exponential(rate=1.0), 4.0), bump, 4.0,
+                    grid_points=9)
+lazy_modules("moments")
+assert cli(["lln", "--config", {lln!r}, "--out", {str(tmp_path / "lln.csv")!r}]) == 0
+lazy_modules("lln")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    stage = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    assert stage["import"] == "[]", proc.stdout
+    assert "numpy.random" not in stage["moments"], proc.stdout
+    assert "numpy.random" in stage["lln"], proc.stdout
