@@ -5,7 +5,6 @@ formulas, and regime-gated statistical experiments for occupation-time
 laws of large numbers.
 """
 
-from .branching import simulate_field, simulate_tree
 from .errors import ConfigError, QuadratureError, RegimeError, StableBranchError
 from .experiments import (
     CheckRow,
@@ -67,8 +66,6 @@ __all__ = [
     "run_validation_suite",
     "sample_increments",
     "semigroup_apply",
-    "simulate_field",
-    "simulate_tree",
     "transition_density_radial",
     "tree_batch",
     "tree_second_moment",

@@ -8,13 +8,23 @@ Carlo, ``renewal`` and ``density`` tabulate the numerical kernels, and
 
 Every command writes CSV to ``--out`` (or stdout) and returns exit code
 0 on success, 1 when a statistical check or experiment row fails, and 2
-on configuration errors, among them any config key the subcommand does
-not read, any out-of-range config value, and a configuration whose
-numerical integral cannot meet its tolerance (QuadratureError).  Seeds
-resolve as: ``--seed`` flag, then the config file, then the
-``STABLEBRANCH_SEED`` environment variable, then 0; each must be an
-integer >= 0.  ``--threads`` must be at least 1, ``--p-two`` lie in
-[0, 1], and every config number be finite (no NaN or Infinity).
+on a configuration error, among them a configuration whose numerical
+integral cannot meet its tolerance (QuadratureError).
+
+A subcommand's JSON config is read against one table, and so is each
+nested object: the lifetime (one table per ``type``), ``phi``, ``psi``
+and ``ball``.  A table gives every key one kind (a finite number, a
+positive number, an integer >= n, a list, a string) and a default, and
+every refusal names the key's full path, such as ``lifetime.type`` or
+``phi.center[1]``: a value of another kind, a missing required key, a
+key the table does not hold.  An optional key given as null is absent; a
+required one is refused.  Range checks made by the library constructors
+stay theirs, and a ValueError from one is reported against the path of
+the object it builds.  Seeds resolve as: ``--seed`` flag, then the
+config file, then the ``STABLEBRANCH_SEED`` environment variable, then
+0; each must be an integer >= 0.  ``--threads`` must be at least 1,
+``--p-two`` lie in [0, 1], and every config number be finite (no NaN,
+Infinity, or a literal such as 1e400 that overflows a double).
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -45,197 +55,215 @@ from .renewal import build_renewal
 from .stable_motion import StableKernel, transition_density_radial
 
 ENV_SEED = "STABLEBRANCH_SEED"
-
-_LAW_KEYS = {"exponential": {"rate"}, "gamma": {"shape", "rate"},
-             "pareto": {"gamma", "scale"}}
-_PHI_KEYS = {"shape", "center", "radius"}
-_BALL_KEYS = {"center", "radius"}
-_SYSTEM_KEYS = {"alpha", "dim", "lifetime"}
-_EXPERIMENT_KEYS = _SYSTEM_KEYS | {
-    "kind", "phi", "ball", "horizons", "replicates", "half_side",
-    "window_scale", "obs_step", "seed", "intensity", "label"}
-_COVARIANCE_KEYS = _SYSTEM_KEYS | {
-    "phi", "psi", "pairs", "half_side", "replicates", "seed"}
-_RENEWAL_KEYS = {"lifetime", "horizon", "grid_step"}
-_DENSITY_KEYS = {"alpha", "dim", "t", "r_max", "points"}
-_SIMULATE_KEYS = _SYSTEM_KEYS | {
-    "horizon", "obs_step", "half_side", "phi", "replicates", "seed",
-    "intensity"}
+_REQUIRED = object()  # the default of a key that a config must give
 
 
-def _resolve_seed(cli_seed, cfg: dict | None) -> int:
-    """The seed as an integer >= 0 from the first source that sets it."""
-    if cli_seed is not None:
-        return _count(cli_seed, "--seed", 0)
-    if cfg is not None and cfg.get("seed") is not None:
-        return _count(cfg["seed"], "seed", 0)
-    env = os.environ.get(ENV_SEED, "0")
-    try:
-        return _count(int(env), ENV_SEED, 0)
-    except ValueError as exc:
-        raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
+def _kind(what: str, test, cast=float):
+    """A scalar kind: a JSON value that passes `test`, cast; else refused."""
+    def check(value, path, done):
+        if not test(value):
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+        return cast(value)
+    return check
 
 
-def _check_keys(obj, allowed: set, where: str) -> None:
-    """Refuse a non-object, or any key the subcommand would not read."""
+def _finite(value) -> bool:
+    """A JSON number short of overflow (1e400 parses as inf); a bool is none."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _integer(least: int):
+    return _kind(f"an integer >= {least}",
+                 lambda v: _finite(v) and float(v).is_integer() and v >= least, int)
+
+
+def _list(of, size: int | None = None):
+    """A JSON list of values of kind `of`, of `size` entries when given."""
+    def check(value, path, done):
+        if not (isinstance(value, list) and size in (None, len(value))):
+            what = f"a list of {size} entries" if size else "a list"
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+        return [of(v, f"{path}[{i}]", done) for i, v in enumerate(value)]
+    return check
+
+
+_NUMBER = _kind("a finite number", _finite)
+_POSITIVE = _kind("a positive number", lambda v: _finite(v) and v > 0)
+_STRING = _kind("a string", lambda v: isinstance(v, str), str)
+_SEED = _integer(0)
+
+
+def _walk(obj, table: dict, path: str) -> dict:
+    """The values of config object `obj` under `table`, key -> (kind, default).
+
+    Each key is checked by its kind, in table order, and `done` hands a
+    kind the values before it.  An absent or null key takes its default,
+    or is refused if it has none; so is a key the table does not hold.
+    """
+    where = path or "config"
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - allowed)
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
+    done = {}
+    for key, (kind, default) in table.items():
+        at = f"{path}.{key}" if path else key
+        if obj.get(key) is not None:
+            done[key] = kind(obj[key], at, done)
+        elif default is _REQUIRED:
+            raise ConfigError(f"config key {at!r} is required, "
+                              f"got {'null' if key in obj else 'nothing'}")
+        else:
+            done[key] = default
+    unknown = [f"{path}.{key}" if path else key for key in sorted(set(obj) - set(table))]
     if unknown:
-        raise ConfigError(
-            f"unknown {where} keys {unknown}; valid keys: {sorted(allowed)}"
-        )
+        raise ConfigError(f"unknown config keys {unknown}; {where} takes {sorted(table)}")
+    return done
+
+
+def _build(path: str, make, *args, **kwargs):
+    """`make(...)`, its ValueError (or overflow) reported against `path`."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path or 'config'}: {exc}") from exc
+
+
+# lifetime type -> (table of its other keys, the law it builds)
+_LAWS = {
+    "exponential": ({"rate": (_NUMBER, 1.0)}, Exponential),
+    "gamma": ({"shape": (_NUMBER, _REQUIRED), "rate": (_NUMBER, 1.0)}, Gamma),
+    "pareto": ({"gamma": (_NUMBER, _REQUIRED), "scale": (_NUMBER, None)},
+               lambda gamma, scale: (make_pareto_tail(gamma) if scale is None
+                                     else ParetoTail(gamma, scale))),
+}
+_LAW_TYPE = _kind(f"one of {list(_LAWS)}", lambda v: isinstance(v, str) and v in _LAWS, str)
+
+
+def _lifetime(value, path, done):
+    """A lifetime law: its "type" picks the table of its other keys."""
+    name = value.get("type") if isinstance(value, dict) else None
+    table, law = _LAWS[name] if isinstance(name, str) and name in _LAWS else ({}, None)
+    values = _walk(value, {"type": (_LAW_TYPE, _REQUIRED), **table}, path)
+    del values["type"]
+    return _build(path, law, **values)
+
+
+def _test_function(table: dict):
+    """Kind of a test function of the config's `dim`: `center` defaults to
+    the origin, and a table without `shape` builds an indicator."""
+    def check(value, path, done):
+        values, dim = _walk(value, table, path), done["dim"]
+        if values["center"] is None:
+            values["center"] = [0.0] * dim
+        elif len(values["center"]) != dim:
+            raise ConfigError(f"{path}.center must have {dim} coordinates")
+        return _build(path, TestFunction, **{"shape": "indicator", **values})
+    return check
+
+
+_BALL_KEYS = {"center": (_list(_NUMBER), None), "radius": (_NUMBER, 1.0)}
+_PHI = _test_function({"shape": (_STRING, "bump"), **_BALL_KEYS})
+_SYSTEM = {"alpha": (_NUMBER, _REQUIRED), "dim": (_integer(1), _REQUIRED),
+           "lifetime": (_lifetime, _REQUIRED)}
+_EXPERIMENT = {
+    "kind": (_STRING, _REQUIRED), **_SYSTEM,
+    "phi": (_PHI, None), "ball": (_test_function(_BALL_KEYS), None),
+    "horizons": (_list(_NUMBER), _REQUIRED), "replicates": (_integer(1), 1000),
+    "half_side": (_NUMBER, None), "window_scale": (_NUMBER, 1.0),
+    "obs_step": (_NUMBER, 0.5), "intensity": (_NUMBER, 1.0),
+    "seed": (_SEED, None), "label": (_STRING, "")}
+_COVARIANCE = {
+    **_SYSTEM, "phi": (_PHI, _REQUIRED), "psi": (_PHI, None),
+    "pairs": (_list(_list(_NUMBER, 2)), _REQUIRED), "half_side": (_POSITIVE, _REQUIRED),
+    "replicates": (_integer(2), 20_000), "seed": (_SEED, None)}
+_RENEWAL = {"lifetime": (_lifetime, _REQUIRED), "horizon": (_POSITIVE, _REQUIRED),
+            "grid_step": (_POSITIVE, _REQUIRED)}
+_DENSITY = {"alpha": (_NUMBER, _REQUIRED), "dim": (_integer(1), _REQUIRED),
+            "t": (_POSITIVE, _REQUIRED), "r_max": (_POSITIVE, None),
+            "points": (_integer(1), 101)}
+_SIMULATE = {
+    **_SYSTEM, "horizon": (_NUMBER, _REQUIRED), "obs_step": (_NUMBER, 0.5),
+    "half_side": (_POSITIVE, _REQUIRED), "phi": (_PHI, None),
+    "replicates": (_integer(1), 1), "seed": (_SEED, None), "intensity": (_NUMBER, 1.0)}
 
 
 def _refuse_constant(name: str):
     raise ConfigError(f"config holds {name}; every number must be finite")
 
 
-def _load_config(path: str, allowed: set) -> dict:
+def _env_seed() -> int:
+    """The seed in the environment, else 0."""
+    env = os.environ.get(ENV_SEED, "0")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        return _SEED(int(env), ENV_SEED, None)
+    except ValueError as exc:
+        raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
+
+
+def _load(args, table: dict, build):
+    """`build` called with the values of the --config file under `table`.
+
+    The --replicates and --seed flags stand in for the config's own keys;
+    with neither, the seed comes from the environment.
+    """
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys(cfg, allowed, "config")
-    return cfg
+    if isinstance(cfg, dict):
+        for key in ("replicates", "seed"):
+            if key in table and getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
+        if "seed" in table and cfg.get("seed") is None:
+            cfg["seed"] = _env_seed()
+    return _build("", build, **_walk(cfg, table, ""))
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
-
-
-@contextmanager
-def _reading_config():
-    """Report a bad config value as a ConfigError.
-
-    Wraps only the turning of a config into inputs: a ValueError raised
-    later by the computation itself is a bug and keeps its traceback.
-    """
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
-
-
-def _positive(cfg: dict, key: str, default=None) -> float:
-    """A config number that must be positive; required when no default."""
-    value = _number(_require(cfg, key) if default is None else cfg.get(key, default),
-                    key)
-    if not value > 0:
-        raise ConfigError(f"{key} must be positive, got {value}")
-    return value
-
-
-def _count(value, key: str, least: int) -> int:
-    """A config integer of at least ``least``; a fraction or bool is refused."""
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and float(value).is_integer() and value >= least):
-        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
-def _number(value, key: str) -> float:
-    """A config number; a string or a bool is refused, not cast."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _numbers(value, key: str, size: int | None = None) -> list:
-    """A config list of numbers, of ``size`` entries when given.
-
-    A string, a bool or a nested list is refused, not split or cast.
-    """
-    if not (isinstance(value, list) and (size is None or len(value) == size)):
-        what = f"a list of {size} numbers" if size else "a list of numbers"
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return [_number(v, key) for v in value]
-
-
-def _replicates(cfg: dict, args, default: int, least: int = 1) -> int:
-    """Replicate count: the --replicates flag, else the config, else default."""
-    n = args.replicates if args.replicates is not None else cfg.get(
-        "replicates", default)
-    return _count(n, "replicates", least)
-
-
-def _parse_law(obj: dict):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ConfigError('lifetime must be an object with a "type" key')
-    kind = obj["type"]
-    if kind in _LAW_KEYS:
-        _check_keys(obj, {"type"} | _LAW_KEYS[kind], "lifetime")
-    if kind == "exponential":
-        return Exponential(rate=_number(obj.get("rate", 1.0), "rate"))
-    if kind == "gamma":
-        return Gamma(shape=_number(_require(obj, "shape"), "shape"),
-                     rate=_number(obj.get("rate", 1.0), "rate"))
-    if kind == "pareto":
-        gamma = _number(_require(obj, "gamma"), "gamma")
-        if "scale" in obj:
-            return ParetoTail(gamma=gamma, scale=_number(obj["scale"], "scale"))
-        return make_pareto_tail(gamma)
-    raise ConfigError(
-        f"unknown lifetime type {kind!r}; expected exponential, gamma or pareto"
-    )
-
-
-def _kernel(cfg: dict) -> StableKernel:
-    return StableKernel(alpha=_number(_require(cfg, "alpha"), "alpha"),
-                        dim=_count(_require(cfg, "dim"), "dim", 1))
-
-
-def _system(cfg: dict) -> tuple:
-    """The migration kernel and lifetime law of a config."""
-    return _kernel(cfg), _parse_law(_require(cfg, "lifetime"))
-
-
-def _parse_phi(obj: dict, dim: int, where: str = "phi") -> TestFunction:
-    _check_keys(obj, _PHI_KEYS, where)
-    phi = TestFunction(
-        shape=obj.get("shape", "bump"),
-        center=np.asarray(_numbers(obj.get("center", [0.0] * dim), f"{where} center")),
-        radius=_number(obj.get("radius", 1.0), f"{where} radius"),
-    )
-    if phi.center.shape != (dim,):
-        raise ConfigError(f"{where} center must have {dim} coordinates")
-    return phi
-
-
-def _parse_ball(obj: dict, dim: int) -> TestFunction:
-    """The occupancy target: the indicator of a closed ball."""
-    _check_keys(obj, _BALL_KEYS, "ball")
-    return _parse_phi({**obj, "shape": "indicator"}, dim, "ball")
-
-
-def _experiment_config(cfg: dict, args) -> ExperimentConfig:
-    kind = _require(cfg, "kind")
+def _experiment(threads, *, alpha, dim, lifetime, phi, ball, **values):
     # the occupancy target is a ball; every other kind reads phi
-    target = "ball" if kind == "occupancy_subcritical" else "phi"
-    _check_keys(cfg, _EXPERIMENT_KEYS - {"phi", "ball"} | {target}, "config")
-    kernel, law = _system(cfg)
-    parse = _parse_ball if target == "ball" else _parse_phi
-    return ExperimentConfig(
-        kind=kind,
-        kernel=kernel,
-        law=law,
-        horizons=tuple(_numbers(_require(cfg, "horizons"), "horizons")),
-        replicates=_replicates(cfg, args, 1000),
-        phi=parse(cfg[target], kernel.dim) if target in cfg else None,
-        half_side=(_number(cfg["half_side"], "half_side")
-                   if cfg.get("half_side") is not None else None),
-        window_scale=_number(cfg.get("window_scale", 1.0), "window_scale"),
-        obs_step=_number(cfg.get("obs_step", 0.5), "obs_step"),
-        seed=_resolve_seed(args.seed, cfg),
-        intensity=_number(cfg.get("intensity", 1.0), "intensity"),
-        threads=args.threads,
-        label=cfg.get("label", ""),
-    )
+    on_ball = values["kind"] == "occupancy_subcritical"
+    if (phi if on_ball else ball) is not None:
+        raise ConfigError(f"config kind {values['kind']!r} takes no "
+                          f"{'phi' if on_ball else 'ball'!r} key")
+    return ExperimentConfig(kernel=StableKernel(alpha, dim), law=lifetime,
+                            phi=ball if on_ball else phi, threads=threads, **values)
+
+
+def _covariance(*, alpha, dim, lifetime, phi, psi, pairs, half_side, **values):
+    pairs = [tuple(pair) for pair in pairs]
+    if not (pairs and all(0 <= s <= t for s, t in pairs)):
+        raise ConfigError("pairs must be a nonempty list of [s, t], 0 <= s <= t")
+    pair_grid(pairs)  # the batch's grid: refuse pairs without a common step
+    psi = phi if psi is None else psi
+    for path, f in (("phi", phi), ("psi", psi)):
+        _build(path, check_inside_window, half_side, f)
+    return dict(kernel=StableKernel(alpha, dim), law=lifetime, phi=phi, psi=psi,
+                pairs=pairs, half_side=half_side, **values)
+
+
+def _renewal(*, lifetime, horizon, grid_step):
+    if grid_step >= horizon:
+        raise ConfigError("grid_step must be smaller than horizon")
+    return dict(law=lifetime, horizon=horizon, grid_step=grid_step)
+
+
+def _density(*, alpha, dim, t, r_max, points):
+    kernel = StableKernel(alpha, dim)
+    r_max = 5.0 * t ** (1.0 / alpha) if r_max is None else r_max
+    return dict(kernel=kernel, t=t, radii=np.linspace(0.0, r_max, points))
+
+
+def _simulate(*, alpha, dim, lifetime, horizon, obs_step, phi, **values):
+    if phi is not None:
+        _build("phi", check_inside_window, values["half_side"], phi)
+    if values["intensity"] < 0:
+        raise ConfigError(f"intensity must be nonnegative, got {values['intensity']}")
+    return dict(kernel=StableKernel(alpha, dim), law=lifetime,
+                obs_times=obs_grid(horizon, obs_step),
+                weights={"phi": phi.evaluate} if phi is not None else {}, **values)
 
 
 def _emit(args, header, records) -> None:
@@ -244,98 +272,47 @@ def _emit(args, header, records) -> None:
 
 
 def cmd_validate(args) -> int:
-    rows = run_validation_suite(_resolve_seed(args.seed, None),
-                                p_two=args.p_two, checks=args.checks,
+    seed = args.seed if args.seed is not None else _env_seed()
+    rows = run_validation_suite(seed, p_two=args.p_two, checks=args.checks,
                                 threads=args.threads)
     write_check_rows(args.out or sys.stdout, rows)
     return 0 if all(r.passed for r in rows) else 1
 
 
 def cmd_lln(args) -> int:
-    with _reading_config():
-        config = _experiment_config(
-            _load_config(args.config, _EXPERIMENT_KEYS), args)
-    rows = run_experiment(config)
+    rows = run_experiment(_load(args, _EXPERIMENT, partial(_experiment, args.threads)))
     write_result_rows(args.out or sys.stdout, rows)
     return 0 if all(r.passed for r in rows) else 1
 
 
 def cmd_covariance(args) -> int:
-    with _reading_config():
-        cfg = _load_config(args.config, _COVARIANCE_KEYS)
-        kernel, law = _system(cfg)
-        phi = _parse_phi(_require(cfg, "phi"), kernel.dim)
-        psi = _parse_phi(cfg["psi"], kernel.dim, "psi") if "psi" in cfg else phi
-        pairs = _require(cfg, "pairs")
-        if isinstance(pairs, list):
-            pairs = [tuple(_numbers(pair, "each of pairs", 2)) for pair in pairs]
-        if not (isinstance(pairs, list) and pairs
-                and all(0 <= s <= t for s, t in pairs)):
-            raise ConfigError("pairs must be a nonempty list of [s, t], 0 <= s <= t")
-        pair_grid(pairs)  # the batch's grid: refuse pairs without a common step
-        half_side = _positive(cfg, "half_side")
-        check_inside_window(half_side, phi, psi)
-        replicates = _replicates(cfg, args, 20_000, least=2)
-        seed = _resolve_seed(args.seed, cfg)
-    rows = run_covariance_comparison(
-        kernel, law, phi, psi, pairs, half_side=half_side,
-        replicates=replicates, seed=seed, threads=args.threads,
-    )
+    rows = run_covariance_comparison(**_load(args, _COVARIANCE, _covariance),
+                                     threads=args.threads)
     header = ("s", "t", "analytic", "mc_estimate", "mc_se", "z", "passed")
     _emit(args, header, [[r[c] for c in header] for r in rows])
     return 0 if all(r["passed"] for r in rows) else 1
 
 
 def cmd_renewal(args) -> int:
-    with _reading_config():
-        cfg = _load_config(args.config, _RENEWAL_KEYS)
-        law = _parse_law(_require(cfg, "lifetime"))
-        horizon = _positive(cfg, "horizon")
-        grid_step = _positive(cfg, "grid_step")
-        if grid_step >= horizon:
-            raise ConfigError("grid_step must be smaller than horizon")
-    table = build_renewal(law, horizon, grid_step)
+    table = build_renewal(**_load(args, _RENEWAL, _renewal))
     _emit(args, ("t", "U"), zip(table.grid.tolist(), table.values.tolist()))
     return 0
 
 
 def cmd_density(args) -> int:
-    with _reading_config():
-        cfg = _load_config(args.config, _DENSITY_KEYS)
-        kernel = _kernel(cfg)
-        t = _positive(cfg, "t")
-        r_max = _positive(cfg, "r_max", 5.0 * t ** (1.0 / kernel.alpha))
-        radii = np.linspace(0.0, r_max, _count(cfg.get("points", 101), "points", 1))
-    dens = transition_density_radial(kernel, t, radii)
-    _emit(args, ("r", "p"), zip(radii.tolist(), dens.tolist()))
+    inputs = _load(args, _DENSITY, _density)
+    dens = transition_density_radial(**inputs)
+    _emit(args, ("r", "p"), zip(inputs["radii"].tolist(), dens.tolist()))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    with _reading_config():
-        cfg = _load_config(args.config, _SIMULATE_KEYS)
-        kernel, law = _system(cfg)
-        obs = obs_grid(_number(_require(cfg, "horizon"), "horizon"),
-                       _number(cfg.get("obs_step", 0.5), "obs_step"))
-        phi = _parse_phi(cfg["phi"], kernel.dim) if "phi" in cfg else None
-        half_side = _positive(cfg, "half_side")
-        if phi is not None:
-            check_inside_window(half_side, phi)
-        intensity = _number(cfg.get("intensity", 1.0), "intensity")
-        if intensity < 0:
-            raise ConfigError(f"intensity must be nonnegative, got {intensity}")
-        replicates = _replicates(cfg, args, 1)
-        seed = _resolve_seed(args.seed, cfg)
-    weights = {"phi": phi.evaluate} if phi is not None else {}
-    batch = field_batch(
-        kernel, law, replicates=replicates, obs_times=obs,
-        half_side=half_side, seed=seed, intensity=intensity, weights=weights,
-        threads=args.threads,
-    )
-    names = ["count", *weights]
+    inputs = _load(args, _SIMULATE, _simulate)
+    batch = field_batch(**inputs, threads=args.threads)
+    names = ["count", *inputs["weights"]]
     records = [[i, tj] + [float(batch.series[n][i, j]) for n in names]
                for i in range(batch.replicates)
-               for j, tj in enumerate(obs.tolist())]
+               for j, tj in enumerate(inputs["obs_times"].tolist())]
     _emit(args, ["replicate", "time", *names], records)
     return 0
 
@@ -402,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _count(args.threads, "--threads", 1)
+        _integer(1)(args.threads, "--threads", None)
+        if args.seed is not None:
+            _SEED(args.seed, "--seed", None)
         if not 0.0 <= getattr(args, "p_two", 0.5) <= 1.0:
             raise ConfigError(f"--p-two must lie in [0, 1], got {args.p_two}")
         return args.func(args)

@@ -14,9 +14,7 @@ release the GIL, so the chunks of a thread pool overlap.
 The output is not a trajectory; it is a set of per-replicate time
 series sum_i w(x_i(t)) for caller-chosen weight functions w, which is
 all the occupation statistics need.  A population-count series is
-always included under the name "count".  The event-driven engine in
-`branching` returns the same `BatchResult` and serves as the reference
-these batches are tested against.
+always included under the name "count".
 
 Replicates are grouped into chunks of even size, each with its own
 stream keyed by (seed, stream key, chunk index).  Chunk sizes depend

@@ -15,7 +15,8 @@ counterparts, less the chunking controls, and return the same
 Replicate i draws from `replicate_stream(seed, i)`.
 
 This engine favours auditability over speed; `fastsim` reproduces the
-same law for the experiment campaigns.
+same law for the experiment campaigns, and this module lives with the
+tests as the independent oracle its batches are checked against.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ import heapq
 
 import numpy as np
 
-from .fastsim import (
+from stablebranch.fastsim import (
     DEFAULT_POPULATION_CAP,
     BatchResult,
     _start_points,
     _wrap,
     replicate_stream,
 )
-from .stable_motion import StableKernel, sample_increments
+from stablebranch.stable_motion import StableKernel, sample_increments
 
 
 class _CapExceeded(Exception):

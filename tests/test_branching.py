@@ -1,6 +1,6 @@
 """Tests for the branching-particle simulators.
 
-The reference engine (branching.py) is an event-driven, per-particle
+The reference engine (`tests/branching.py`) is an event-driven, per-particle
 implementation kept simple enough to audit by eye.  The batch engine
 (fastsim.py) is the vectorised generation-wave implementation used by the
 experiments.  Both return a `BatchResult` from the same arguments; the key
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from branching import simulate_field, simulate_tree
 from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +31,6 @@ from stablebranch import (
     obs_grid,
     replicate_stream,
     semigroup_apply,
-    simulate_field,
-    simulate_tree,
     tree_batch,
 )
 from stablebranch import experiments, fastsim

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -10,9 +12,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stablebranch
 from stablebranch.cli import ENV_SEED, main
+from stablebranch.experiments import EXPERIMENT_KINDS
 
 
 def write_config(tmp_path, name, payload):
@@ -406,6 +411,14 @@ BAD_VALUE_CASES = [
           ("occupancy", OCCUPANCY_CONFIG, ("lifetime", "gamma"), "0.7"),
           ("covariance", COVARIANCE_CONFIG, ("half_side",), "4")]],
     ("density", DENSITY_CONFIG, ("t",), True, "density-t-bool"),
+    # a kind, lifetime type or label of another JSON type is refused by
+    # name (a list used to fail on "unhashable type", and a label was
+    # written into the CSV whatever it was)
+    ("lln", LLN_CONFIG, ("kind",), ["lln_heavy_intermediate"], "lln-kind-list"),
+    ("lln", LLN_CONFIG, ("kind",), 5, "lln-kind-number"),
+    ("lln", LLN_CONFIG, ("lifetime", "type"), ["pareto"], "lln-lifetime.type-list"),
+    ("lln", LLN_CONFIG, ("label",), 5, "lln-label-number"),
+    ("lln", LLN_CONFIG, ("label",), ["a"], "lln-label-list"),
 ]
 
 
@@ -418,6 +431,26 @@ def test_bad_config_values_exit_2(tmp_path, command, config, path, value):
     cfg = write_config(tmp_path, "cfg.json", _with(config, path, value))
     error = _exit_2_error(tmp_path, [command, "--config", cfg])
     assert re.search(rf"\b{path[-1]}\b", error), error
+
+
+def _names_path(error, path):
+    """Whether `error` names each key of `path` in order, as words: the
+    walker writes `phi.center`, a constructor's check `phi: ... center`."""
+    return re.search(r"\b" + r"\b.*\b".join(map(re.escape, path)) + r"\b", error)
+
+
+@pytest.mark.parametrize("command,config,path,value",
+                         [c[:4] for c in BAD_VALUE_CASES],
+                         ids=[c[4] if len(c) > 4 else f"{c[0]}-{'.'.join(c[2])}"
+                              for c in BAD_VALUE_CASES])
+def test_bad_config_values_name_the_full_path(tmp_path, capsys, command, config,
+                                              path, value):
+    """In process: every refusal above names its key with the keys above it
+    (`lifetime.type`, not just `type`, which "unhashable type" also holds)."""
+    cfg = write_config(tmp_path, "cfg.json", _with(config, path, value))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    error = capsys.readouterr().err
+    assert _names_path(error, path), error
 
 
 @pytest.mark.parametrize("pairs", [[[1.0, 1.4142135623730951]], [[0.001, 2.0]]],
@@ -530,6 +563,157 @@ def test_non_finite_config_numbers_exit_2(tmp_path, command, config, path, value
     cfg = write_config(tmp_path, "cfg.json", _with(config, path, value))
     error = _exit_2_error(tmp_path, [command, "--config", cfg])
     assert re.search(rf"(^|\s){re.escape(name)}\b", error), error
+
+
+# ---------------------------------------------------------------------------
+# the null rule
+# ---------------------------------------------------------------------------
+
+# lln with a migration-scaled window instead of a fixed half_side
+LLN_SCALED = {**{k: v for k, v in LLN_CONFIG.items() if k != "half_side"},
+              "window_scale": 2.0}
+NULL_AS_ABSENT_CASES = [
+    ("lln", LLN_SCALED, "half_side"),
+    ("lln", LLN_CONFIG, "seed"),
+    ("density", DENSITY_CONFIG, "r_max"),
+    ("covariance", COVARIANCE_CONFIG, "psi"),
+]
+
+
+@pytest.mark.parametrize("command,config,key", NULL_AS_ABSENT_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in NULL_AS_ABSENT_CASES])
+def test_null_optional_key_reads_as_absent(tmp_path, monkeypatch, command, config,
+                                           key):
+    """An optional key given as null is the key left out: same CSV bytes
+    (r_max and psi given as null used to be refused)."""
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    assert key not in config
+    outputs = []
+    for name, cfg in (("absent", config), ("null", {**config, key: None})):
+        out = tmp_path / f"{name}.csv"
+        path = write_config(tmp_path, f"{name}.json", cfg)
+        assert main([command, "--config", path, "--out", str(out)]) in (0, 1)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command,config,path", [
+    ("lln", LLN_CONFIG, ("alpha",)),
+    ("renewal", RENEWAL_CONFIG, ("lifetime", "type")),
+], ids=["lln-alpha", "renewal-lifetime.type"])
+def test_null_required_key_exit_2(tmp_path, command, config, path):
+    """A required key given as null is refused, naming its path."""
+    cfg = write_config(tmp_path, "cfg.json", _with(config, path, None))
+    error = _exit_2_error(tmp_path, [command, "--config", cfg])
+    assert re.search(rf"\b{re.escape('.'.join(path))}\b", error), error
+
+
+# ---------------------------------------------------------------------------
+# every key has one kind
+# ---------------------------------------------------------------------------
+
+# valid configs that, between them, hold every key of every table
+VALID_CONFIGS = [
+    ("lln", {**LLN_CONFIG, "seed": 3, "label": "run", "intensity": 1.0}),
+    ("lln", {**LLN_SCALED, "lifetime": {"type": "pareto", "gamma": 0.5, "scale": 0.5},
+             "phi": {"shape": "indicator", "center": [0.5], "radius": 0.5}}),
+    ("occupancy", OCCUPANCY_CONFIG),
+    ("covariance", {**COVARIANCE_CONFIG, "seed": 1, "psi": {
+        "shape": "indicator", "center": [0.5], "radius": 0.5}}),
+    ("renewal", {**RENEWAL_CONFIG, "lifetime": {"type": "gamma", "shape": 2.0,
+                                                 "rate": 1.0}}),
+    ("density", {**DENSITY_CONFIG, "r_max": 3.0, "points": 7}),
+    ("simulate", {**SIMULATE_CONFIG, "obs_step": 0.5, "replicates": 2, "seed": 1,
+                  "intensity": 1.0}),
+]
+# numbers outside each numeric key's range; any number is out of range
+# for a key that takes no number
+OUT_OF_RANGE = {
+    "alpha": [0.0, -1.0, 2.5], "dim": [0, -1, 1.5], "rate": [0.0, -1.0],
+    "shape": [0.0, -1.0], "gamma": [0.0, 1.0, 1.5], "scale": [0.0, -1.0],
+    "radius": [0.0, -1.0], "half_side": [0.0, -1.0], "window_scale": [0.0, -1.0],
+    "obs_step": [0.0, -0.5], "horizon": [0.0, -1.0], "grid_step": [0.0, -0.5],
+    "t": [0.0, -1.0], "r_max": [0.0, -1.0], "points": [0, 2.5],
+    "replicates": [0, 1.5], "seed": [-1, 0.5], "intensity": [-1.0],
+}
+# the strings some key accepts
+NAMES = {*EXPERIMENT_KINDS, "exponential", "gamma", "pareto", "bump", "indicator"}
+
+
+def _key_paths(config, prefix=()):
+    for key, value in config.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _key_paths(value, (*prefix, key))
+
+
+@st.composite
+def one_key_of_another_kind(draw):
+    """A valid config with one key, at any depth, given a value of
+    another kind: a string, a bool, a list, an object or a number out of
+    range."""
+    command, config = draw(st.sampled_from(VALID_CONFIGS))
+    path = draw(st.sampled_from(list(_key_paths(config))))
+    value = draw(st.one_of(
+        st.nothing() if path[-1] == "label" else st.text(max_size=6).filter(
+            lambda text: text not in NAMES),
+        st.booleans(),
+        st.lists(st.one_of(st.text(max_size=3), st.booleans()), min_size=1,
+                 max_size=3),
+        st.dictionaries(st.text("xyz", min_size=1, max_size=3), st.integers(),
+                        min_size=1, max_size=2),
+        st.sampled_from(OUT_OF_RANGE.get(path[-1], [0.0, 1.0])),
+    ))
+    return command, _with(config, path, value), path
+
+
+@pytest.mark.parametrize("command,config", VALID_CONFIGS,
+                         ids=[c[0] for c in VALID_CONFIGS])
+def test_schema_configs_run(tmp_path, command, config):
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) in (0, 1)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=one_key_of_another_kind())
+def test_a_key_of_another_kind_is_refused_by_its_path(tmp_path, case):
+    """Exit 2 with one error line that names the key with its path (as
+    `phi.center`, or `phi: ...` for a range its constructor checks)."""
+    command, config, path = case
+    cfg = write_config(tmp_path, "cfg.json", config)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")])
+    err = stderr.getvalue()
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 2 and len(errors) == 1 and "Traceback" not in err, (path, err)
+    assert _names_path(errors[0], path), (path, errors[0])
+
+
+OVERFLOW_CASES = [
+    # literals beyond the double range: 1e400 parses as inf (a renewal
+    # run with it exited 0) and a 401-digit integer cannot become a float
+    ("renewal", '{"lifetime": {"type": "exponential", "rate": 1e400}, '
+                '"horizon": 1.0, "grid_step": 0.01}', "lifetime.rate"),
+    ("density", '{"alpha": 2.0, "dim": 1, "t": 0.5, "points": 1' + "0" * 400 + "}",
+     "points"),
+    # finite numbers whose derived window or grid overflows
+    ("density", '{"alpha": 0.5, "dim": 1, "t": 1e300}', "config"),
+    ("lln", json.dumps({**LLN_CONFIG, "horizons": [1e300], "obs_step": 1e-300}),
+     "config"),
+]
+
+
+@pytest.mark.parametrize("command,text,key", OVERFLOW_CASES,
+                         ids=["renewal-rate", "density-points", "density-r_max",
+                              "lln-obs_step"])
+def test_overflowing_config_numbers_exit_2(tmp_path, capsys, command, text, key):
+    """Each used to end in an OverflowError traceback, or run."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}")
 
 
 @pytest.mark.parametrize("p_two", ["nan", "1.5", "-0.5"])
