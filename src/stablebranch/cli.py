@@ -169,7 +169,7 @@ _EXPERIMENT = {
     "kind": (_STRING, _REQUIRED), **_SYSTEM,
     "phi": (_PHI, None), "ball": (_test_function(_BALL_KEYS), None),
     "horizons": (_list(_NUMBER), _REQUIRED), "replicates": (_integer(1), 1000),
-    "half_side": (_NUMBER, None), "window_scale": (_NUMBER, 1.0),
+    "half_side": (_NUMBER, None), "window_scale": (_NUMBER, None),
     "obs_step": (_NUMBER, 0.5), "intensity": (_NUMBER, 1.0),
     "seed": (_SEED, None), "label": (_STRING, "")}
 _COVARIANCE = {

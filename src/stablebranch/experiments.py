@@ -36,7 +36,7 @@ from .fastsim import (
 from .lifetimes import Exponential, Gamma, LifetimeLaw, make_pareto_tail
 from .moments import classify_regime, field_covariance, tree_second_moment
 from .occupation import TestFunction, check_inside_window, lebesgue_integral
-from .renewal import RenewalTable, build_renewal, elementary_renewal_check
+from .renewal import RenewalTable, build_renewal
 from .stable_motion import (
     StableKernel,
     radial_fourier_inverse,
@@ -69,7 +69,7 @@ class ExperimentConfig:
     replicates: int
     phi: TestFunction | None = None  # occupancy: indicator of the target ball
     half_side: float | None = None
-    window_scale: float = 1.0
+    window_scale: float | None = None  # without half_side: 1 when None
     obs_step: float = 0.5
     seed: int = 0
     intensity: float = 1.0
@@ -95,12 +95,16 @@ class ExperimentConfig:
                 obs_grid(h, self.obs_step)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+        # the occupancy target is a ball, and the CLI reads it as `ball`
+        name = "ball" if self.kind == "occupancy_subcritical" else "phi"
         if self.phi is None:
-            raise ConfigError(f"{self.kind} experiments need a test function phi")
+            raise ConfigError(f"{self.kind} experiments need a test function ({name})")
         if self.half_side is not None and self.half_side <= 0:
             raise ConfigError("half_side must be positive")
-        if self.half_side is None and self.window_scale <= 0:
+        if self.window_scale is not None and self.window_scale <= 0:
             raise ConfigError("window_scale must be positive")
+        if self.half_side is not None and self.window_scale is not None:
+            raise ConfigError("give half_side or window_scale, not both")
         if self.kind == "occupancy_subcritical" and self.phi.shape != "indicator":
             raise ConfigError("occupancy experiments need phi to be the "
                               "indicator of the target ball")
@@ -108,7 +112,7 @@ class ExperimentConfig:
         try:  # the target <phi, Lambda> assumes phi inside every window
             check_inside_window(l_min, self.phi)
         except ValueError as exc:
-            raise ConfigError(f"phi must fit the smallest window: {exc}") from exc
+            raise ConfigError(f"{name} must fit the smallest window: {exc}") from exc
         if self.intensity < 0:
             raise ConfigError("intensity must be nonnegative")
         if not self.label:
@@ -179,7 +183,8 @@ def window_half_side(config: ExperimentConfig, horizon: float) -> float:
     """Window for one horizon: fixed, or the migration-scaled default."""
     if config.half_side is not None:
         return config.half_side
-    return config.window_scale * horizon ** (1.0 / config.kernel.alpha)
+    scale = 1.0 if config.window_scale is None else config.window_scale
+    return scale * horizon ** (1.0 / config.kernel.alpha)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -191,7 +196,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     horizon share one pool of ``config.threads`` workers (`run_plans`).
 
     * LLN kinds and ``mean_identity``: the series is <phi, X_t>, so the
-      average is T^{-1} <phi, J_T> and the target is <phi, Lambda>.
+      average is T^{-1} <phi, J_T> and the target is <phi, Lambda>, the
+      intensity times the integral of phi.
       Each row passes on |z| <= 3 and carries the replicate variance,
       which feeds the decay-slope diagnostics.
     * ``occupancy_subcritical``: the series is the indicator that the
@@ -203,7 +209,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     check_regime(config.kind, config.kernel, config.law)
     phi = config.phi
     occupancy = config.kind == "occupancy_subcritical"
-    target = 0.0 if occupancy else lebesgue_integral(phi)
+    target = 0.0 if occupancy else config.intensity * lebesgue_integral(phi)
     plans = [field_plan(
         config.kernel, config.law, replicates=config.replicates,
         obs_times=obs_grid(horizon, config.obs_step),
@@ -424,8 +430,10 @@ def _check_renewal_heavy_tail(seed, p_two, threads):
 
 
 def _check_elementary_renewal(seed, p_two, threads):
-    ratio, limit, rel = elementary_renewal_check(Gamma(shape=2.0, rate=2.0),
-                                                 200.0, grid_step=0.02)
+    law = Gamma(shape=2.0, rate=2.0)
+    table = build_renewal(law, 200.0, 0.02)
+    ratio, limit = table.values[-1] / table.horizon, 1.0 / law.mean()
+    rel = abs(ratio - limit) / limit
     return limit, ratio, rel / 0.05, "rel error < 5%", rel < 0.05
 
 

@@ -13,14 +13,14 @@ system in U_1..U_N,
     (1 - dF_1/2) U_n - sum_{m=1..n-1} c_{n-m} U_m = 1 + dF_n/2,
     c_j = (dF_j + dF_{j+1})/2,
 
-solved by divide and conquer (Hairer, Lubich & Schlichte 1985): solve
-the earlier half, add its convolution with c to the later half's right
-side by one FFT, then solve the later half.  Unrolled, this walks leaves
-of 256 points in order, and each completed aligned block of 2^k leaves
-passes its convolution on to the next block of the same size.  The
-leaves all share one lower-triangular Toeplitz matrix, whose inverse is
-again lower-triangular Toeplitz, so each leaf is one matrix-vector
-product.  The whole solve costs O(N log^2 N).
+a power-series division: with a = (1 - dF_1/2) - sum_j c_j x^j and rhs
+the series of right sides, the coefficients of u = rhs / a are U_1..U_N.
+Newton's iteration for the reciprocal (Kung 1974; Brent & Kung 1978)
+doubles the order of g = 1/a with two FFT products a step, until g has
+k >= N/2 terms.  Then u = g rhs to order k is one more product,
+and the remaining coefficients of u are g times the residual rhs - a u,
+two more.  The solve costs O(N log N), and every FFT width is a power of
+two.
 
 Integrals against the renewal measure, taken by the moment formulas from
 differences of tabulated values, exclude the atom at zero; that keeps
@@ -55,51 +55,29 @@ class RenewalTable:
         return np.interp(r, self.grid, self.values)
 
 
-_LEAF = 256  # largest block solved directly by the shared inverse
-
-
 def _solve_renewal(cdf_vals: np.ndarray) -> np.ndarray:
-    """U on the grid of `cdf_vals` from the Toeplitz system above."""
+    """U on the grid of `cdf_vals`: the power series rhs / a above."""
     dF = np.diff(cdf_vals)
     n = len(dF)
-    c = np.zeros(n)
-    c[1:] = (dF[:-1] + dF[1:]) / 2.0
-    denom = 1.0 - dF[0] / 2.0
+    a = np.concatenate(([1.0 - dF[0] / 2.0], -(dF[:-1] + dF[1:]) / 2.0))
     rhs = 1.0 + dF / 2.0
-    # first column of the leaf inverse: the power series 1/(denom - sum c_j x^j)
-    # to order `leaf`, by Newton steps that double the order
-    leaf = min(_LEAF, n)
-    a = -c[:leaf]
-    a[0] = denom
-    g = np.array([1.0 / denom])
-    while len(g) < leaf:
-        m = min(2 * len(g), leaf)
-        e = -np.convolve(a[:m], g)[:m]
-        e[0] += 2.0
-        g = np.convolve(g, e)[:m]
-    # row i of the lower-triangular Toeplitz inverse is g[i], ..., g[0], 0, ...
-    padded = np.concatenate((g[::-1], np.zeros(leaf - 1)))
-    inv = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, leaf)[::-1])
-    c_hat = {}  # rfft of c per transform width
-    u = np.empty(n)
-    for start in range(0, n, leaf):
-        stop = min(start + leaf, n)
-        u[start:stop] = inv[: stop - start, : stop - start] @ rhs[start:stop]
-        if stop == n:
-            break
-        # the largest aligned block ending here (leaf times the lowest set
-        # bit of the leaf count) passes its convolution with c on to the
-        # next block of the same size; a circular width of twice the block
-        # does not wrap onto those outputs
-        blocks = stop // leaf
-        half = leaf * (blocks & -blocks)
-        width = 2 * half
-        if width not in c_hat:
-            c_hat[width] = np.fft.rfft(c[:width], width)
-        conv = np.fft.irfft(np.fft.rfft(u[stop - half : stop], width) * c_hat[width], width)
-        nxt = min(stop + half, n)
-        rhs[stop:nxt] += conv[half : half + nxt - stop]
-    return np.concatenate(([1.0], u))
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    # g = 1/a to order k, doubled until 2k >= n: if a g = 1 + x^k h, then
+    # 1/a = g - x^k g h to order 2k, and at width 2k both products wrap only
+    # onto coefficients below k, which are not read
+    g = np.array([1.0 / a[0]])
+    while 2 * len(g) < n:
+        k, w = len(g), 2 * len(g)
+        g_hat = rfft(g, w)
+        h = irfft(rfft(a[:w]) * g_hat, w)[k:]
+        g = np.concatenate((g, -irfft(rfft(h, w) * g_hat, w)[:k]))
+    # u = g rhs to order k; its last n - k <= k coefficients are g times the
+    # residual rhs - a u of the first k
+    k, w = len(g), 2 * len(g)
+    g_hat = rfft(g, w)
+    u = irfft(rfft(rhs[:k], w) * g_hat, w)[:k]
+    resid = rhs[k:] - irfft(rfft(a, w) * rfft(u, w), w)[k:n]
+    return np.concatenate(([1.0], u, irfft(rfft(resid, w) * g_hat, w)[: n - k]))
 
 
 def build_renewal(law, horizon: float, grid_step: float) -> RenewalTable:
@@ -131,19 +109,3 @@ def build_renewal(law, horizon: float, grid_step: float) -> RenewalTable:
                 stacklevel=2,
             )
     return RenewalTable(grid=grid, values=u, error_estimate=err)
-
-
-def elementary_renewal_check(law, horizon: float, grid_step: float | None = None):
-    """Compare U(horizon)/horizon with 1/mean for a finite-mean law.
-
-    Returns (ratio, inverse_mean, relative_gap).
-    """
-    mu = law.mean()
-    if not np.isfinite(mu):
-        raise ValueError("the elementary renewal theorem needs a finite mean")
-    if grid_step is None:
-        grid_step = min(0.05, horizon / 2000.0)
-    table = build_renewal(law, horizon, grid_step)
-    ratio = table.values[-1] / table.horizon
-    target = 1.0 / mu
-    return ratio, target, abs(ratio - target) / target

@@ -144,6 +144,21 @@ def test_lln_replicates_flag_overrides_config(tmp_path):
     assert text.splitlines()[1].split(",")[3] == "50"
 
 
+def test_lln_target_is_intensity_times_integral(tmp_path):
+    """The mean measure is intensity x Lebesgue, so at intensity 2 the
+    target is 2 * integral(phi) (it was integral(phi): z near 20, exit 1)."""
+    config = {**LLN_CONFIG, "half_side": 4.0, "horizons": [2.0, 4.0],
+              "intensity": 2.0, "seed": 1}
+    code, text = run_lln(tmp_path, "intensity", config=config)
+    assert code == 0
+    phi = stablebranch.TestFunction("bump", [0.0], 1.0)
+    rows = list(csv.DictReader(text.splitlines()))
+    assert len(rows) == 2
+    for row in rows:
+        assert float(row["target"]) == pytest.approx(
+            2.0 * stablebranch.lebesgue_integral(phi), rel=1e-12)
+
+
 def test_lln_regime_gate_maps_to_exit_2(tmp_path, capsys):
     bad = {**LLN_CONFIG, "kind": "lln_finite_mean"}  # d=1 < alpha=2
     cfg = write_config(tmp_path, "bad.json", bad)
@@ -419,6 +434,15 @@ BAD_VALUE_CASES = [
     ("lln", LLN_CONFIG, ("lifetime", "type"), ["pareto"], "lln-lifetime.type-list"),
     ("lln", LLN_CONFIG, ("label",), 5, "lln-label-number"),
     ("lln", LLN_CONFIG, ("label",), ["a"], "lln-label-list"),
+    # window_scale is checked beside a half_side too, and the two together
+    # are refused (a half_side used to hide either)
+    ("lln", LLN_CONFIG, ("window_scale",), -1.0),
+    ("lln", LLN_CONFIG, ("window_scale",), 0.0, "lln-window_scale-zero"),
+    ("lln", LLN_CONFIG, ("window_scale",), 1.0, "lln-window_scale-with-half_side"),
+    # the occupancy target is named `ball`, the key it is read from
+    ("occupancy", OCCUPANCY_CONFIG, ("ball",), None, "occupancy-ball-missing"),
+    ("occupancy", OCCUPANCY_CONFIG, ("ball", "radius"), 2.5,
+     "occupancy-ball-outside-window"),
 ]
 
 

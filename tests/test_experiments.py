@@ -234,7 +234,7 @@ def test_lln_runner_enforces_regime_gate():
 def test_zero_intensity_field_is_empty():
     rows = run_experiment(_config(intensity=0.0, horizons=(1.0,)))
     assert rows[0].mean == 0.0 and rows[0].se == 0.0
-    assert not rows[0].passed  # infinitely many SE from a positive target
+    assert rows[0].target == 0.0 and rows[0].passed  # intensity times the integral
 
 
 def test_fit_decay_slope_recovers_power_law():
