@@ -12,15 +12,13 @@ from .experiments import (
     ResultRow,
     run_experiment,
     run_validation_suite,
-    write_check_rows,
-    write_result_rows,
+    write_table,
 )
 from .fastsim import BatchResult, field_batch, obs_grid, replicate_stream, tree_batch
 from .lifetimes import Exponential, Gamma, ParetoTail, make_pareto_tail
 from .moments import (
     decay_exponent_prediction,
     field_covariance,
-    occupation_mean,
     occupation_variance,
     pair_correlation,
     tree_second_moment,
@@ -57,7 +55,6 @@ __all__ = [
     "lebesgue_integral",
     "make_pareto_tail",
     "obs_grid",
-    "occupation_mean",
     "occupation_variance",
     "pair_correlation",
     "radial_fourier_inverse",
@@ -69,6 +66,5 @@ __all__ = [
     "transition_density_radial",
     "tree_batch",
     "tree_second_moment",
-    "write_check_rows",
-    "write_result_rows",
+    "write_table",
 ]

@@ -1,15 +1,14 @@
 """Command-line front end.
 
-Subcommands map onto the library layers: ``validate`` runs the
-self-check battery, ``lln`` and ``occupancy`` run regime-gated horizon
-ladders, ``covariance`` compares analytic second moments against Monte
-Carlo, ``renewal`` and ``density`` tabulate the numerical kernels, and
-``simulate`` dumps raw observation series.
-
-Every command writes CSV to ``--out`` (or stdout) and returns exit code
-0 on success, 1 when a statistical check or experiment row fails, and 2
-on a configuration error, among them a configuration whose numerical
-integral cannot meet its tolerance (QuadratureError).
+One table, ``_COMMANDS``, gives each subcommand its help, config table,
+builder and runner, and the parser and `main` read it.  ``validate``
+runs the self-check battery, ``lln`` and ``occupancy`` horizon ladders,
+``covariance`` compares analytic second moments with Monte Carlo,
+``renewal`` and ``density`` tabulate the numerical kernels, and
+``simulate`` dumps raw observation series.  Each writes CSV to ``--out``
+(or stdout); exit code 0 is success, 1 a failed check or experiment
+row, and 2 a configuration error, among them a configuration whose
+numerical integral cannot meet its tolerance (QuadratureError).
 
 A subcommand's JSON config is read against one table, and so is each
 nested object: the lifetime (one table per ``type``), ``phi``, ``psi``
@@ -22,9 +21,12 @@ required one is refused.  Range checks made by the library constructors
 stay theirs, and a ValueError from one is reported against the path of
 the object it builds.  Seeds resolve as: ``--seed`` flag, then the
 config file, then the ``STABLEBRANCH_SEED`` environment variable, then
-0; each must be an integer >= 0.  ``--threads`` must be at least 1,
-``--p-two`` lie in [0, 1], and every config number be finite (no NaN,
-Infinity, or a literal such as 1e400 that overflows a double).
+0; each must be an integer >= 0.  ``--seed`` and ``--threads`` are taken
+by ``validate`` and each subcommand whose table has ``seed``,
+``--config`` with a table, ``--replicates`` with a table that has it.
+``--threads`` must be at least 1, ``--p-two`` lie in [0, 1], and every
+config number be finite (no NaN, Infinity, or a literal such as 1e400
+that overflows a double).
 """
 
 from __future__ import annotations
@@ -33,20 +35,20 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from dataclasses import astuple
 
 import numpy as np
 
 from .errors import ConfigError, QuadratureError, RegimeError
 from .experiments import (
+    CHECK_COLUMNS,
+    RESULT_COLUMNS,
     ExperimentConfig,
     pair_grid,
     run_covariance_comparison,
     run_experiment,
     run_validation_suite,
-    write_check_rows,
-    write_result_rows,
-    _write_table,
+    write_table,
 )
 from .fastsim import field_batch, obs_grid
 from .lifetimes import Exponential, Gamma, ParetoTail, make_pareto_tail
@@ -214,22 +216,22 @@ def _load(args, table: dict, build):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if isinstance(cfg, dict):
-        for key in ("replicates", "seed"):
-            if key in table and getattr(args, key, None) is not None:
+        for key in ("replicates", "seed"):  # the parser follows the table
+            if getattr(args, key, None) is not None:
                 cfg[key] = getattr(args, key)
         if "seed" in table and cfg.get("seed") is None:
             cfg["seed"] = _env_seed()
     return _build("", build, **_walk(cfg, table, ""))
 
 
-def _experiment(threads, *, alpha, dim, lifetime, phi, ball, **values):
+def _experiment(*, alpha, dim, lifetime, phi, ball, **values):
     # the occupancy target is a ball; every other kind reads phi
     on_ball = values["kind"] == "occupancy_subcritical"
     if (phi if on_ball else ball) is not None:
         raise ConfigError(f"config kind {values['kind']!r} takes no "
                           f"{'phi' if on_ball else 'ball'!r} key")
     return ExperimentConfig(kernel=StableKernel(alpha, dim), law=lifetime,
-                            phi=ball if on_ball else phi, threads=threads, **values)
+                            phi=ball if on_ball else phi, **values)
 
 
 def _covariance(*, alpha, dim, lifetime, phi, psi, pairs, half_side, **values):
@@ -266,55 +268,54 @@ def _simulate(*, alpha, dim, lifetime, horizon, obs_step, phi, **values):
                 weights={"phi": phi.evaluate} if phi is not None else {}, **values)
 
 
-def _emit(args, header, records) -> None:
-    """Write a CSV table to --out, or to stdout."""
-    _write_table(args.out or sys.stdout, header, records)
+def _run_validate(_, args):
+    rows = run_validation_suite(_env_seed() if args.seed is None else args.seed,
+                                p_two=args.p_two, checks=args.checks, threads=args.threads)
+    return CHECK_COLUMNS, [astuple(r) for r in rows], all(r.passed for r in rows)
 
 
-def cmd_validate(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
-    rows = run_validation_suite(seed, p_two=args.p_two, checks=args.checks,
-                                threads=args.threads)
-    write_check_rows(args.out or sys.stdout, rows)
-    return 0 if all(r.passed for r in rows) else 1
+def _run_ladder(config, args):
+    rows = run_experiment(config, threads=args.threads)
+    return RESULT_COLUMNS, [astuple(r) for r in rows], all(r.passed for r in rows)
 
 
-def cmd_lln(args) -> int:
-    rows = run_experiment(_load(args, _EXPERIMENT, partial(_experiment, args.threads)))
-    write_result_rows(args.out or sys.stdout, rows)
-    return 0 if all(r.passed for r in rows) else 1
-
-
-def cmd_covariance(args) -> int:
-    rows = run_covariance_comparison(**_load(args, _COVARIANCE, _covariance),
-                                     threads=args.threads)
+def _run_covariance(inputs, args):
+    rows = run_covariance_comparison(**inputs, threads=args.threads)
     header = ("s", "t", "analytic", "mc_estimate", "mc_se", "z", "passed")
-    _emit(args, header, [[r[c] for c in header] for r in rows])
-    return 0 if all(r["passed"] for r in rows) else 1
+    return header, [[r[c] for c in header] for r in rows], all(r["passed"] for r in rows)
 
 
-def cmd_renewal(args) -> int:
-    table = build_renewal(**_load(args, _RENEWAL, _renewal))
-    _emit(args, ("t", "U"), zip(table.grid.tolist(), table.values.tolist()))
-    return 0
+def _run_renewal(inputs, args):
+    table = build_renewal(**inputs)
+    return ("t", "U"), zip(table.grid.tolist(), table.values.tolist()), True
 
 
-def cmd_density(args) -> int:
-    inputs = _load(args, _DENSITY, _density)
+def _run_density(inputs, args):
     dens = transition_density_radial(**inputs)
-    _emit(args, ("r", "p"), zip(inputs["radii"].tolist(), dens.tolist()))
-    return 0
+    return ("r", "p"), zip(inputs["radii"].tolist(), dens.tolist()), True
 
 
-def cmd_simulate(args) -> int:
-    inputs = _load(args, _SIMULATE, _simulate)
+def _run_simulate(inputs, args):
     batch = field_batch(**inputs, threads=args.threads)
     names = ["count", *inputs["weights"]]
     records = [[i, tj] + [float(batch.series[n][i, j]) for n in names]
                for i in range(batch.replicates)
                for j, tj in enumerate(inputs["obs_times"].tolist())]
-    _emit(args, ["replicate", "time", *names], records)
-    return 0
+    return ["replicate", "time", *names], records, True
+
+
+# subcommand -> (help, config table or None, builder, runner); a runner maps
+# the built config (None for validate) and the flags to (header, records, passed)
+_COMMANDS = {
+    "validate": ("run the statistical self-check suite", None, None, _run_validate),
+    "lln": ("rescaled occupation-time ladder", _EXPERIMENT, _experiment, _run_ladder),
+    "occupancy": ("ball occupancy-fraction ladder", _EXPERIMENT, _experiment, _run_ladder),
+    "covariance": ("analytic vs Monte Carlo covariance", _COVARIANCE, _covariance,
+                   _run_covariance),
+    "renewal": ("tabulate a renewal function", _RENEWAL, _renewal, _run_renewal),
+    "density": ("tabulate a stable transition density", _DENSITY, _density, _run_density),
+    "simulate": ("dump raw observation series", _SIMULATE, _simulate, _run_simulate),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,67 +325,43 @@ def build_parser() -> argparse.ArgumentParser:
                     "particle systems with stable migration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, config_required=False):
-        if config_required:
-            p.add_argument("--config", required=True,
-                           help="path to a JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (overrides config and environment)")
-        p.add_argument("--out", default=None,
-                       help="CSV output path (default: stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for simulation chunks")
-
-    p = sub.add_parser("validate", help="run the statistical self-check suite")
-    common(p)
+    for name, (help_text, table, _, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        draws = table is None or "seed" in table  # it takes --seed, --threads
+        if table is not None:
+            p.add_argument("--config", required=True, help="path to a JSON config file")
+        if draws:
+            p.add_argument("--seed", type=int, default=None,
+                           help="RNG seed (overrides config and environment)")
+        p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
+        if draws:
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads for simulation chunks")
+        if table is not None and "replicates" in table:
+            p.add_argument("--replicates", type=int, default=None)
+    p = sub.choices["validate"]
     p.add_argument("--checks", default=None,
                    type=lambda v: [c for c in v.split(",") if c],
                    help="comma-separated check names (default: all)")
     p.add_argument("--p-two", type=float, default=0.5, dest="p_two",
                    help="binary-split probability (fault injection when != 0.5)")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("lln", help="rescaled occupation-time ladder")
-    common(p, config_required=True)
-    p.add_argument("--replicates", type=int, default=None)
-    p.set_defaults(func=cmd_lln)
-
-    p = sub.add_parser("occupancy", help="ball occupancy-fraction ladder")
-    common(p, config_required=True)
-    p.add_argument("--replicates", type=int, default=None)
-    p.set_defaults(func=cmd_lln)  # same flow; the config kind picks the target
-
-    p = sub.add_parser("covariance", help="analytic vs Monte Carlo covariance")
-    common(p, config_required=True)
-    p.add_argument("--replicates", type=int, default=None)
-    p.set_defaults(func=cmd_covariance)
-
-    p = sub.add_parser("renewal", help="tabulate a renewal function")
-    common(p, config_required=True)
-    p.set_defaults(func=cmd_renewal)
-
-    p = sub.add_parser("density", help="tabulate a stable transition density")
-    common(p, config_required=True)
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("simulate", help="dump raw observation series")
-    common(p, config_required=True)
-    p.add_argument("--replicates", type=int, default=None)
-    p.set_defaults(func=cmd_simulate)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, table, build, run = _COMMANDS[args.command]
     try:
-        _integer(1)(args.threads, "--threads", None)
-        if args.seed is not None:
+        if "threads" in args:
+            _integer(1)(args.threads, "--threads", None)
+        if getattr(args, "seed", None) is not None:
             _SEED(args.seed, "--seed", None)
         if not 0.0 <= getattr(args, "p_two", 0.5) <= 1.0:
             raise ConfigError(f"--p-two must lie in [0, 1], got {args.p_two}")
-        return args.func(args)
+        inputs = None if table is None else _load(args, table, build)
+        header, records, passed = run(inputs, args)
+        write_table(args.out or sys.stdout, header, records)
+        return 0 if passed else 1
     except (ConfigError, QuadratureError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

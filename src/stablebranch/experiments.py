@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class ExperimentConfig:
     obs_step: float = 0.5
     seed: int = 0
     intensity: float = 1.0
-    threads: int = 1
     label: str = ""
 
     def __post_init__(self):
@@ -187,13 +186,13 @@ def window_half_side(config: ExperimentConfig, horizon: float) -> float:
     return scale * horizon ** (1.0 / config.kernel.alpha)
 
 
-def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
+def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> list[ResultRow]:
     """Time average of <phi, X_t> per horizon, one row per horizon.
 
     For each horizon T: simulate the field, integrate each replicate's
     series over the observation grid by trapezoid, divide by T, and
     report the mean against the kind's target.  The chunks of every
-    horizon share one pool of ``config.threads`` workers (`run_plans`).
+    horizon share one pool of `threads` workers (`run_plans`).
 
     * LLN kinds and ``mean_identity``: the series is <phi, X_t>, so the
       average is T^{-1} <phi, J_T> and the target is <phi, Lambda>, the
@@ -218,7 +217,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         stream_key=ti + 1,
     ) for ti, horizon in enumerate(config.horizons)]
     rows = []
-    for horizon, batch in zip(config.horizons, run_plans(plans, config.threads)):
+    for horizon, batch in zip(config.horizons, run_plans(plans, threads)):
         obs = batch.obs_times
         series = batch.ok("phi")
         if occupancy:
@@ -576,22 +575,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(target, header, records) -> None:
-    if hasattr(target, "write"):
-        writer = csv.writer(target)
-        writer.writerow(header)
-        for rec in records:
-            writer.writerow([_fmt(v) for v in rec])
-        return
-    with open(target, "w", newline="", encoding="utf-8") as fh:
-        _write_table(fh, header, records)
-
-
-def write_result_rows(target, rows: list) -> None:
-    """Result rows as RFC-4180-style CSV (path or writable object)."""
-    _write_table(target, RESULT_COLUMNS, [astuple(r) for r in rows])
-
-
-def write_check_rows(target, rows: list) -> None:
-    """Check rows as RFC-4180-style CSV (path or writable object)."""
-    _write_table(target, CHECK_COLUMNS, [astuple(r) for r in rows])
+def write_table(target, header, records) -> None:
+    """A header and records as RFC-4180-style CSV (path or writable object)."""
+    if not hasattr(target, "write"):
+        with open(target, "w", newline="", encoding="utf-8") as fh:
+            return write_table(fh, header, records)
+    writer = csv.writer(target)
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in rec] for rec in records)

@@ -422,8 +422,14 @@ def field_plan(kernel: StableKernel, law, *, replicates: int, obs_times,
     receives are a view of a wave's buffer, valid only during the call:
     a weight that keeps them must copy them.  Chunk ci draws from
     `replicate_stream(seed, stream_key, ci)`, so batches with distinct
-    `stream_key`s in [0, 2^32) share one seed without overlap.
+    `stream_key`s in [0, 2^32) share one seed without overlap.  A
+    `half_side` that is not positive and finite, or an `intensity` that
+    is not nonnegative and finite, raises ValueError before any draw.
     """
+    if not 0.0 < half_side < np.inf:
+        raise ValueError(f"half_side must be positive and finite, got {half_side}")
+    if not 0.0 <= intensity < np.inf:
+        raise ValueError(f"intensity must be nonnegative and finite, got {intensity}")
     d = kernel.dim
     mean_n0 = intensity * (2.0 * half_side) ** d
 

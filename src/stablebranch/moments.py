@@ -57,13 +57,6 @@ _TAIL_TOL = 1e-6  # share of G a cut may leave in its last panel or shell
 _SERIES_MAX_TERMS = 1 << 20
 
 
-def occupation_mean(phi: TestFunction, t: float) -> float:
-    """E<phi, J_t> = <phi, Lambda> * t, exact under criticality."""
-    if not t >= 0.0:
-        raise ValueError("t must be nonnegative")
-    return lebesgue_integral(phi) * t
-
-
 def _check_count(value, name: str, least: int) -> int:
     """A grid size: an integer >= ``least``, else ValueError naming it."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
@@ -131,13 +124,17 @@ def pair_correlation(kernel: StableKernel, phi: TestFunction, psi: TestFunction,
     QuadratureError naming the lag if the last 24th of its cut or its
     outer lattice shell carries over 1e-6 of G; a node set or table too
     large for the smallest lag also raises, naming that lag.  A negative
-    or non-finite lag raises ValueError.  At u = 0 both are Int phi psi.
+    or non-finite lag, or a phi or psi of another dimension than the
+    kernel, raises ValueError.  At u = 0 both are Int phi psi.
     """
     lags = np.asarray(u, dtype=float)
     if lags.ndim > 1:
         raise ValueError("time lags must be a number or a 1-D array")
     if not np.all((lags >= 0.0) & (lags < np.inf)):
         raise ValueError("time lags must be finite and nonnegative")
+    if phi.dim != kernel.dim or psi.dim != kernel.dim:
+        raise ValueError(f"phi and psi must have the kernel's dim {kernel.dim}, "
+                         f"got {phi.dim} and {psi.dim}")
     if torus_half_side is not None:
         check_inside_window(torus_half_side, phi, psi)
     d = kernel.dim

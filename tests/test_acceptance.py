@@ -4,7 +4,7 @@ Each test emits a single PASS/FAIL line (replayed in the terminal
 summary after the run) and asserts it.  Replicate counts, windows, and
 seeds are frozen; every Monte Carlo budget was sized so the statistical
 margins are comfortable (trend and slope checks sit at 4-6 SE), making
-the frozen-seed outcomes stable.  The four longest configs run on two
+the frozen-seed outcomes stable.  The ladders of criteria 1-3 run on two
 threads, which changes no output byte (chunk streams do not depend on the
 thread count); the module takes a couple of minutes.
 
@@ -23,6 +23,7 @@ Criteria:
 
 import io
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -43,9 +44,10 @@ from stablebranch import (
     run_validation_suite,
     sample_increments,
     transition_density_radial,
-    write_result_rows,
+    write_table,
 )
 from stablebranch.experiments import (
+    RESULT_COLUMNS,
     fit_decay_slope,
     run_covariance_comparison,
     run_tree_moment_comparison,
@@ -75,8 +77,7 @@ MEAN_IDENTITY_CONFIGS = [
     ExperimentConfig(
         kind="mean_identity", kernel=StableKernel(alpha=2.0, dim=3), law=EXP1,
         horizons=(25.0, 50.0, 100.0), replicates=2000, phi=bump(3),
-        half_side=3.0, obs_step=1.0, seed=101, threads=2,
-        label="mean-d3-a2-exp"),
+        half_side=3.0, obs_step=1.0, seed=101, label="mean-d3-a2-exp"),
     # heavy-tail intermediate regime: d=1, alpha=1.5, gamma=0.5
     ExperimentConfig(
         kind="lln_heavy_intermediate", kernel=StableKernel(alpha=1.5, dim=1),
@@ -96,7 +97,7 @@ MEAN_IDENTITY_CONFIGS = [
 @pytest.mark.parametrize("config", MEAN_IDENTITY_CONFIGS,
                          ids=lambda c: c.label)
 def test_criterion_1_mean_identity(config):
-    rows = run_experiment(config)
+    rows = run_experiment(config, threads=2)
     zs = [round(r.z, 2) for r in rows]
     ok = all(abs(r.z) <= 3.0 for r in rows) and all(
         r.replicates >= 2000 - r.aborted for r in rows)
@@ -110,7 +111,7 @@ def test_criterion_1_mean_identity(config):
 
 
 def _criterion_2(config, predicted):
-    rows = run_experiment(config)
+    rows = run_experiment(config, threads=2)
     variances = [r.variance for r in rows]
     decreasing = all(a > b for a, b in zip(variances[:-1], variances[1:]))
     slope = fit_decay_slope(rows)
@@ -127,7 +128,7 @@ def test_criterion_2_heavy_tail_concentration():
         kind="lln_heavy_intermediate", kernel=StableKernel(alpha=1.5, dim=1),
         law=make_pareto_tail(0.5), horizons=(25.0, 50.0, 100.0, 200.0),
         replicates=4000, phi=bump(1), window_scale=2.0, obs_step=0.5,
-        seed=201, threads=2, label="decay-d1-a15-g05")
+        seed=201, label="decay-d1-a15-g05")
     _criterion_2(config, -1.0 / 6.0)
 
 
@@ -136,7 +137,7 @@ def test_criterion_2_finite_mean_concentration():
     config = ExperimentConfig(
         kind="lln_finite_mean", kernel=StableKernel(alpha=2.0, dim=3),
         law=EXP1, horizons=(25.0, 50.0, 100.0, 200.0), replicates=500,
-        phi=bump(3), window_scale=0.4, obs_step=1.0, seed=202, threads=2,
+        phi=bump(3), window_scale=0.4, obs_step=1.0, seed=202,
         label="decay-d3-a2-exp")
     _criterion_2(config, -0.5)
 
@@ -152,8 +153,8 @@ def test_criterion_3_occupancy_vanishes():
         law=make_pareto_tail(0.7), horizons=(50.0, 800.0), replicates=1500,
         phi=TestFunction(shape="indicator", center=np.zeros(1), radius=1.0),
         window_scale=1.0,
-        obs_step=0.5, seed=301, threads=2, label="occupancy-d1-a2-g07")
-    rows = run_experiment(config)
+        obs_step=0.5, seed=301, label="occupancy-d1-a2-g07")
+    rows = run_experiment(config, threads=2)
     first, last = rows[0], rows[-1]
     sep_se = math.hypot(first.se, last.se)
     n_se = (first.mean - last.mean) / sep_se if sep_se > 0 else math.inf
@@ -297,7 +298,7 @@ def test_criterion_7_determinism():
     outputs = []
     for _ in range(2):
         buf = io.StringIO()
-        write_result_rows(buf, run_experiment(config))
+        write_table(buf, RESULT_COLUMNS, [astuple(r) for r in run_experiment(config)])
         outputs.append(buf.getvalue())
     ok = outputs[0] == outputs[1] and len(outputs[0]) > 0
     report("criterion 7 (determinism)", ok,

@@ -285,6 +285,23 @@ def test_batches_refuse_non_arithmetic_grids_before_drawing(monkeypatch, obs):
         tree_batch(KERNEL_1D, EXP1, np.zeros((4, 1)), obs_times=obs, seed=0)
 
 
+@pytest.mark.parametrize("arg,value", [
+    ("half_side", 0.0), ("half_side", -1.0), ("half_side", np.inf),
+    ("half_side", np.nan), ("intensity", -1.0), ("intensity", np.inf),
+    ("intensity", np.nan)])
+def test_field_batch_refuses_bad_window_or_intensity_before_drawing(monkeypatch,
+                                                                    arg, value):
+    """half_side = 0 used to run and return empty series, and a negative
+    window or intensity failed inside a chunk with numpy's message."""
+    def no_stream(*args):
+        raise AssertionError("a stream was drawn from")
+
+    monkeypatch.setattr(fastsim, "replicate_stream", no_stream)
+    with pytest.raises(ValueError, match=arg):
+        field_batch(KERNEL_1D, EXP1, replicates=4, obs_times=[0.0, 1.0], seed=0,
+                    **{"half_side": 2.0, "intensity": 1.0, arg: value})
+
+
 def _assert_same_batch(a, b):
     assert a.series.keys() == b.series.keys()
     for name in a.series:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stablebranch
-from stablebranch.cli import ENV_SEED, main
+from stablebranch.cli import _COMMANDS, ENV_SEED, build_parser, main
 from stablebranch.experiments import EXPERIMENT_KINDS
 
 
@@ -565,6 +565,53 @@ def test_threads_below_one_exit_2(tmp_path, threads):
                                      "self_similarity,poisson_counts",
                                      "--threads", threads])
     assert "--threads" in error, error
+
+
+def _parses(parser, argv):
+    """Whether `parser` accepts `argv`; a refusal is argparse's exit 2."""
+    try:
+        parser.parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return False
+    return True
+
+
+def test_parser_follows_the_command_table(capsys):
+    """Each subcommand requires --config exactly when it has a config
+    table, takes --replicates exactly when that table has the key, and
+    takes --seed and --threads exactly when it draws random numbers."""
+    parser = build_parser()
+    assert list(_COMMANDS) == ["validate", "lln", "occupancy", "covariance",
+                               "renewal", "density", "simulate"]
+    draws = {"validate", "lln", "occupancy", "covariance", "simulate"}
+    for name, (_, table, _, _) in _COMMANDS.items():
+        config = [] if table is None else ["--config", "cfg.json"]
+        assert _parses(parser, [name, *config])
+        assert _parses(parser, [name]) == (table is None), name
+        assert _parses(parser, [name, "--config", "cfg.json"]) == (table is not None)
+        assert (_parses(parser, [name, *config, "--replicates", "3"])
+                == (table is not None and "replicates" in table)), name
+        assert (_parses(parser, [name, *config, "--seed", "1", "--threads", "2"])
+                == (name in draws)), name
+
+
+@pytest.mark.parametrize("command,config", [("renewal", RENEWAL_CONFIG),
+                                            ("density", DENSITY_CONFIG)],
+                         ids=["renewal", "density"])
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--threads", "2"]],
+                         ids=["seed", "threads"])
+def test_tabulations_refuse_seed_and_threads(tmp_path, capsys, command, config,
+                                             flag):
+    """renewal and density draw nothing: they used to accept --seed and
+    --threads and ignore them."""
+    cfg = write_config(tmp_path, "cfg.json", config)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 NON_FINITE_CASES = [

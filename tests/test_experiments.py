@@ -1,7 +1,7 @@
 """Tests for the experiment drivers, regime gates, and report tables."""
 
 import io
-from dataclasses import replace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,11 +22,12 @@ from stablebranch import (
     obs_grid,
     run_experiment,
     run_validation_suite,
-    write_check_rows,
-    write_result_rows,
+    write_table,
 )
 from stablebranch import experiments
 from stablebranch.experiments import (
+    CHECK_COLUMNS,
+    RESULT_COLUMNS,
     check_regime,
     fit_decay_slope,
     pair_grid,
@@ -213,7 +214,7 @@ def test_pooled_ladder_changes_no_bytes(chunk_counts):
     at 1, 2 and 3 threads and equal a plain per-horizon loop."""
     cfg = _config(replicates=400, horizons=(1.0, 2.0, 4.0), half_side=None,
                   window_scale=100.0)
-    by_threads = [run_experiment(replace(cfg, threads=n)) for n in (1, 2, 3)]
+    by_threads = [run_experiment(cfg, threads=n) for n in (1, 2, 3)]
     assert min(chunk_counts) >= 2 and len(set(chunk_counts)) > 1
     assert by_threads[0] == by_threads[1] == by_threads[2]
     assert [(r.horizon, r.replicates, r.mean, r.variance, r.aborted)
@@ -388,9 +389,10 @@ def test_write_result_rows_format_and_determinism(tmp_path):
                   mean=0.25, se=0.1, target=0.4, z=-1.5, passed=False,
                   variance=0.125, aborted=2),
     ]
+    records = [astuple(r) for r in rows]
     a, b = io.StringIO(), io.StringIO()
-    write_result_rows(a, rows)
-    write_result_rows(b, rows)
+    write_table(a, RESULT_COLUMNS, records)
+    write_table(b, RESULT_COLUMNS, records)
     assert a.getvalue() == b.getvalue()
     lines = a.getvalue().splitlines()
     assert lines[0].startswith("experiment,regime,horizon,replicates,mean")
@@ -398,7 +400,7 @@ def test_write_result_rows_format_and_determinism(tmp_path):
     assert lines[1].split(",")[-3:] == ["true", "", "0"]
     assert lines[2].split(",")[-3:] == ["false", "0.125", "2"]
     path = tmp_path / "rows.csv"
-    write_result_rows(path, rows)
+    write_table(path, RESULT_COLUMNS, records)
     assert path.read_text().splitlines() == lines
 
 
@@ -406,7 +408,7 @@ def test_write_check_rows(tmp_path):
     rows = [CheckRow(name="c", target=1.0, estimate=1.01, z=0.5,
                      tolerance="|z| <= 3", passed=True)]
     buf = io.StringIO()
-    write_check_rows(buf, rows)
+    write_table(buf, CHECK_COLUMNS, [astuple(r) for r in rows])
     lines = buf.getvalue().splitlines()
     assert lines[0] == "name,target,estimate,z,tolerance,passed"
     assert lines[1] == 'c,1.0,1.01,0.5,|z| <= 3,true'

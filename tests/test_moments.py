@@ -27,7 +27,6 @@ from stablebranch import (
     field_covariance,
     lebesgue_integral,
     make_pareto_tail,
-    occupation_mean,
     occupation_variance,
     pair_correlation,
     semigroup_apply,
@@ -55,19 +54,6 @@ def bump(dim, center=0.0, radius=1.0):
 def indicator(dim, center=0.0, radius=1.0):
     return TestFunction(shape="indicator", center=_center(dim, center),
                         radius=radius)
-
-
-# ---------------------------------------------------------------------------
-# first moment
-# ---------------------------------------------------------------------------
-
-
-def test_occupation_mean_closed_form():
-    phi = bump(1)  # integral 16/15
-    assert occupation_mean(phi, 15.0) == pytest.approx(16.0, rel=1e-12)
-    assert occupation_mean(phi, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        occupation_mean(phi, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +349,29 @@ def test_pair_correlation_refuses_non_finite_lags(monkeypatch, half_side):
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             pair_correlation_realspace(kernel, bump(1), bump(1), bad)
+
+
+def test_pair_correlation_refuses_another_dim(monkeypatch, exp_table):
+    """A phi or psi of another dim than the kernel used to give a number
+    (0.0722 at lag 0.5, 0.464 at lag 0, for d = 1 bumps under a d = 3
+    kernel); it is refused before any table is built, and so is it by the
+    covariance and the occupation variance."""
+    def no_table(*args):
+        raise AssertionError("a table was built for a mismatched dim")
+
+    for name in ("_free_table", "_torus_table", "_overlap_integral"):
+        monkeypatch.setattr(moments, name, no_table)
+    kernel = StableKernel(alpha=1.5, dim=3)
+    for phi, psi in ((bump(1), bump(1)), (bump(3), bump(1)), (bump(1), bump(3))):
+        for u in (0.0, 0.5, [0.0, 0.5]):
+            with pytest.raises(ValueError, match="dim"):
+                pair_correlation(kernel, phi, psi, u)
+        with pytest.raises(ValueError, match="dim"):
+            pair_correlation(kernel, phi, psi, 0.5, torus_half_side=5.0)
+    with pytest.raises(ValueError, match="dim"):
+        field_covariance(kernel, exp_table, 1.0, 2.0, bump(1), bump(1))
+    with pytest.raises(ValueError, match="dim"):
+        occupation_variance(kernel, exp_table, bump(1), 2.0, grid_points=5)
 
 
 def _sqrt_substituted_g_1d(phi, alpha, u, panels=2000):
