@@ -170,7 +170,7 @@ _SYSTEM = {"alpha": (_NUMBER, _REQUIRED), "dim": (_integer(1), _REQUIRED),
 _EXPERIMENT = {
     "kind": (_STRING, _REQUIRED), **_SYSTEM,
     "phi": (_PHI, None), "ball": (_test_function(_BALL_KEYS), None),
-    "horizons": (_list(_NUMBER), _REQUIRED), "replicates": (_integer(1), 1000),
+    "horizons": (_list(_NUMBER), _REQUIRED), "replicates": (_integer(2), 1000),
     "half_side": (_NUMBER, None), "window_scale": (_NUMBER, None),
     "obs_step": (_NUMBER, 0.5), "intensity": (_NUMBER, 1.0),
     "seed": (_SEED, None), "label": (_STRING, "")}

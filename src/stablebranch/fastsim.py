@@ -62,13 +62,16 @@ def obs_grid(horizon: float, obs_step: float) -> np.ndarray:
     """Observation times 0, obs_step, ..., horizon.
 
     Raises ValueError unless the horizon is a positive multiple of the
-    step, so the grid always ends exactly at the horizon.
+    step, at least once, so the grid always ends exactly at the horizon.
     """
-    if horizon <= 0.0 or obs_step <= 0.0:
-        raise ValueError("horizon and obs_step must be positive")
+    if not (0.0 < horizon < np.inf and 0.0 < obs_step < np.inf):  # NaN fails
+        raise ValueError("horizon and obs_step must be positive and finite")
     m = round(horizon / obs_step)
     if abs(horizon / obs_step - m) > 1e-9:
         raise ValueError(f"horizon {horizon} is not a multiple of obs_step {obs_step}")
+    if m < 1:
+        raise ValueError(f"obs_step {obs_step} leaves no grid point after 0 "
+                         f"up to horizon {horizon}")
     return np.linspace(0.0, horizon, int(m) + 1)
 
 
@@ -189,7 +192,7 @@ class BatchPlan:
 def _truncated_mean(law, horizon: float) -> float:
     """E[min(lifetime, horizon)], for sizing generation waves."""
     grid = np.linspace(0.0, horizon, 513)
-    return float(np.trapezoid(law.sf(grid), grid))
+    return float(np.trapezoid(1.0 - law.cdf(grid), grid))
 
 
 def _chunk_sizes(replicates: int, wave_rows: float) -> list[int]:
@@ -390,8 +393,11 @@ def run_plans(plans: list[BatchPlan], threads: int = 1) -> list[BatchResult]:
     cost first, so the small batches of a ladder fill the time the
     large ones leave idle; at most `threads` chunks are alive at once.
     Every chunk draws from its own stream, so the results are identical
-    whatever the order or the thread count.
+    whatever the order or the thread count.  A `threads` that is not an
+    integer >= 1 raises ValueError before any chunk runs.
     """
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     tasks = sorted(((plan.cost * reps, bi, ci) for bi, plan in enumerate(plans)
                     for ci, reps in enumerate(plan.sizes)), key=lambda t: -t[0])
     results = [plan.empty_result() for plan in plans]

@@ -2,10 +2,11 @@
 
 Three families cover the regimes of interest: Exponential (the
 memoryless classic), Gamma (finite mean, not memoryless), and
-ParetoTail (regularly varying survival with infinite mean).  The
-ParetoTail law is calibrated so that its survival function satisfies
+ParetoTail (regularly varying survival with infinite mean).  Each law
+is given by its CDF; its survival function is 1 - cdf.  The ParetoTail
+law is calibrated so that
 
-    sf(u) * Gamma(1 - gamma) * u**gamma  ->  1   as u -> infinity,
+    (1 - cdf(u)) * Gamma(1 - gamma) * u**gamma  ->  1   as u -> infinity,
 
 i.e. the tail constant is exactly one; `make_pareto_tail` picks the
 scale that achieves this.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import gammainc, gammaincc
+from .specfun import gammainc
 
 
 def _as_array(u):
@@ -35,18 +36,14 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0.0:
-            raise ValueError("rate must be positive")
+        if not 0.0 < self.rate < math.inf:  # NaN fails this too
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
     name = "exponential"
 
     def cdf(self, u):
         u = _as_array(u)
         return np.where(u > 0.0, -np.expm1(-self.rate * u), 0.0)
-
-    def sf(self, u):
-        u = _as_array(u)
-        return np.where(u > 0.0, np.exp(-self.rate * u), 1.0)
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -64,8 +61,9 @@ class Gamma:
     rate: float
 
     def __post_init__(self):
-        if self.shape <= 0.0 or self.rate <= 0.0:
-            raise ValueError("shape and rate must be positive")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.rate < math.inf):
+            raise ValueError("shape and rate must be positive and finite, "
+                             f"got {self.shape} and {self.rate}")
 
     name = "gamma"
 
@@ -73,15 +71,11 @@ class Gamma:
         u = _as_array(u)
         return gammainc(self.shape, self.rate * np.clip(u, 0.0, None))
 
-    def sf(self, u):
-        u = _as_array(u)
-        return gammaincc(self.shape, self.rate * np.clip(u, 0.0, None))
-
     def mean(self) -> float:
         return self.shape / self.rate
 
     def sample(self, rng, size=None):
-        from scipy import special  # sampling only: cdf and sf need no scipy
+        from scipy import special  # sampling only: cdf needs no scipy
 
         v = rng.random(size=size)
         return special.gammaincinv(self.shape, v) / self.rate
@@ -89,7 +83,7 @@ class Gamma:
 
 @dataclass(frozen=True)
 class ParetoTail:
-    """Heavy-tailed lifetimes: sf(u) = (1 + u/scale)**(-gamma), gamma in (0,1).
+    """Heavy-tailed lifetimes: 1 - cdf(u) = (1 + u/scale)**(-gamma), gamma in (0,1).
 
     The mean is infinite.
     """
@@ -100,18 +94,14 @@ class ParetoTail:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
     name = "pareto_tail"
 
     def cdf(self, u):
         u = _as_array(u)
         return np.where(u > 0.0, -np.expm1(-self.gamma * np.log1p(u / self.scale)), 0.0)
-
-    def sf(self, u):
-        u = _as_array(u)
-        return np.where(u > 0.0, (1.0 + u / self.scale) ** (-self.gamma), 1.0)
 
     def mean(self) -> float:
         return math.inf
@@ -124,8 +114,8 @@ class ParetoTail:
 def make_pareto_tail(gamma: float) -> ParetoTail:
     """ParetoTail law whose tail constant equals one.
 
-    sf(u) ~ scale**gamma * u**(-gamma) for large u, so requiring
-    sf(u) ~ u**(-gamma) / Gamma(1-gamma) fixes
+    1 - cdf(u) ~ scale**gamma * u**(-gamma) for large u, so requiring
+    1 - cdf(u) ~ u**(-gamma) / Gamma(1-gamma) fixes
     scale = Gamma(1-gamma)**(-1/gamma).  For gamma = 1/2 this gives
     scale = 1/pi.
     """

@@ -35,8 +35,10 @@ class TestFunction:
         if self.shape not in _SHAPES:
             raise ValueError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:  # NaN fails this too
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError(f"center must be finite, got {self.center.tolist()}")
 
     @property
     def dim(self) -> int:

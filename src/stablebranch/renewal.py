@@ -87,8 +87,9 @@ def build_renewal(law, horizon: float, grid_step: float) -> RenewalTable:
     estimate (the scheme is second order); a warning fires if the
     estimated relative error at the horizon exceeds 1%.
     """
-    if horizon <= 0.0 or grid_step <= 0.0:
-        raise ValueError("horizon and grid_step must be positive")
+    for name, value in (("horizon", horizon), ("grid_step", grid_step)):
+        if not 0.0 < value < np.inf:  # NaN fails this too
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if grid_step >= horizon:
         raise ValueError("grid_step must be smaller than the horizon")
     n_steps = int(np.ceil(horizon / grid_step))

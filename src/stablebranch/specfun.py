@@ -6,9 +6,9 @@
   Bessel functions (DLMF §10.47): closed forms by upward recurrence
   (§10.49, §10.51), and the power series (§10.53) near z = 0, where the
   closed forms cancel.
-- The regularised incomplete gamma functions of the Gamma lifetime law
-  use the series below x = a + 1 and the continued fraction above it
-  (DLMF §8.7 and §8.9).
+- The regularised incomplete gamma function, the CDF of the Gamma
+  lifetime law, uses the series below x = a + 1 and the continued
+  fraction above it (DLMF §8.7 and §8.9).
 
 Integer Bessel orders come up only in even dimension.  They are the one
 case left to scipy.special, imported inside that branch, so a run in
@@ -77,27 +77,17 @@ def _spherical_series(n: int, z) -> np.ndarray:
 
 
 def gammainc(a: float, x) -> np.ndarray:
-    """Regularised lower incomplete gamma P(a, x) for a > 0 and x >= 0."""
-    return _incomplete_gamma(a, x, upper=False)
-
-
-def gammaincc(a: float, x) -> np.ndarray:
-    """Regularised upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    return _incomplete_gamma(a, x, upper=True)
-
-
-def _incomplete_gamma(a: float, x, upper: bool) -> np.ndarray:
-    """P(a, x), or Q(a, x) if ``upper``.
+    """Regularised lower incomplete gamma P(a, x) for a > 0 and x >= 0.
 
     Below x = a + 1: P = x^a e^-x / Gamma(a + 1) sum_k x^k / ((a+1)...(a+k)).
-    At or above it: Q = x^a e^-x / Gamma(a) times a continued fraction,
-    evaluated by the modified Lentz method.  Each routine gives the
-    smaller of P and Q, so the complement 1 - (that) never cancels much.
+    At or above it: 1 - P = x^a e^-x / Gamma(a) times a continued
+    fraction, evaluated by the modified Lentz method.  Each routine gives
+    the smaller of P and 1 - P, so the complement never cancels much.
     Both sums stop, element by element, at a relative step of one ulp.
     NaN stays NaN.
     """
     x = np.asarray(x, dtype=float)
-    out = np.where(x == np.inf, 0.0 if upper else 1.0, np.nan)
+    out = np.where(x == np.inf, 1.0, np.nan)
     low = x < a + 1.0
     high = (x >= a + 1.0) & (x < np.inf)
     with np.errstate(divide="ignore"):  # log 0 = -inf gives P(a, 0) = 0
@@ -110,8 +100,7 @@ def _incomplete_gamma(a: float, x, upper: bool) -> np.ndarray:
                 k += 1
                 term *= xs / (a + k)
                 total += term
-            p = total * np.exp(a * np.log(xs) - xs - math.lgamma(a))
-            out[low] = 1.0 - p if upper else p
+            out[low] = total * np.exp(a * np.log(xs) - xs - math.lgamma(a))
         if high.any():
             xs = x[high]
             b = xs + 1.0 - a
@@ -129,6 +118,5 @@ def _incomplete_gamma(a: float, x, upper: bool) -> np.ndarray:
                 delta = d * c
                 h *= np.where(done, 1.0, delta)
                 done |= np.abs(delta - 1.0) <= _EPS
-            q = h * np.exp(a * np.log(xs) - xs - math.lgamma(a))
-            out[high] = q if upper else 1.0 - q
+            out[high] = 1.0 - h * np.exp(a * np.log(xs) - xs - math.lgamma(a))
     return out

@@ -40,7 +40,8 @@ class StableKernel:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if int(self.dim) != self.dim or self.dim < 1:
+        if (isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer))
+                or self.dim < 1):
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
 
 
@@ -95,19 +96,12 @@ def sample_increments(kernel: StableKernel, dts, rng) -> np.ndarray:
     dts = np.asarray(dts, dtype=float)
     if not np.all((dts >= 0.0) & (dts < np.inf)):  # NaN fails both
         raise ValueError("time steps must be finite and nonnegative")
-    n = dts.shape[0]
-    d = kernel.dim
-    if kernel.alpha == 2.0:
-        # per-coordinate variance 2*dt
-        z = rng.standard_normal(size=(n, d))
-        scale = np.multiply(dts, 2.0)
-        z *= np.sqrt(scale, out=scale)[:, None]
-        return z
-    # Brownian motion at an independent (alpha/2)-stable time:
-    # E exp(i y . B_S) = E exp(-S |y|^2) = exp(-dt |y|^alpha).
-    rho = kernel.alpha / 2.0
-    s = _one_sided_stable(rho, dts, rng, size=n)
-    z = rng.standard_normal(size=(n, d))
+    # Brownian motion at an independent (alpha/2)-stable time S:
+    # E exp(i y . B_S) = E exp(-S |y|^2) = exp(-dt |y|^alpha), and S = dt
+    # at alpha = 2.  Per-coordinate variance 2 S.
+    s = (dts.copy() if kernel.alpha == 2.0
+         else _one_sided_stable(kernel.alpha / 2.0, dts, rng, size=len(dts)))
+    z = rng.standard_normal(size=(len(dts), kernel.dim))
     s *= 2.0
     z *= np.sqrt(s, out=s)[:, None]
     return z

@@ -55,6 +55,9 @@ def test_obs_grid():
         obs_grid(-1.0, 0.5)
     with pytest.raises(ValueError):
         obs_grid(1.0, 0.0)
+    # 1.0 / 1e10 is within 1e-9 of 0 steps: the grid used to be [0.0] alone
+    with pytest.raises(ValueError, match="obs_step"):
+        obs_grid(1.0, 1e10)
 
 
 def test_simulate_tree_rejects_bad_inputs():
@@ -200,6 +203,17 @@ def test_chunk_sizes_are_even_and_few(replicates, wave_rows):
     assert sum(sizes) == replicates
     assert len(sizes) == -(-replicates // per)
     assert max(sizes) <= per and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_batch_refuses_a_thread_count_below_one_before_any_chunk(monkeypatch, threads):
+    """threads = 0 or -3 used to run every chunk inline."""
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(fastsim, "_run_chunk", no_chunk)
+    with pytest.raises(ValueError, match="threads"):
+        field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, threads=threads)
 
 
 def test_batch_refuses_no_replicates():

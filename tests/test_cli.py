@@ -144,6 +144,14 @@ def test_lln_replicates_flag_overrides_config(tmp_path):
     assert text.splitlines()[1].split(",")[3] == "50"
 
 
+def test_lln_replicates_flag_of_one_is_refused_by_the_table(tmp_path, capsys):
+    """The table asks for the ExperimentConfig bound, so one replicate is
+    refused by key (it used to say only "need at least 2 replicates")."""
+    cfg = write_config(tmp_path, "cfg.json", LLN_CONFIG)
+    assert main(["lln", "--config", cfg, "--replicates", "1"]) == 2
+    assert "replicates must be an integer >= 2, got 1" in capsys.readouterr().err
+
+
 def test_lln_target_is_intensity_times_integral(tmp_path):
     """The mean measure is intensity x Lebesgue, so at intensity 2 the
     target is 2 * integral(phi) (it was integral(phi): z near 20, exit 1)."""
@@ -443,6 +451,12 @@ BAD_VALUE_CASES = [
     ("occupancy", OCCUPANCY_CONFIG, ("ball",), None, "occupancy-ball-missing"),
     ("occupancy", OCCUPANCY_CONFIG, ("ball", "radius"), 2.5,
      "occupancy-ball-outside-window"),
+    # a step past the horizon leaves a grid of time 0 alone: simulate wrote
+    # that one row and lln ran every row to z = inf
+    ("simulate", SIMULATE_CONFIG, ("obs_step",), 1e10, "simulate-obs_step-past-horizon"),
+    ("lln", LLN_CONFIG, ("obs_step",), 1e10, "lln-obs_step-past-horizon"),
+    # the table's bound is ExperimentConfig's: one replicate has no spread
+    ("lln", LLN_CONFIG, ("replicates",), 1, "lln-replicates-one"),
 ]
 
 

@@ -12,10 +12,12 @@ from stablebranch import (
     Exponential,
     ExperimentConfig,
     Gamma,
+    ParetoTail,
     RegimeError,
     ResultRow,
     StableKernel,
     TestFunction,
+    build_renewal,
     field_batch,
     lebesgue_integral,
     make_pareto_tail,
@@ -152,6 +154,36 @@ def test_experiment_config_validation():
     # migration-scaled: the smallest window, 1 * 1^(1/2), is too small
     with pytest.raises(ConfigError, match="smallest window"):
         _config(kind="lln_finite_mean", half_side=None, window_scale=1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: Exponential(rate=NAN), "rate"),
+    (lambda: Exponential(rate=INF), "rate"),
+    (lambda: Gamma(shape=NAN, rate=1.0), "shape"),
+    (lambda: ParetoTail(0.5, scale=NAN), "scale"),
+    (lambda: TestFunction("bump", [0.0], NAN), "radius"),
+    (lambda: TestFunction("bump", [0.0], INF), "radius"),
+    (lambda: TestFunction("bump", [NAN], 1.0), "center"),
+    (lambda: StableKernel(alpha=1.5, dim=True), "dim"),
+    (lambda: StableKernel(alpha=1.5, dim=1.0), "dim"),
+    (lambda: _config(half_side=NAN), "half_side"),
+    (lambda: _config(half_side=None, window_scale=NAN), "window_scale"),
+    (lambda: _config(intensity=NAN), "intensity"),
+    (lambda: build_renewal(EXP1, INF, 0.1), "horizon"),
+    (lambda: build_renewal(EXP1, NAN, 0.1), "horizon"),
+    (lambda: build_renewal(EXP1, 10.0, NAN), "grid_step"),
+], ids=["exp-rate-nan", "exp-rate-inf", "gamma-shape-nan", "pareto-scale-nan",
+        "radius-nan", "radius-inf", "center-nan", "dim-bool", "dim-float",
+        "half_side-nan", "window_scale-nan", "intensity-nan", "renewal-horizon-inf",
+        "renewal-horizon-nan", "renewal-grid_step-nan"])
+def test_constructors_refuse_nan_and_infinity_by_name(make, name):
+    """Each of these used to be accepted, or refused with an OverflowError
+    or numpy's "cannot convert float NaN to integer"."""
+    with pytest.raises((ValueError, ConfigError), match=name):
+        make()
 
 
 def test_experiment_config_label_defaults_to_kind():
