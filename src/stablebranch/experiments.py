@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -87,8 +88,11 @@ class ExperimentConfig:
             raise ConfigError("horizons must be a nonempty list of positive times")
         if any(a >= b for a, b in zip(horizons, horizons[1:])):
             raise ConfigError(f"horizons must be strictly increasing, got {horizons}")
-        if self.replicates < 2:
-            raise ConfigError("need at least 2 replicates")
+        for key, least in (("replicates", 2), ("seed", 0)):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
         for h in horizons:
             try:
                 obs_grid(h, self.obs_step)

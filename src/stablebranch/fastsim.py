@@ -144,6 +144,8 @@ def _start_points(x0s, dim: int) -> np.ndarray:
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[0] < 1 or x0s.shape[1] != dim:
         raise ValueError(f"x0s must have shape (R, {dim}), got {x0s.shape}")
+    if not np.all(np.isfinite(x0s)):
+        raise ValueError("x0s must be finite")
     return x0s
 
 
@@ -364,6 +366,8 @@ def _plan(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
     weights = weights or {}
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
+    if not 0.0 <= p_two <= 1.0:  # NaN fails this too
+        raise ValueError(f"p_two must be in [0, 1], got {p_two}")
     if not 0 <= stream_key < _KEY_WORD:
         raise ValueError(f"stream_key must be in [0, 2^32), got {stream_key}")
     sizes = _chunk_sizes(replicates,

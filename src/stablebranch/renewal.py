@@ -16,11 +16,13 @@ system in U_1..U_N,
 a power-series division: with a = (1 - dF_1/2) - sum_j c_j x^j and rhs
 the series of right sides, the coefficients of u = rhs / a are U_1..U_N.
 Newton's iteration for the reciprocal (Kung 1974; Brent & Kung 1978)
-doubles the order of g = 1/a with two FFT products a step, until g has
-k >= N/2 terms.  Then u = g rhs to order k is one more product,
-and the remaining coefficients of u are g times the residual rhs - a u,
-two more.  The solve costs O(N log N), and every FFT width is a power of
-two.
+at most doubles the order of g = 1/a with two FFT products a step, up
+to k = ceil(N/2) terms; the orders are chosen from the top down
+(ceil(N/2), then halved and rounded up), so no step overshoots.  Then
+u = g rhs to order k is one more product, and the remaining
+coefficients of u are g times the residual rhs - a u, two more.  The
+solve costs O(N log N); each FFT width is the smallest 5-smooth
+integer (2^a 3^b 5^c) that holds the product's unwrapped coefficients.
 
 Integrals against the renewal measure, taken by the moment formulas from
 differences of tabulated values, exclude the atom at zero; that keeps
@@ -55,6 +57,19 @@ class RenewalTable:
         return np.interp(r, self.grid, self.values)
 
 
+def _fast_width(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m: an FFT width numpy transforms fast."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 times the least power of two reaching m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _solve_renewal(cdf_vals: np.ndarray) -> np.ndarray:
     """U on the grid of `cdf_vals`: the power series rhs / a above."""
     dF = np.diff(cdf_vals)
@@ -62,18 +77,22 @@ def _solve_renewal(cdf_vals: np.ndarray) -> np.ndarray:
     a = np.concatenate(([1.0 - dF[0] / 2.0], -(dF[:-1] + dF[1:]) / 2.0))
     rhs = 1.0 + dF / 2.0
     rfft, irfft = np.fft.rfft, np.fft.irfft
-    # g = 1/a to order k, doubled until 2k >= n: if a g = 1 + x^k h, then
-    # 1/a = g - x^k g h to order 2k, and at width 2k both products wrap only
-    # onto coefficients below k, which are not read
+    orders = [-(-n // 2)]  # top down: ceil(n/2), then halved, rounding up, to 1
+    while orders[-1] > 1:
+        orders.append(-(-orders[-1] // 2))
+    # g = 1/a to order k, raised to k2 <= 2k: if a g = 1 + x^k h, then
+    # 1/a = g - x^k g h to order k2, and at width w >= k2 both products
+    # wrap only onto coefficients below k, which are not read
     g = np.array([1.0 / a[0]])
-    while 2 * len(g) < n:
-        k, w = len(g), 2 * len(g)
+    for k2 in reversed(orders[:-1]):
+        k, w = len(g), _fast_width(k2)
         g_hat = rfft(g, w)
-        h = irfft(rfft(a[:w]) * g_hat, w)[k:]
-        g = np.concatenate((g, -irfft(rfft(h, w) * g_hat, w)[:k]))
+        h = irfft(rfft(a[:k2], w) * g_hat, w)[k:k2]
+        g = np.concatenate((g, -irfft(rfft(h, w) * g_hat, w)[: k2 - k]))
     # u = g rhs to order k; its last n - k <= k coefficients are g times the
-    # residual rhs - a u of the first k
-    k, w = len(g), 2 * len(g)
+    # residual rhs - a u of the first k, and at width w >= n every product
+    # again wraps only onto coefficients below k
+    k, w = len(g), _fast_width(n)
     g_hat = rfft(g, w)
     u = irfft(rfft(rhs[:k], w) * g_hat, w)[:k]
     resid = rhs[k:] - irfft(rfft(a, w) * rfft(u, w), w)[k:n]
@@ -94,13 +113,13 @@ def build_renewal(law, horizon: float, grid_step: float) -> RenewalTable:
         raise ValueError("grid_step must be smaller than the horizon")
     n_steps = int(np.ceil(horizon / grid_step))
     grid = np.linspace(0.0, n_steps * grid_step, n_steps + 1)
-    u = _solve_renewal(np.asarray(law.cdf(grid)))
+    cdf = np.asarray(law.cdf(grid))
+    u = _solve_renewal(cdf)
 
     err = float("nan")
     coarse_n = n_steps // 2
-    if coarse_n >= 2:
-        coarse_grid = np.linspace(0.0, coarse_n * 2.0 * grid_step, coarse_n + 1)
-        u_coarse = _solve_renewal(np.asarray(law.cdf(coarse_grid)))
+    if coarse_n >= 2:  # the coarse grid is every other fine point
+        u_coarse = _solve_renewal(cdf[: 2 * coarse_n + 1 : 2])
         err = abs(u[2 * coarse_n] - u_coarse[-1]) / 3.0
         rel = err / abs(u[2 * coarse_n])
         if rel > 0.01:

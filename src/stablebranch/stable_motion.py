@@ -188,6 +188,14 @@ def _angular_factor(dim: int, z) -> np.ndarray:
     return math.gamma(dim / 2.0) * 2.0**nu * scaled_bessel_j(nu, z)
 
 
+def _radii(radii) -> np.ndarray:
+    """Radii as a 1-D float array, else ValueError unless finite and >= 0."""
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if not np.all((radii >= 0.0) & (radii < np.inf)):  # NaN fails this too
+        raise ValueError("radii must be finite and nonnegative")
+    return radii
+
+
 def radial_fourier_inverse(fhat, dim: int, radii, k_max: float, *,
                            floor: float = 0.0, reach: float = 0.0) -> np.ndarray:
     """Invert isotropic Fourier profiles at the given radii.
@@ -205,9 +213,7 @@ def radial_fourier_inverse(fhat, dim: int, radii, k_max: float, *,
     column's largest output and ``floor`` (the function's own scale), as
     a cheap guard for a too-early cut.
     """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if np.any(radii < 0.0):
-        raise ValueError("radii must be nonnegative")
+    radii = _radii(radii)
     # tensor grids repeat radii many times over; invert each one once
     radii, repeat = np.unique(radii, return_inverse=True)
     extent = radii.max(initial=0.0) + reach
@@ -255,7 +261,7 @@ def transition_density_radial(kernel: StableKernel, t, radii) -> np.ndarray:
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all((times > 0.0) & (times < np.inf)):
         raise ValueError("transition density requires finite t > 0")
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    radii = _radii(radii)
     d, alpha = kernel.dim, kernel.alpha
     r = radii[:, None]
     if alpha == 2.0:
@@ -323,6 +329,8 @@ def semigroup_columns(kernel: StableKernel, columns, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != kernel.dim:
         raise ValueError(f"points must have {kernel.dim} coordinates")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("points must be finite")
     out = np.empty((len(x), len(columns)))
     by_center = {}
     for j, (f, t) in enumerate(columns):

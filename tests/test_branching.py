@@ -316,6 +316,23 @@ def test_field_batch_refuses_bad_window_or_intensity_before_drawing(monkeypatch,
                     **{"half_side": 2.0, "intensity": 1.0, arg: value})
 
 
+@pytest.mark.parametrize("p_two", [2.0, np.nan, -0.5])
+def test_batches_refuse_p_two_outside_the_unit_interval_before_drawing(monkeypatch,
+                                                                       p_two):
+    """p_two = 2 used to run as if every parent split (events [19, 11]), and
+    NaN or -0.5 as if none did."""
+    def no_stream(*args):
+        raise AssertionError("a stream was drawn from")
+
+    monkeypatch.setattr(fastsim, "replicate_stream", no_stream)
+    with pytest.raises(ValueError, match="p_two"):
+        field_batch(KERNEL_1D, EXP1, replicates=2, obs_times=[0.0, 1.0],
+                    half_side=2.0, seed=0, p_two=p_two)
+    with pytest.raises(ValueError, match="p_two"):
+        tree_batch(KERNEL_1D, EXP1, np.zeros((2, 1)), obs_times=[0.0, 1.0],
+                   seed=0, p_two=p_two)
+
+
 def _assert_same_batch(a, b):
     assert a.series.keys() == b.series.keys()
     for name in a.series:

@@ -121,6 +121,16 @@ def _config(**overrides):
     return ExperimentConfig(**base)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "3"),
+    ("replicates", 2.5), ("replicates", True), ("replicates", np.float64(50.0))])
+def test_config_refuses_a_seed_or_replicates_that_is_not_a_count(key, value):
+    """seed = -1, 1.5 and True and replicates = 2.5 used to be accepted; the
+    first two then failed inside a chunk with numpy's messages."""
+    with pytest.raises(ConfigError, match=f"{key} must be an integer >= "):
+        _config(**{key: value})
+
+
 def test_experiment_config_validation():
     _config()  # the base dict is valid
     with pytest.raises(ConfigError, match="unknown experiment kind"):
@@ -135,6 +145,7 @@ def test_experiment_config_validation():
         _config(replicates=1)
     with pytest.raises(ConfigError, match="multiple of obs_step"):
         _config(horizons=(1.0, 2.3))
+    _config(replicates=np.int32(50), seed=np.uint64(3))  # numpy integers pass
     with pytest.raises(ConfigError, match="test function"):
         _config(phi=None)
     with pytest.raises(ConfigError, match="test function"):

@@ -12,7 +12,7 @@ from stablebranch import (
     build_renewal,
     make_pareto_tail,
 )
-from stablebranch.renewal import _solve_renewal
+from stablebranch.renewal import _fast_width, _solve_renewal
 
 
 def _forward_substitution(cdf_vals):
@@ -44,14 +44,45 @@ def _forward_substitution(cdf_vals):
     (Gamma(shape=2.0, rate=2.0), 0.02),
     (make_pareto_tail(0.5), 0.25),
 ], ids=["exp1", "gamma22", "pareto05"])
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 255, 256, 257, 513, 1000,
-                                     1024, 1025, 2048, 4099])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 6, 7, 97, 255, 256, 257, 513,
+                                     600, 1000, 1024, 1025, 1250, 2048, 3001,
+                                     4099, 10201])
 def test_fast_solve_matches_forward_substitution(law, step, n_steps):
     """The power-series division solves the same trapezoid system: sizes at
-    and just past powers of two, where the order the Newton loop stops at
-    doubles, and sizes between them."""
+    and just past powers of two, sizes whose Newton orders halve unevenly
+    (97, 3001, 10201), and sizes whose FFT widths are not powers of two
+    (600, 1250)."""
     cdf = np.asarray(law.cdf(np.arange(n_steps + 1) * step))
     assert_allclose(_solve_renewal(cdf), _forward_substitution(cdf), rtol=1e-12, atol=0)
+
+
+def test_fast_width_is_the_least_5_smooth_integer_reaching_m():
+    """Brute force over m <= 10^4: the smallest 2^a 3^b 5^c >= m."""
+
+    def smooth(w):
+        for p in (2, 3, 5):
+            while w % p == 0:
+                w //= p
+        return w == 1
+
+    widths = np.array([w for w in range(1, 10_241) if smooth(w)])  # 10,240 = 2^11 5
+    ms = np.arange(1, 10_001)
+    assert [_fast_width(int(m)) for m in ms] == widths[np.searchsorted(widths, ms)].tolist()
+
+
+@pytest.mark.parametrize("law, horizon, step", [
+    (Exponential(rate=1.0), 100.0, 0.005),
+    (make_pareto_tail(0.5), 1e4, 0.25),
+    (Gamma(shape=2.0, rate=2.0), 500.0, 0.02),
+], ids=["exp1", "pareto05", "gamma22"])
+def test_error_estimate_is_richardson_against_the_coarse_grid(law, horizon, step):
+    """The coarse solve reads every other fine CDF value; the estimate is
+    the one from a coarse grid of its own, |U_h(2c) - U_2h(c)| / 3."""
+    table = build_renewal(law, horizon, step)
+    c = (len(table.grid) - 1) // 2
+    coarse = _solve_renewal(np.asarray(law.cdf(np.linspace(0.0, c * 2.0 * step, c + 1))))
+    expected = abs(table.values[2 * c] - coarse[-1]) / 3.0
+    assert table.error_estimate == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_exponential_renewal_long_table():

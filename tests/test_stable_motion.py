@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 from stablebranch import (
+    Exponential,
     QuadratureError,
     StableKernel,
     TestFunction,
@@ -23,6 +24,7 @@ from stablebranch import (
     sample_increments,
     semigroup_apply,
     transition_density_radial,
+    tree_batch,
 )
 from stablebranch.stable_motion import (
     _one_sided_stable,
@@ -419,6 +421,36 @@ def test_semigroup_rejects_non_finite_or_negative_time(bad):
         semigroup_apply(kernel, phi, bad, np.zeros(1))
     with pytest.raises(ValueError, match="finite and nonnegative"):
         semigroup_columns(kernel, [(phi, 1.0), (phi, bad)], np.zeros((2, 1)))
+
+
+_BUMP_1D = TestFunction(shape="bump", center=np.zeros(1), radius=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: radial_fourier_inverse(lambda k: np.exp(-k**2), 1, [math.nan], 30.0),
+    lambda: radial_fourier_inverse(lambda k: np.exp(-k**2), 1, [1.0, math.inf], 30.0),
+    lambda: transition_density_radial(StableKernel(2.0, 1), 1.0, [math.nan]),
+    lambda: transition_density_radial(StableKernel(1.5, 1), 1.0, [math.nan]),
+    lambda: transition_density_radial(StableKernel(1.0, 1), 1.0, [math.nan]),
+    lambda: transition_density_radial(StableKernel(2.0, 2), [1.0, 2.0], [0.5, math.inf]),
+    lambda: semigroup_apply(StableKernel(1.5, 1), _BUMP_1D, 0.0, [math.nan]),
+    lambda: semigroup_apply(StableKernel(1.5, 1), _BUMP_1D, 0.5, [math.nan]),
+    lambda: semigroup_apply(StableKernel(1.5, 1), _BUMP_1D, 0.5, [math.inf]),
+    lambda: semigroup_columns(StableKernel(2.0, 1), [(_BUMP_1D, 0.0)],
+                              np.array([[0.0], [math.nan]])),
+    lambda: tree_batch(StableKernel(2.0, 1), Exponential(1.0), [[math.nan]],
+                       obs_times=[0.0, 1.0], seed=0),
+    lambda: tree_batch(StableKernel(2.0, 1), Exponential(1.0), [[0.0], [-math.inf]],
+                       obs_times=[0.0, 1.0], seed=0),
+], ids=["inverse-nan", "inverse-inf", "density-a2", "density-a1.5", "density-a1",
+        "density-columns-inf", "semigroup-t0", "semigroup-nan", "semigroup-inf",
+        "columns-t0", "tree-nan", "tree-inf"])
+def test_non_finite_positions_are_refused(call):
+    """A NaN radius, point or start used to give nan, 0 or a batch (the
+    radius check was radii < 0, which NaN passes), and an infinite one a
+    ZeroDivisionError in the inversion."""
+    with pytest.raises(ValueError, match="finite"):
+        call()
 
 
 def test_semigroup_against_monte_carlo():
