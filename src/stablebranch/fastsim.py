@@ -23,12 +23,13 @@ are dispatched across workers, and each writes straight into its rows
 of the batch's one result.  `field_plan` and `run_plans` let a caller
 pool the chunks of several batches, such as a horizon ladder, on one
 set of threads; `field_batch` and `tree_batch` are the one-batch case.
+`concurrent.futures` is imported when the first pool starts, so a
+one-thread run never loads it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -410,6 +411,8 @@ def run_plans(plans: list[BatchPlan], threads: int = 1) -> list[BatchResult]:
         plans[task[1]].chunk(task[2], results[task[1]])
 
     if threads > 1 and len(tasks) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded with the first pool
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, tasks))
     else:

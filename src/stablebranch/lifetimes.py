@@ -11,8 +11,8 @@ law is calibrated so that
 i.e. the tail constant is exactly one; `make_pareto_tail` picks the
 scale that achieves this.
 
-All sampling is inverse-CDF, one uniform per draw, so a stream's
-draws stay aligned regardless of platform.
+Exponential and ParetoTail lifetimes are sampled by inverse CDF, one
+uniform per draw; Gamma lifetimes by numpy's own `Generator.gamma`.
 """
 
 from __future__ import annotations
@@ -75,10 +75,7 @@ class Gamma:
         return self.shape / self.rate
 
     def sample(self, rng, size=None):
-        from scipy import special  # sampling only: cdf needs no scipy
-
-        v = rng.random(size=size)
-        return special.gammaincinv(self.shape, v) / self.rate
+        return rng.gamma(self.shape, 1.0 / self.rate, size=size)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,10 @@ class TestFunction:
 
 def check_inside_window(half_side: float, *fns: TestFunction) -> None:
     """Refuse a test function whose support is not inside [-L, L)^d: only
-    then is its sum over wrapped positions its periodic extension."""
+    then is its sum over wrapped positions its periodic extension.  A
+    ``half_side`` L that is not positive and finite is refused first."""
+    if not 0.0 < half_side < math.inf:  # NaN fails this too
+        raise ValueError(f"half_side must be positive and finite, got {half_side}")
     for f in fns:
         if np.max(np.abs(f.center)) + f.radius >= half_side:
             raise ValueError(f"a test function's support, radius {f.radius:g} "

@@ -812,14 +812,17 @@ def test_p_two_outside_unit_interval_exit_2(tmp_path, p_two):
 def test_import_loads_no_heavy_scipy_subpackages(tmp_path):
     """No scipy module at all is loaded by `import stablebranch,
     stablebranch.cli`, nor by an `lln` run, a `validate` run of the Gamma
-    renewal and covariance checks, or the odd-d moment formulas: their
-    special functions are numpy (`specfun`), and scipy.special alone costs
-    about 0.3 s of start-up per process.  scipy stays for even-d Bessel
-    functions and Gamma-law sampling."""
+    renewal and covariance checks, a `simulate` run with Gamma lifetimes,
+    or the odd-d moment formulas: their special functions are numpy
+    (`specfun`), Gamma lifetimes are numpy's `Generator.gamma`, and
+    scipy.special alone costs about 0.3 s of start-up per process.  scipy
+    stays for even-d Bessel functions only."""
     src = str(Path(stablebranch.__file__).resolve().parents[1])
     lln = write_config(tmp_path, "lln.json", {
         **LLN_CONFIG, "alpha": 1.5, "lifetime": {"type": "pareto", "gamma": 0.5},
         "replicates": 20})
+    simulate = write_config(tmp_path, "simulate.json", {
+        **SIMULATE_CONFIG, "lifetime": {"type": "gamma", "shape": 2.0, "rate": 2.0}})
     code = f"""
 import sys
 import numpy as np
@@ -838,6 +841,9 @@ scipy_modules("lln")
 assert cli(["validate", "--checks", "elementary_renewal,covariance_oracle",
             "--seed", "0", "--out", {str(tmp_path / "checks.csv")!r}]) == 0
 scipy_modules("validate")
+assert cli(["simulate", "--config", {simulate!r}, "--seed", "0",
+            "--out", {str(tmp_path / "simulate.csv")!r}]) == 0
+scipy_modules("simulate")
 bump = TestFunction(shape="bump", center=np.zeros(3), radius=1.0)
 occupation_variance(StableKernel(alpha=2.0, dim=3),
                     default_renewal_table(Exponential(rate=1.0), 4.0), bump, 4.0,
@@ -851,7 +857,8 @@ scipy_modules("pair_correlation")
                           text=True, env={**os.environ, "PYTHONPATH": src},
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    stages = ["import", "lln", "validate", "occupation_variance", "pair_correlation"]
+    stages = ["import", "lln", "validate", "simulate", "occupation_variance",
+              "pair_correlation"]
     assert proc.stdout.splitlines() == [f"{s} []" for s in stages], proc.stdout
 
 
@@ -861,20 +868,25 @@ def test_import_maps_no_rng_fft_or_polynomial(tmp_path):
     `import stablebranch, stablebranch.cli` maps none of them
     (`numpy.random` alone is about 6 MB resident), a `renewal` run and
     `occupation_variance` draw nothing and so never load the RNG, and an
-    `lln` run loads it at its first stream."""
+    `lln` run loads it at its first stream.  The Gauss-Legendre rules are
+    numpy alone, so no run loads `numpy.polynomial` (1.3 MB resident).
+    `concurrent.futures` loads with the first thread pool: a `--threads 2`
+    `lln` run loads it, and writes the `--threads 1` run's bytes."""
     src = str(Path(stablebranch.__file__).resolve().parents[1])
     renewal = write_config(tmp_path, "renewal.json", RENEWAL_CONFIG)
     lln = write_config(tmp_path, "lln.json", {**LLN_CONFIG, "replicates": 20})
+    one, two = tmp_path / "lln1.csv", tmp_path / "lln2.csv"
     code = f"""
 import sys
 import numpy as np
 import stablebranch, stablebranch.cli
-from stablebranch import Exponential, StableKernel, TestFunction, occupation_variance
+from stablebranch import (Exponential, StableKernel, TestFunction,
+                          occupation_variance, pair_correlation)
 from stablebranch.experiments import default_renewal_table
 
 def lazy_modules(stage):
-    print(stage, [m for m in ("numpy.random", "numpy.fft", "numpy.polynomial")
-                  if m in sys.modules])
+    print(stage, [m for m in ("numpy.random", "numpy.fft", "numpy.polynomial",
+                              "concurrent.futures") if m in sys.modules])
 
 lazy_modules("import")
 cli = stablebranch.cli.main
@@ -884,9 +896,15 @@ bump = TestFunction(shape="bump", center=np.zeros(3), radius=1.0)
 occupation_variance(StableKernel(alpha=2.0, dim=3),
                     default_renewal_table(Exponential(rate=1.0), 4.0), bump, 4.0,
                     grid_points=9)
+pair_correlation(StableKernel(alpha=1.5, dim=3), bump, bump, [0.0])
 lazy_modules("moments")
-assert cli(["lln", "--config", {lln!r}, "--out", {str(tmp_path / "lln.csv")!r}]) == 0
+assert cli(["lln", "--config", {lln!r}, "--threads", "1", "--out", {str(one)!r}]) == 0
 lazy_modules("lln")
+assert cli(["validate", "--checks", "density_closed_form,covariance_oracle",
+            "--seed", "0", "--out", {str(tmp_path / "checks.csv")!r}]) == 0
+lazy_modules("validate")
+assert cli(["lln", "--config", {lln!r}, "--threads", "2", "--out", {str(two)!r}]) == 0
+lazy_modules("pool")
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src},
@@ -896,3 +914,9 @@ lazy_modules("lln")
     assert stage["import"] == "[]", proc.stdout
     assert "numpy.random" not in stage["moments"], proc.stdout
     assert "numpy.random" in stage["lln"], proc.stdout
+    for name in ("moments", "lln", "validate", "pool"):
+        assert "numpy.polynomial" not in stage[name], proc.stdout
+    for name in ("moments", "lln", "validate"):
+        assert "concurrent.futures" not in stage[name], proc.stdout
+    assert "concurrent.futures" in stage["pool"], proc.stdout
+    assert one.read_bytes() == two.read_bytes()

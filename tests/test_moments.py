@@ -273,6 +273,27 @@ def test_torus_refuses_supports_outside_the_window():
             pair_correlation(kernel, phi, psi, 0.0, torus_half_side=2.0)
 
 
+@pytest.mark.parametrize("half_side", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("formula", ["pair_correlation", "field_covariance",
+                                     "occupation_variance"])
+def test_moment_formulas_refuse_a_non_finite_torus_window(formula, half_side):
+    """NaN and +inf passed the support check and failed inside the torus
+    table with numpy's "negative dimensions are not allowed"; -inf was
+    reported as a support leaving the window."""
+    kernel, phi = StableKernel(alpha=2.0, dim=1), bump(1)
+    table = build_renewal(EXP1, 2.0, 0.05)
+    call = {
+        "pair_correlation": lambda: pair_correlation(
+            kernel, phi, phi, 1.0, torus_half_side=half_side),
+        "field_covariance": lambda: field_covariance(
+            kernel, table, 0.5, 1.0, phi, phi, torus_half_side=half_side),
+        "occupation_variance": lambda: occupation_variance(
+            kernel, table, phi, 1.0, grid_points=5, torus_half_side=half_side),
+    }[formula]
+    with pytest.raises(ValueError, match="half_side must be positive and finite"):
+        call()
+
+
 def test_torus_series_cut_too_early_raises(monkeypatch):
     """The outermost lattice shell is checked, in d = 1 and d = 3: a cut
     where exp(-u k^alpha) is still 0.1 leaves too much out.  The torus

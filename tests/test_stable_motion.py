@@ -27,6 +27,7 @@ from stablebranch import (
     tree_batch,
 )
 from stablebranch.stable_motion import (
+    _gl_rule,
     _one_sided_stable,
     _sin_double,
     semigroup_columns,
@@ -259,6 +260,37 @@ def test_density_columns_match_one_time_at_a_time(alpha, dim):
         one = transition_density_radial(kernel, t, r)
         atol = 1e-12 * one.max() if alpha == 1.5 else 0.0
         assert_allclose(cols[:, j], one, rtol=1e-14, atol=atol)
+
+
+GL_SIZES = [1, 2, 3, 16, 64, 128]
+
+
+@pytest.mark.parametrize("n", GL_SIZES)
+def test_gl_rule_integrates_monomials_exactly(n):
+    """x^k for every k <= 2n - 1: 2/(k + 1) for even k, 0 for odd."""
+    x, w = _gl_rule(n)
+    k = np.arange(2 * n)
+    exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+    assert_allclose((x[None, :] ** k[:, None]) @ w, exact, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", GL_SIZES)
+def test_gl_rule_is_symmetric_and_sums_to_two(n):
+    x, w = _gl_rule(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", GL_SIZES)
+def test_gl_rule_matches_numpy_leggauss(n):
+    """numpy's companion-matrix rule as the oracle; its own weights are off
+    by 1.4e-11 relative at n = 128, so the weight tolerance is 1e-10."""
+    x, w = _gl_rule(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
+    assert_allclose(w, w_ref, rtol=1e-10, atol=0.0)
 
 
 def _sqrt_substituted_density_1d(alpha, t, r, panels=4000):
