@@ -13,8 +13,9 @@ release the GIL, so the chunks of a thread pool overlap.
 
 The output is not a trajectory; it is a set of per-replicate time
 series sum_i w(x_i(t)) for caller-chosen weight functions w, which is
-all the occupation statistics need.  A population-count series is
-always included under the name "count".
+all the occupation statistics need.  A batch holds exactly its weights'
+series; a weight of None stands for w = 1, the population count, which
+`field_batch` and `tree_batch` add under the name "count".
 
 Replicates are grouped into chunks of even size, each with its own
 stream keyed by (seed, stream key, chunk index).  Chunk sizes depend
@@ -140,6 +141,13 @@ def _wrap(pos: np.ndarray, half_side: float, out=None) -> np.ndarray:
     return y
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """ValueError unless `value` is an integer (not a bool) >= low."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _start_points(x0s, dim: int) -> np.ndarray:
     """Tree ancestors as an (R, dim) array with R >= 1, else ValueError."""
     x0s = np.asarray(x0s, dtype=float)
@@ -181,7 +189,7 @@ class BatchPlan:
 
     obs: np.ndarray
     sizes: list  # replicates per chunk
-    names: list  # series names, [*weights, "count"]
+    names: list  # series names, the weights' keys
     cost: float
     chunk: Callable
 
@@ -210,7 +218,7 @@ def _chunk_sizes(replicates: int, wave_rows: float) -> list[int]:
 
 
 def _wave(kernel, law, rng, grid, horizon, half_side, p_two, gen, weights,
-          acc, reps):
+          acc, reps, ends):
     """Advance one generation; returns the next generation, or None.
 
     `grid` is (obs, step, padded obs).  `gen` is the list [birth times,
@@ -221,12 +229,18 @@ def _wave(kernel, law, rng, grid, horizon, half_side, p_two, gen, weights,
     splitting parents draw a death step (from their last checkpoint row,
     or birth), in the wave's one `sample_increments` call.
 
+    Each weight in `weights` (all callables) is summed into `acc` over its
+    nonzero rows only, which drops no bit: a sum that starts at +0.0
+    passes a zero term through unchanged.  The population count goes into
+    `ends`, if given, a difference array over the chunk's keys: +1 at each
+    segment's first key, -1 just past its last (see `_run_chunk`).
+
     The wave owns its generation: it empties `gen`, so a caller that
     keeps the list keeps none of its arrays, and it frees each array
     after its last use.  Death times, first checkpoints after death and
     replicates are cut to the splitting parents' entries once the full
     arrays are used; birth times, first checkpoints and positions go once
-    the time steps, row keys, segment bases and parents' positions are
+    the time steps, segment keys, segment bases and parents' positions are
     built from them.  The checkpoint positions live in the increment
     buffer: its leading rows become them, running sums taken in place and
     then wrapped, and its trailing rows hold the death steps.  The
@@ -270,12 +284,11 @@ def _wave(kernel, law, rng, grid, horizon, half_side, p_two, gen, weights,
     del birth
     np.subtract(death, t_last, out=dts[total:])
     del t_last
-    # row keys rep * m + checkpoint are a running sum of ones, jumping at
-    # each segment start from the previous segment's last key to its first
-    jump = np.take(rep, has) * m + i0_h
-    jump[1:] -= jump[:-1] + kh[:-1] - 1
+    # a row's key is rep * m + its checkpoint; a segment's keys run from
+    # `first` to `first + kh - 1`
+    first = np.take(rep, has) * m + i0_h
     rep = np.take(rep, parents)
-    del kh, i0_h
+    del i0_h
     death_pos = np.take(pos, parents, axis=0)
     base = np.take(pos, has, axis=0)
     del pos, has
@@ -298,20 +311,30 @@ def _wave(kernel, law, rng, grid, horizon, half_side, p_two, gen, weights,
     seg = np.zeros(total, dtype=np.intp)
     seg[starts[1:]] = 1
     np.cumsum(seg, out=seg)
-    flat_pos += np.take(base, seg, axis=0)
-    del base
+    for j in range(inc.shape[1]):
+        flat_pos[:, j] += np.take(base[:, j], seg)
+    del base, seg
     if half_side is not None:
         _wrap(flat_pos, half_side, out=flat_pos)
 
-    key = seg  # the row keys, in the `seg` buffer
-    key.fill(1)
-    key[starts] = jump
-    np.cumsum(key, out=key)
-    del seg, jump, starts
+    if ends is not None:
+        np.add.at(ends, first, 1)
+        np.add.at(ends, first + kh, -1)
+    del kh
+    first -= starts  # row r of a segment has key first + r - its start
     for name, w in weights.items():
-        acc[name] += np.bincount(key, weights=w(flat_pos), minlength=reps * m)
-    acc["count"] += np.bincount(key, minlength=reps * m)
-    del key
+        val = w(flat_pos)
+        if np.shape(val) != (total,):  # np.flatnonzero would flatten it
+            raise ValueError(f"weight {name!r} gave shape {np.shape(val)} "
+                             f"for {total} positions; it must give one value each")
+        nz = np.flatnonzero(val)
+        key = np.searchsorted(starts, nz, side="right")
+        key -= 1
+        key = np.take(first, key)
+        key += nz
+        acc[name] += np.bincount(key, weights=np.take(val, nz), minlength=reps * m)
+        del val, nz, key
+    del first, starts
 
     if len(parents) == 0:
         return None
@@ -334,8 +357,14 @@ def _run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
     and `cum` (particles created) and `aborted` one entry per replicate.
     `_run_chunk` owns the ancestors: it empties `gen`, and each
     generation then lives only in the wave that advances it (`_wave`).
+    A series whose weight is None is the population count: the waves mark
+    where each particle's run of keys starts and ends, and one running sum
+    of those marks, exact in integers, is added at the end.
     """
     reps = len(cum)
+    calls = {k: w for k, w in weights.items() if w is not None}
+    ends = (np.zeros(reps * len(obs) + 1, dtype=np.int64)
+            if len(calls) < len(weights) else None)
     grid = (obs, _grid_step(obs), _padded(obs))
     pos, rep = gen
     gen.clear()
@@ -351,12 +380,18 @@ def _run_chunk(kernel, law, rng, obs, horizon, half_side, p_two,
         if len(gen[0]) == 0:
             break
         gen = _wave(kernel, law, rng, grid, horizon, half_side, p_two, gen,
-                    weights, acc, reps)
+                    calls, acc, reps, ends)
+    if ends is not None:
+        count = np.cumsum(ends[:-1])
+        for name, w in weights.items():
+            if w is None:
+                acc[name] += count
 
 
 def _plan(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
           half_side, seed, weights, p_two, population_cap, stream_key):
-    """Check the grid and keys and size the chunks; nothing is drawn.
+    """Check the grid, keys, counts and cap and size the chunks; nothing
+    is drawn.
 
     `ancestors(rng, first, reps)` draws one chunk's initial population as
     (count per replicate, positions, replicate index per particle).
@@ -365,11 +400,13 @@ def _plan(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
     step = _grid_step(obs)
     horizon = float(obs[-1])
     weights = weights or {}
-    if replicates < 1:
-        raise ValueError(f"replicates must be at least 1, got {replicates}")
+    _check_int("replicates", replicates, 1)
+    _check_int("seed", seed, 0)
+    _check_int("stream_key", stream_key, 0)
+    _check_int("population_cap", population_cap, 1)
     if not 0.0 <= p_two <= 1.0:  # NaN fails this too
         raise ValueError(f"p_two must be in [0, 1], got {p_two}")
-    if not 0 <= stream_key < _KEY_WORD:
+    if stream_key >= _KEY_WORD:
         raise ValueError(f"stream_key must be in [0, 2^32), got {stream_key}")
     sizes = _chunk_sizes(replicates,
                          mean_n0 * (_truncated_mean(law, horizon) / step + 2.0))
@@ -387,7 +424,7 @@ def _plan(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
                    {k: s[rows].reshape(-1) for k, s in out.series.items()},
                    out.event_counts[rows], out.aborted[rows])
 
-    return BatchPlan(obs, sizes, [*weights, "count"], mean_n0 * len(obs), chunk)
+    return BatchPlan(obs, sizes, list(weights), mean_n0 * len(obs), chunk)
 
 
 def run_plans(plans: list[BatchPlan], threads: int = 1) -> list[BatchResult]:
@@ -401,8 +438,7 @@ def run_plans(plans: list[BatchPlan], threads: int = 1) -> list[BatchResult]:
     whatever the order or the thread count.  A `threads` that is not an
     integer >= 1 raises ValueError before any chunk runs.
     """
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    _check_int("threads", threads, 1)
     tasks = sorted(((plan.cost * reps, bi, ci) for bi, plan in enumerate(plans)
                     for ci, reps in enumerate(plan.sizes)), key=lambda t: -t[0])
     results = [plan.empty_result() for plan in plans]
@@ -430,14 +466,18 @@ def field_plan(kernel: StableKernel, law, *, replicates: int, obs_times,
     The fields run from time 0 to the last of `obs_times`, which must be
     an increasing arithmetic grid (ValueError, before anything is drawn).
     `weights` maps series names to vectorised functions of particle
-    positions; each yields a (replicates, observations) matrix of
-    sums over the live population.  The (rows, d) positions a weight
-    receives are a view of a wave's buffer, valid only during the call:
-    a weight that keeps them must copy them.  Chunk ci draws from
-    `replicate_stream(seed, stream_key, ci)`, so batches with distinct
+    positions, or to None for the population count; each yields a
+    (replicates, observations) matrix of sums over the live population,
+    and the batch holds those series and no others.  The (rows, d)
+    positions a weight receives are a view of a wave's buffer, valid only
+    during the call: a weight that keeps them must copy them, and it must
+    return one value per row (ValueError otherwise).  Chunk ci
+    draws from `replicate_stream(seed, stream_key, ci)`, so batches with distinct
     `stream_key`s in [0, 2^32) share one seed without overlap.  A
-    `half_side` that is not positive and finite, or an `intensity` that
-    is not nonnegative and finite, raises ValueError before any draw.
+    `half_side` that is not positive and finite, an `intensity` that is
+    not nonnegative and finite, a `replicates` or `population_cap` that is
+    not an integer >= 1, or a `seed` or `stream_key` that is not an
+    integer >= 0 raises ValueError before any draw.
     """
     if not 0.0 < half_side < np.inf:
         raise ValueError(f"half_side must be positive and finite, got {half_side}")
@@ -458,10 +498,24 @@ def field_plan(kernel: StableKernel, law, *, replicates: int, obs_times,
                  population_cap=population_cap, stream_key=stream_key)
 
 
+def _with_count(weights: dict | None) -> dict:
+    """The caller's weights plus the population count under "count"."""
+    weights = weights or {}
+    if "count" in weights:
+        raise ValueError('"count" names the population-count series; '
+                         "give the weight another name")
+    return {**weights, "count": None}
+
+
 def field_batch(kernel: StableKernel, law, *, threads: int = 1,
-                **plan_args) -> BatchResult:
-    """Simulate the fields `field_plan` plans, on `threads` workers."""
-    return run_plans([field_plan(kernel, law, **plan_args)], threads)[0]
+                weights: dict | None = None, **plan_args) -> BatchResult:
+    """Simulate the fields `field_plan` plans, on `threads` workers.
+
+    The result holds the weights' series and the population count under
+    "count"; a weight of that name raises ValueError.
+    """
+    plan = field_plan(kernel, law, weights=_with_count(weights), **plan_args)
+    return run_plans([plan], threads)[0]
 
 
 def tree_batch(kernel: StableKernel, law, x0s, *, obs_times, seed: int,
@@ -471,9 +525,12 @@ def tree_batch(kernel: StableKernel, law, x0s, *, obs_times, seed: int,
     """Simulate one free-space tree per row of `x0s` (shape (R, dim)).
 
     The trees run from time 0 to the last of `obs_times`, an increasing
-    arithmetic grid as in `field_plan`.
+    arithmetic grid as in `field_plan`.  The result holds the weights'
+    series and the population count under "count"; a weight of that
+    name raises ValueError.
     """
     x0s = _start_points(x0s, kernel.dim)
+    weights = _with_count(weights)
 
     def ancestors(rng, first, reps):
         return (np.ones(reps, dtype=np.int64), x0s[first : first + reps],

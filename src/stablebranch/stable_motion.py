@@ -28,6 +28,7 @@ from .specfun import scaled_bessel_j, sphere_area
 _LOG_TRUNC = math.log(1e12)  # integrand cut where exp(-t k^alpha) < 1e-12
 _INVERSE_TAIL_TOL = 1e-8  # share of the output the last inversion panel may carry
 _BLOCK_ENTRIES = 2_000_000  # largest node set, and largest row-by-node block
+_SAMPLE_BLOCK = 1 << 14  # rows of the stable sampler's sines and powers at a time
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,14 @@ class StableKernel:
 def _sin_double(h, scale: float = 1.0, out=None) -> np.ndarray:
     """sin(2x) at x = scale * h as 2 tan x / (1 + tan(x)**2), within an ulp
     or two on (0, pi/2]: np.tan is SIMD on float64, np.sin is not.  Written
-    into `out` if given."""
+    into `out` if given; one temporary holds the denominator."""
     t = np.multiply(h, scale, out=out)
     np.tan(t, out=t)
     t *= 2.0
-    t /= 0.25 * t * t + 1.0  # t is 2 tan x here: 0.25 t t = tan(x)**2
+    den = np.multiply(t, 0.25)  # t is 2 tan x here: 0.25 t t = tan(x)**2
+    den *= t
+    den += 1.0
+    t /= den
     return t
 
 
@@ -68,22 +72,30 @@ def _one_sided_stable(rho: float, t, rng, size) -> np.ndarray:
     and t**(1/rho) * A**... (exponent absorbed below) has the stated
     transform; the time scale enters only through t**(1/rho).  U = 2h,
     h uniform on (0, pi/2] (never 0), so each sine is a `_sin_double`.
-    Once W is used, its buffer holds each later factor in turn.
+    h and W are drawn whole, as one vectorised draw each; the sines and
+    powers then run over blocks of at most `_SAMPLE_BLOCK` rows, so their
+    temporaries stay block-sized, and each block of W's buffer holds each
+    later factor in turn, then the block's S.
     """
-    h = np.pi / 2.0 * (1.0 - rng.random(size=size))
+    h = rng.random(size=size)
+    np.subtract(1.0, h, out=h)
+    h *= np.pi / 2.0
     w = rng.standard_exponential(size=size)
     np.maximum(w, 1e-300, out=w)
-    a = _sin_double(h, 1.0 - rho)
-    a /= w
-    np.power(a, (1.0 - rho) / rho, out=a)
-    factor = _sin_double(h, rho, out=w)
-    a *= factor
-    _sin_double(h, out=factor)
-    np.power(factor, 1.0 / rho, out=factor)
-    a /= factor
-    np.power(t, 1.0 / rho, out=factor)
-    a *= factor
-    return a
+    t = np.broadcast_to(t, (size,))
+    for lo in range(0, size, _SAMPLE_BLOCK):
+        hb, wb = h[lo : lo + _SAMPLE_BLOCK], w[lo : lo + _SAMPLE_BLOCK]
+        a = _sin_double(hb, 1.0 - rho)
+        a /= wb
+        np.power(a, (1.0 - rho) / rho, out=a)
+        factor = _sin_double(hb, rho, out=wb)
+        a *= factor
+        _sin_double(hb, out=factor)
+        np.power(factor, 1.0 / rho, out=factor)
+        a /= factor
+        np.power(t[lo : lo + _SAMPLE_BLOCK], 1.0 / rho, out=factor)
+        np.multiply(a, factor, out=wb)
+    return w
 
 
 def sample_increments(kernel: StableKernel, dts, rng) -> np.ndarray:
@@ -91,10 +103,13 @@ def sample_increments(kernel: StableKernel, dts, rng) -> np.ndarray:
 
     Returns an array of shape ``(len(dts), dim)`` whose rows are
     independent draws with characteristic function
-    ``exp(-dt_i * |y|**alpha)``.
+    ``exp(-dt_i * |y|**alpha)``.  ``dts`` must be 1-D, finite and
+    nonnegative (ValueError otherwise, before any draw).
     """
     dts = np.asarray(dts, dtype=float)
-    if not np.all((dts >= 0.0) & (dts < np.inf)):  # NaN fails both
+    if dts.ndim != 1:
+        raise ValueError(f"dts must be a 1-D array of time steps, got shape {dts.shape}")
+    if len(dts) and not (dts.min() >= 0.0 and dts.max() < np.inf):  # NaN fails both
         raise ValueError("time steps must be finite and nonnegative")
     # Brownian motion at an independent (alpha/2)-stable time S:
     # E exp(i y . B_S) = E exp(-S |y|^2) = exp(-dt |y|^alpha), and S = dt

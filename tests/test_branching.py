@@ -221,6 +221,73 @@ def test_batch_refuses_no_replicates():
         field_batch(KERNEL_1D, EXP1, **{**FIELD_ARGS, "replicates": 0})
 
 
+@pytest.mark.parametrize("arg,value", [
+    ("replicates", 2.5), ("replicates", True), ("replicates", np.nan),
+    ("seed", -1), ("seed", 1.5), ("seed", np.nan),
+    ("stream_key", 0.5), ("stream_key", np.nan),
+    ("population_cap", np.nan), ("population_cap", -1), ("population_cap", 0),
+    ("population_cap", 1e6)])
+def test_plans_refuse_counts_seeds_and_caps_that_are_not_integers_before_drawing(
+        monkeypatch, arg, value):
+    """replicates = 2.5 used to die in list repetition and True ran one
+    replicate; a bad seed or stream key raised from numpy's SeedSequence
+    inside the first chunk; a NaN cap silently ran uncapped and -1 aborted
+    every replicate."""
+    def no_stream(*args):
+        raise AssertionError("a stream was drawn from")
+
+    monkeypatch.setattr(fastsim, "replicate_stream", no_stream)
+    with pytest.raises(ValueError, match=f"{arg} must be an integer"):
+        fastsim.field_plan(KERNEL_1D, EXP1, **{**FIELD_ARGS, arg: value})
+    if arg != "replicates":  # a tree batch has one replicate per start
+        with pytest.raises(ValueError, match=f"{arg} must be an integer"):
+            tree_batch(KERNEL_1D, EXP1, np.zeros((2, 1)), obs_times=[0.0, 1.0],
+                       **{"seed": 0, arg: value})
+
+
+def test_one_batch_entry_points_refuse_a_weight_named_count():
+    """A caller's "count" used to be summed with the population count: a
+    weight of 10 per particle read 33 = 3 * 10 + 3."""
+    tens = {"count": lambda p: np.full(len(p), 10.0)}
+    with pytest.raises(ValueError, match="count"):
+        field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, weights=tens)
+    with pytest.raises(ValueError, match="count"):
+        tree_batch(KERNEL_1D, EXP1, np.zeros((3, 1)), obs_times=[0.0], seed=0,
+                   weights=tens)
+
+
+@pytest.mark.parametrize("weight", [lambda p: 1.0, lambda p: p, lambda p: p[1:, 0]],
+                         ids=["scalar", "rows-by-d", "one-short"])
+def test_batches_refuse_a_weight_that_gives_not_one_value_per_position(weight):
+    """Summed over its nonzero rows, a scalar or (rows, 1) weight would be
+    flattened into a series silently wrong."""
+    with pytest.raises(ValueError, match="weight 'a' gave shape"):
+        field_batch(KERNEL_1D, EXP1, **FIELD_ARGS, weights={"a": weight})
+
+
+def test_a_plan_holds_exactly_its_weights_series():
+    """A ladder that reads one series used to hold and fill a population
+    count beside it.  Asking for the count (a None weight) adds that series
+    and moves no bit of the others or of the counters."""
+    phi = TestFunction(shape="bump", center=np.zeros(1), radius=1.0)
+    weights = {"phi": phi.evaluate, "x": lambda p: p[:, 0]}
+    args = dict(FIELD_ARGS, kernel=StableKernel(alpha=1.5, dim=1),
+                law=make_pareto_tail(0.5), obs_times=obs_grid(4.0, 0.25))
+    lean, full = fastsim.run_plans([
+        fastsim.field_plan(**args, weights=weights),
+        fastsim.field_plan(**args, weights={**weights, "n": None})])
+    assert list(lean.series) == ["phi", "x"]
+    assert list(full.series) == ["phi", "x", "n"]
+    for name in weights:
+        assert np.array_equal(lean.series[name].view(np.uint64),
+                              full.series[name].view(np.uint64)), name
+    for field in ("initial_counts", "event_counts", "aborted"):
+        assert np.array_equal(getattr(lean, field), getattr(full, field)), field
+    assert np.array_equal(full.series["n"][:, 0], full.initial_counts)
+    assert np.array_equal(full.series["n"],
+                          field_batch(**args, weights=weights).series["count"])
+
+
 class _Planned(Exception):
     """Raised once a ladder is planned, so that nothing is simulated."""
 
@@ -336,7 +403,8 @@ def test_batches_refuse_p_two_outside_the_unit_interval_before_drawing(monkeypat
 def _assert_same_batch(a, b):
     assert a.series.keys() == b.series.keys()
     for name in a.series:
-        assert np.array_equal(a.series[name], b.series[name]), name
+        assert np.array_equal(a.series[name].view(np.uint64),
+                              b.series[name].view(np.uint64)), name
     assert np.array_equal(a.initial_counts, b.initial_counts)
     assert np.array_equal(a.event_counts, b.event_counts)
     assert np.array_equal(a.aborted, b.aborted)
@@ -387,8 +455,8 @@ def _oracle_wave(kernel, law, rng, obs, horizon, half_side, p_two, state,
 
     key = rep[pid] * m + obs_idx
     for name, w in weights.items():
-        acc[name] += np.bincount(key, weights=w(flat_pos), minlength=reps * m)
-    acc["count"] += np.bincount(key, minlength=reps * m)
+        acc[name] += np.bincount(key, weights=None if w is None else w(flat_pos),
+                                 minlength=reps * m)
 
     if len(parents) == 0:
         return None
@@ -430,8 +498,13 @@ def test_batches_match_the_oracle_wave_bit_for_bit(monkeypatch, alpha, dim,
     kernel = StableKernel(alpha=alpha, dim=dim)
     phi = TestFunction(shape="bump", center=np.full(dim, 0.4), radius=1.0)
     psi = TestFunction(shape="indicator", center=np.zeros(dim), radius=1.5)
+    def zero_or_nan(p):  # -0.0 near the origin, NaN far out, else x
+        x = p[:, 0]
+        return np.where(x < -1.5, np.nan, np.where(np.abs(x) < 0.5, -0.0, x))
+
     weights = {"phi": phi.evaluate, "psi": psi.evaluate,
-               "x_first": lambda p: p[:, 0], "x_last": lambda p: p[:, -1]}
+               "x_first": lambda p: p[:, 0], "x_last": lambda p: p[:, -1],
+               "zero_or_nan": zero_or_nan}
     cap = 40 * 5**dim if p_two == 1.0 else 10**6  # 5**dim: the initial field mean
     field = dict(replicates=40, obs_times=obs_grid(3.0, 0.25), half_side=2.5,
                  seed=31, weights=weights, p_two=p_two, population_cap=cap)
@@ -512,6 +585,25 @@ def test_d3_field_chunk_hands_each_generation_to_its_wave():
     with traced_peak() as traced:
         plan.chunk(0, out)
     assert traced.peak < 4_800_000
+
+
+def test_heavy_d1_field_chunk_traced_peak():
+    """The bench's alpha = 1.5, d = 1 ladder at T = 200 (Pareto gamma =
+    0.5, L = 2 * 200^(2/3)), one 16-replicate chunk.  While every wave
+    filled a population count the ladder never reads, keyed every row and
+    ran the stable sampler's sines over the whole wave at once, the traced
+    peak was 3.51 MB; with the one series, keys for the nonzero rows only
+    and sampler blocks of 2^14 rows, 2.86 MB (numpy 2.4)."""
+    phi = TestFunction(shape="bump", center=np.zeros(1), radius=1.0)
+    plan = fastsim.field_plan(
+        StableKernel(alpha=1.5, dim=1), make_pareto_tail(0.5), replicates=200,
+        obs_times=obs_grid(200.0, 0.5), half_side=2.0 * 200.0 ** (1.0 / 1.5),
+        seed=201, weights={"phi": phi.evaluate}, stream_key=4)
+    assert plan.sizes[0] == 16 and plan.names == ["phi"]
+    out = plan.empty_result()
+    with traced_peak() as traced:
+        plan.chunk(0, out)
+    assert traced.peak < 3_200_000
 
 
 def test_tree_batch_holds_one_copy_of_its_series():

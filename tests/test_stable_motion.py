@@ -6,6 +6,7 @@ that pins down the general-alpha sampler and quadrature.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,13 +112,17 @@ def _out_of_place_increments(kernel, dts, rng):
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
 @pytest.mark.parametrize("dim", [1, 3])
 def test_in_place_sampler_is_bit_identical(alpha, dim):
+    """Also at one row, at the sampler's block of 2^14 rows, one past it,
+    and three blocks and a part, so every block edge meets the plain
+    whole-array reference."""
     kernel = StableKernel(alpha=alpha, dim=dim)
-    dts = replicate_stream(5, 0).exponential(size=20_001)
-    dts[:3] = [0.0, 1e-300, 1e6]
-    got = sample_increments(kernel, dts, replicate_stream(5, 1))
-    want = _out_of_place_increments(kernel, dts, replicate_stream(5, 1))
-    assert np.array_equal(got, want)
-    assert np.array_equal(dts[:3], [0.0, 1e-300, 1e6])  # input left alone
+    for n in (20_001, 1, 2**14, 2**14 + 1, 3 * 2**14 + 5):
+        dts = replicate_stream(5, 0).exponential(size=n)
+        dts[:3] = [0.0, 1e-300, 1e6][:n]
+        got = sample_increments(kernel, dts, replicate_stream(5, 1))
+        want = _out_of_place_increments(kernel, dts, replicate_stream(5, 1))
+        assert np.array_equal(got, want), n
+        assert np.array_equal(dts[:3], [0.0, 1e-300, 1e6][:n])  # input left alone
 
 
 def test_half_angle_sine_matches_np_sin():
@@ -153,6 +158,17 @@ def test_increments_reject_non_finite_or_negative_steps(alpha, bad):
     kernel = StableKernel(alpha=alpha, dim=2)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         sample_increments(kernel, [bad, 1.0], replicate_stream(0, 1))
+
+
+@pytest.mark.parametrize("dts", [1.0, np.ones((1, 2)), np.ones((2, 1))],
+                         ids=["scalar", "1x2", "2x1"])
+def test_increments_refuse_steps_that_are_not_one_dimensional(dts):
+    """A scalar used to die in len() with a TypeError, and a (1, 2) array
+    with numpy's broadcast message."""
+    kernel = StableKernel(alpha=1.5, dim=2)
+    shape = np.shape(dts)
+    with pytest.raises(ValueError, match=f"1-D.*shape {re.escape(str(shape))}"):
+        sample_increments(kernel, dts, replicate_stream(0, 1))
 
 
 def test_zero_time_increment_is_zero():
