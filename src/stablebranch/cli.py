@@ -57,6 +57,7 @@ from .renewal import build_renewal
 from .stable_motion import StableKernel, transition_density_radial
 
 ENV_SEED = "STABLEBRANCH_SEED"
+_MAX_DENSITY_POINTS = 1 << 20  # radii a density table may take
 _REQUIRED = object()  # the default of a key that a config must give
 
 
@@ -247,12 +248,12 @@ def _covariance(*, alpha, dim, lifetime, phi, psi, pairs, half_side, **values):
 
 
 def _renewal(*, lifetime, horizon, grid_step):
-    if grid_step >= horizon:
-        raise ConfigError("grid_step must be smaller than horizon")
-    return dict(law=lifetime, horizon=horizon, grid_step=grid_step)
+    return build_renewal(lifetime, horizon, grid_step)
 
 
 def _density(*, alpha, dim, t, r_max, points):
+    if points > _MAX_DENSITY_POINTS:
+        raise ConfigError(f"points must be at most {_MAX_DENSITY_POINTS}, got {points}")
     kernel = StableKernel(alpha, dim)
     r_max = 5.0 * t ** (1.0 / alpha) if r_max is None else r_max
     return dict(kernel=kernel, t=t, radii=np.linspace(0.0, r_max, points))
@@ -285,8 +286,7 @@ def _run_covariance(inputs, args):
     return header, [[r[c] for c in header] for r in rows], all(r["passed"] for r in rows)
 
 
-def _run_renewal(inputs, args):
-    table = build_renewal(**inputs)
+def _run_renewal(table, args):
     return ("t", "U"), zip(table.grid.tolist(), table.values.tolist()), True
 
 

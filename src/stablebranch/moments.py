@@ -55,6 +55,9 @@ _TAIL_TOL = 1e-6  # share of G a cut may leave in its last panel or shell
 # Largest table the torus series may allocate: the tested extreme (d = 3,
 # L = 5.66, u = 0.0156, n_max = 96) has 9,217 entries, over 100x below this.
 _SERIES_MAX_TERMS = 1 << 20
+# Entries of one exp(-u x) block in `_lag_sums`.  Larger blocks gain
+# little time and can raise the process's peak memory.
+_LAG_BLOCK = 1 << 15
 
 
 def _check_count(value, name: str, least: int) -> int:
@@ -229,13 +232,25 @@ def _torus_table(kernel, phi, psi, lags, half_side, offset):
 def _lag_sums(lags, x, coef, tail_coef, starts, ends):
     """G at each lag u_i, the sum of coef_j exp(-u_i x_j) over j < ends_i,
     and the tail that checks its cut, the sum of tail_coef_j exp(-u_i x_j)
-    over starts_i <= j < ends_i.  One row per lag, no longer than the node
-    set (at most 2M nodes, `_panel_nodes`) or the lattice table."""
+    over starts_i <= j < ends_i.  The lags are sorted, so their ends never
+    increase: lags that share an end are summed together, a block of at
+    most `_LAG_BLOCK` exp(-u x) entries (or one lag's prefix, if that is
+    longer) at a time, each tail masked from its own start."""
     out, tails = np.empty(len(lags)), np.empty(len(lags))
-    for i, (u, start, end) in enumerate(zip(lags, starts, ends)):
-        terms = np.exp(-u * x[:end])
-        out[i] = terms @ coef[:end]
-        tails[i] = terms[start:] @ tail_coef[start:end]
+    edges = [0, *(np.flatnonzero(np.diff(ends)) + 1), len(lags)]
+    for lo, hi in zip(edges[:-1], edges[1:]):  # one run of equal ends
+        end = int(ends[lo])
+        rows = max(1, _LAG_BLOCK // end)
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            terms = np.multiply.outer(-lags[a:b], x[:end])
+            np.exp(terms, out=terms)
+            out[a:b] = terms @ coef[:end]
+            first = int(starts[a:b].min())
+            tail = terms[:, first:]
+            tail[np.arange(first, end) < starts[a:b, None]] = 0.0
+            tails[a:b] = tail @ tail_coef[first:end]
+            del terms, tail  # free this block before the next is made
     return out, tails
 
 
@@ -350,12 +365,12 @@ def occupation_variance(kernel: StableKernel, table: RenewalTable,
     integral of `field_covariance`, itself a trapezoid in dU on the same
     grid, so every entry needs G only at integer multiples of the step:
     one `pair_correlation` table of 2m + 1 lags, summed with one weight
-    per lag and no covariance matrix.  This is a quadrature of
-    the continuous-time variance, not the exact variance of a discretized
-    occupation estimator: the renewal integral keeps the coarse grid's
-    error, with no error control (alpha = 2, d = 3, Exp(1), T = 200,
-    step 1 gives 239.80, about 20% above a per-Fourier-mode evaluation
-    on the same grid).
+    per lag (`_lag_weights`, in closed form, O(m)) and no covariance
+    matrix.  This is a quadrature of the continuous-time variance, not
+    the exact variance of a discretized occupation estimator: the renewal
+    integral keeps the coarse grid's error, with no error control
+    (alpha = 2, d = 3, Exp(1), T = 200, step 1 gives 239.80, about 20%
+    above a per-Fourier-mode evaluation on the same grid).
     """
     _check_count(grid_points, "grid_points", 2)
     if not horizon >= 0.0:  # an infinite horizon exceeds the table's
@@ -371,20 +386,39 @@ def occupation_variance(kernel: StableKernel, table: RenewalTable,
     gd = pair_correlation(kernel, phi, phi, np.arange(2 * m + 1) * delta,
                           torus_half_side=torus_half_side)
     du = np.diff(table.value(np.arange(m + 1) * delta))
+    return float(_lag_weights(du, delta) @ gd)
+
+
+def _lag_weights(du, delta):
+    """The weight of G(k delta), k = 0..2m, in `occupation_variance`'s
+    double trapezoid on m + 1 points with renewal increments ``du``."""
+    m = len(du)
     tw = np.full(m + 1, delta)
     tw[[0, -1]] = delta / 2.0
-    # weights[k] multiplies G(k delta); the G(|i - j|) terms weigh lag k
-    # by the autocorrelation of tw at k and -k
+    # the G(|i - j|) terms weigh lag k by the autocorrelation of tw at k and -k
     weights = np.zeros(2 * m + 1)
     np.add.at(weights, np.abs(np.arange(-m, m + 1)), np.correlate(tw, tw, "full"))
     # Renewal interval l enters C(i, j) for i, j > l as du_l / 2 times
     # G(i + j - 2l) + G(i + j - 2l - 2): with p = i + j - 2(l + 1), the
-    # tw_i tw_j mass on each p is a self-convolution of tw[l + 1:].
-    for l in range(m):
-        mass = du[l] / 2.0 * np.convolve(tw[l + 1:], tw[l + 1:])
-        weights[: len(mass)] += mass
-        weights[2 : len(mass) + 2] += mass
-    return float(weights @ gd)
+    # tw_i tw_j mass on each p is the self-convolution of tw[l + 1:] =
+    # delta (1, ..., 1, 1/2), n = m - l entries.  That is delta^2 times the
+    # tent min(p + 1, 2n - 1 - p), less one on n - 1 <= p <= 2n - 2, plus
+    # 1/4 at p = 2n - 2.  A tent's second difference is +1, -2, +1 at
+    # p = 0, n, 2n, and the ones' first difference +1, -1 at p = n - 1,
+    # 2n - 1, so two running sums give every interval's mass at once.
+    c = du * (delta * delta / 2.0)
+    n = np.arange(m, 0, -1)
+    d2, d1 = np.zeros(2 * m + 1), np.zeros(2 * m + 1)
+    d2[0] = c.sum()
+    d2[n] -= 2.0 * c
+    d2[2 * n] += c
+    d1[n - 1] = c
+    d1[2 * n - 1] -= c
+    mass = np.cumsum(np.cumsum(d2) - d1)[: 2 * m - 1]
+    mass[2 * n - 2] += c / 4.0
+    weights[:-2] += mass
+    weights[2:] += mass
+    return weights
 
 
 def classify_regime(dim: int, alpha: float, gamma: float | None = None) -> str:

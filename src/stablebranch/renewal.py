@@ -36,6 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Most steps a table may take: 7x the 600,000-point solves timed in
+# BENCH_26.json.
+_MAX_STEPS = 1 << 22
+
 
 @dataclass(frozen=True)
 class RenewalTable:
@@ -104,13 +108,17 @@ def build_renewal(law, horizon: float, grid_step: float) -> RenewalTable:
 
     A coarse solve at twice the step supplies a Richardson error
     estimate (the scheme is second order); a warning fires if the
-    estimated relative error at the horizon exceeds 1%.
+    estimated relative error at the horizon exceeds 1%.  More than
+    `_MAX_STEPS` steps raise ValueError before anything is allocated.
     """
     for name, value in (("horizon", horizon), ("grid_step", grid_step)):
         if not 0.0 < value < np.inf:  # NaN fails this too
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if grid_step >= horizon:
         raise ValueError("grid_step must be smaller than the horizon")
+    if horizon / grid_step > _MAX_STEPS:
+        raise ValueError(f"grid_step {grid_step} needs {horizon / grid_step:.4g} steps "
+                         f"to horizon {horizon}, over the {_MAX_STEPS} limit")
     n_steps = int(np.ceil(horizon / grid_step))
     grid = np.linspace(0.0, n_steps * grid_step, n_steps + 1)
     cdf = np.asarray(law.cdf(grid))

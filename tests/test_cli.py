@@ -457,6 +457,10 @@ BAD_VALUE_CASES = [
     ("lln", LLN_CONFIG, ("obs_step",), 1e10, "lln-obs_step-past-horizon"),
     # the table's bound is ExperimentConfig's: one replicate has no spread
     ("lln", LLN_CONFIG, ("replicates",), 1, "lln-replicates-one"),
+    # tables too large to allocate are refused, not left to a MemoryError
+    ("renewal", {**RENEWAL_CONFIG, "horizon": 1000.0}, ("grid_step",), 1e-9,
+     "renewal-grid_step-too-many-steps"),
+    ("density", DENSITY_CONFIG, ("points",), 10**12, "density-points-too-many"),
 ]
 
 

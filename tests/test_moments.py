@@ -4,7 +4,9 @@ Strategy: closed-form overlap integrals pin the u = 0 pair correlation;
 the Fourier and real-space routes cross-check each other at u > 0;
 covariance matrices must be symmetric positive semidefinite and satisfy
 Cauchy-Schwarz; the occupation-variance quadrature is checked against a
-naive double-loop reimplementation; tree moments are checked against
+naive double-loop reimplementation, its closed-form lag weights against
+one convolution per renewal interval, and the grouped lag sums of the G
+tables against one sum per lag; tree moments are checked against
 Monte Carlo; the decay-exponent table is asserted against hand-computed
 values and its regime gates against both sides of every boundary.
 """
@@ -488,6 +490,80 @@ def test_wide_tables_leave_no_node_sets_behind():
     assert traced.current < 1 << 20
 
 
+def _per_lag_sums(lags, x, coef, tail_coef, starts, ends):
+    """`_lag_sums` as one plain loop over lags: the test oracle."""
+    out, tails = np.empty(len(lags)), np.empty(len(lags))
+    for i, (u, start, end) in enumerate(zip(lags, starts, ends)):
+        terms = np.exp(-u * x[:end])
+        out[i] = terms @ coef[:end]
+        tails[i] = terms[start:] @ tail_coef[start:end]
+    return out, tails
+
+
+def _lag_sums_inputs(monkeypatch, call):
+    """The arguments of the one `_lag_sums` call that `call()` makes."""
+    seen = []
+    real = moments._lag_sums
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(moments, "_lag_sums", spy)
+    call()
+    monkeypatch.undo()
+    (args,) = seen
+    return args
+
+
+def _assert_lag_sums_match_the_loop(args):
+    got, want = moments._lag_sums(*args), _per_lag_sums(*args)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("alpha,dim,lags", [
+    (1.5, 1, np.arange(1, 801) * 0.5),  # the bench's T = 200, 401-point d = 1 table
+    (2.0, 3, np.arange(1, 401) * 1.0),  # and its 201-point d = 3 table
+], ids=["d1-800-lags", "d3-400-lags"])
+def test_grouped_lag_sums_match_the_per_lag_loop(monkeypatch, alpha, dim, lags):
+    """Lags that share a cut are summed together; G and every tail match
+    the per-lag loop.  The 800 d = 1 lags share 14 cuts, and their sums
+    hold under 1 MB on top of the node set at any time."""
+    kernel = StableKernel(alpha=alpha, dim=dim)
+    args = _lag_sums_inputs(monkeypatch, lambda: pair_correlation(
+        kernel, bump(dim), bump(dim), lags))
+    assert len(np.unique(args[-1])) < len(lags) // 10
+    _assert_lag_sums_match_the_loop(args)
+    with traced_peak() as traced:
+        moments._lag_sums(*args)
+    assert traced.peak < 1 << 20
+
+
+def test_grouped_lag_sums_match_the_per_lag_loop_on_the_torus(monkeypatch):
+    """The 130-lag torus table behind the covariance oracle: alpha = 2,
+    d = 1, L = 6, the lags of Cov(<phi, X_1>, <phi, X_2>)."""
+    kernel, table = StableKernel(alpha=2.0, dim=1), default_renewal_table(EXP1, 2.0)
+    args = _lag_sums_inputs(monkeypatch, lambda: field_covariance(
+        kernel, table, 1.0, 2.0, bump(1), bump(1), torus_half_side=6.0))
+    _assert_lag_sums_match_the_loop(args)
+
+
+def test_grouped_lag_sums_split_long_runs_into_blocks():
+    """Runs of equal cuts longer than one block split into several, and a
+    cut longer than a block is summed one lag at a time; each lag's tail
+    still starts at its own start."""
+    rng = np.random.default_rng(3)
+    size = moments._LAG_BLOCK + 4000
+    x = np.sort(rng.uniform(0.0, 30.0, size))
+    coef, tail_coef = rng.normal(size=size), rng.uniform(size=size)
+    ends = np.repeat([size, 3000, 2900, 17], [3, 200, 1, 40])
+    starts = np.maximum(ends - rng.integers(1, 400, len(ends)), 0)
+    lags = np.sort(rng.uniform(0.1, 5.0, len(ends)))
+    assert 200 > moments._LAG_BLOCK // 3000  # the 3000-entry run needs blocks
+    _assert_lag_sums_match_the_loop((lags, x, coef, tail_coef, starts, ends))
+
+
 # ---------------------------------------------------------------------------
 # field covariance
 # ---------------------------------------------------------------------------
@@ -703,6 +779,51 @@ def test_occupation_variance_matches_naive_reimplementation(exp_table, pareto,
     slow = naive_occupation_variance(kernel, table, phi, 2.0, grid_points,
                                      torus_half_side=half_side)
     assert fast == pytest.approx(slow, rel=1e-9)
+
+
+def _per_interval_lag_weights(du, delta):
+    """`moments._lag_weights` with one self-convolution of the trapezoid
+    weights per renewal interval: the test oracle."""
+    m = len(du)
+    tw = np.full(m + 1, delta)
+    tw[[0, -1]] = delta / 2.0
+    weights = np.zeros(2 * m + 1)
+    np.add.at(weights, np.abs(np.arange(-m, m + 1)), np.correlate(tw, tw, "full"))
+    for l in range(m):
+        mass = du[l] / 2.0 * np.convolve(tw[l + 1:], tw[l + 1:])
+        weights[: len(mass)] += mass
+        weights[2 : len(mass) + 2] += mass
+    return weights
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 400])
+@pytest.mark.parametrize("increments", ["pareto", "zero"])
+def test_lag_weights_match_the_per_interval_loop(m, increments):
+    """The closed-form weights equal the loop's, against the largest
+    weight, for heavy-tailed (uneven) and all-zero renewal increments."""
+    du = (np.random.default_rng(m).pareto(0.5, m) if increments == "pareto"
+          else np.zeros(m))
+    want = _per_interval_lag_weights(du, 0.37)
+    got = moments._lag_weights(du, 0.37)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+
+@pytest.mark.parametrize("half_side", [None, 2.0], ids=["free", "torus"])
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 400])
+def test_occupation_variance_is_the_loop_weights_times_g(half_side, m):
+    """A gamma = 0.5 tail's renewal increments, free space and torus:
+    the variance is the loop's weights against the G table."""
+    kernel, phi = StableKernel(alpha=2.0, dim=1), bump(1)
+    table = default_renewal_table(make_pareto_tail(0.5), 2.0)
+    delta = 2.0 / m
+    g = pair_correlation(kernel, phi, phi, np.arange(2 * m + 1) * delta,
+                         torus_half_side=half_side)
+    du = np.diff(table.value(np.arange(m + 1) * delta))
+    want = float(_per_interval_lag_weights(du, delta) @ g)
+    got = occupation_variance(kernel, table, phi, 2.0, grid_points=m + 1,
+                              torus_half_side=half_side)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_occupation_variance_monotone_in_horizon(exp_table):

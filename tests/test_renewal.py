@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from numpy.testing import assert_allclose
 
 from stablebranch import (
@@ -12,6 +13,7 @@ from stablebranch import (
     build_renewal,
     make_pareto_tail,
 )
+from stablebranch import renewal
 from stablebranch.renewal import _fast_width, _solve_renewal
 
 
@@ -159,3 +161,22 @@ def test_build_renewal_validation():
         build_renewal(law, -1.0, 0.1)
     with pytest.raises(ValueError):
         build_renewal(law, 1.0, 2.0)
+
+
+def test_build_renewal_refuses_too_many_steps_before_allocating():
+    """horizon 1000 at step 1e-9 is 10^12 steps: refused naming grid_step,
+    as is a ratio that overflows to inf, with nothing large allocated."""
+    law = Exponential(rate=1.0)
+    with traced_peak() as traced:
+        for horizon, step in ((1000.0, 1e-9), (1e300, 1e-300)):
+            with pytest.raises(ValueError, match="grid_step"):
+                build_renewal(law, horizon, step)
+    assert traced.peak < 1 << 16
+
+
+def test_build_renewal_step_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(renewal, "_MAX_STEPS", 100)
+    law = Exponential(rate=1.0)
+    assert len(build_renewal(law, 10.0, 0.1).grid) == 101
+    with pytest.raises(ValueError, match="over the 100 limit"):
+        build_renewal(law, 10.0, 0.099)
