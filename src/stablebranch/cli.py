@@ -12,8 +12,10 @@ numerical integral cannot meet its tolerance (QuadratureError).
 
 A subcommand's JSON config is read against one table, and so is each
 nested object: the lifetime (one table per ``type``), ``phi``, ``psi``
-and ``ball``.  A table gives every key one kind (a finite number, a
-positive number, an integer >= n, a list, a string) and a default, and
+and ``ball``.  ``lln`` takes the four LLN kinds and ``phi``,
+``occupancy`` the occupancy kind and its ``ball``.  A table gives every
+key one kind (a finite number, a positive number, an integer >= n, a
+list, a string, one of a list of names) and a default, and
 every refusal names the key's full path, such as ``lifetime.type`` or
 ``phi.center[1]``: a value of another kind, a missing required key, a
 key the table does not hold.  An optional key given as null is absent; a
@@ -42,6 +44,7 @@ import numpy as np
 from .errors import ConfigError, QuadratureError, RegimeError
 from .experiments import (
     CHECK_COLUMNS,
+    EXPERIMENT_KINDS,
     RESULT_COLUMNS,
     ExperimentConfig,
     pair_grid,
@@ -79,6 +82,10 @@ def _finite(value) -> bool:
 def _integer(least: int):
     return _kind(f"an integer >= {least}",
                  lambda v: _finite(v) and float(v).is_integer() and v >= least, int)
+
+
+def _one_of(names):
+    return _kind(f"one of {list(names)}", lambda v: isinstance(v, str) and v in names, str)
 
 
 def _list(of, size: int | None = None):
@@ -139,7 +146,7 @@ _LAWS = {
                lambda gamma, scale: (make_pareto_tail(gamma) if scale is None
                                      else ParetoTail(gamma, scale))),
 }
-_LAW_TYPE = _kind(f"one of {list(_LAWS)}", lambda v: isinstance(v, str) and v in _LAWS, str)
+_LAW_TYPE = _one_of(_LAWS)
 
 
 def _lifetime(value, path, done):
@@ -168,13 +175,15 @@ _BALL_KEYS = {"center": (_list(_NUMBER), None), "radius": (_NUMBER, 1.0)}
 _PHI = _test_function({"shape": (_STRING, "bump"), **_BALL_KEYS})
 _SYSTEM = {"alpha": (_NUMBER, _REQUIRED), "dim": (_integer(1), _REQUIRED),
            "lifetime": (_lifetime, _REQUIRED)}
-_EXPERIMENT = {
-    "kind": (_STRING, _REQUIRED), **_SYSTEM,
-    "phi": (_PHI, None), "ball": (_test_function(_BALL_KEYS), None),
+_LADDER = {
     "horizons": (_list(_NUMBER), _REQUIRED), "replicates": (_integer(2), 1000),
     "half_side": (_NUMBER, None), "window_scale": (_NUMBER, None),
     "obs_step": (_NUMBER, 0.5), "intensity": (_NUMBER, 1.0),
     "seed": (_SEED, None), "label": (_STRING, "")}
+_LLN = {"kind": (_one_of([k for k in EXPERIMENT_KINDS if k != "occupancy_subcritical"]),
+                 _REQUIRED), **_SYSTEM, "phi": (_PHI, None), **_LADDER}
+_OCCUPANCY = {"kind": (_one_of(["occupancy_subcritical"]), _REQUIRED), **_SYSTEM,
+              "ball": (_test_function(_BALL_KEYS), None), **_LADDER}
 _COVARIANCE = {
     **_SYSTEM, "phi": (_PHI, _REQUIRED), "psi": (_PHI, None),
     "pairs": (_list(_list(_NUMBER, 2)), _REQUIRED), "half_side": (_POSITIVE, _REQUIRED),
@@ -225,14 +234,12 @@ def _load(args, table: dict, build):
     return _build("", build, **_walk(cfg, table, ""))
 
 
-def _experiment(*, alpha, dim, lifetime, phi, ball, **values):
-    # the occupancy target is a ball; every other kind reads phi
-    on_ball = values["kind"] == "occupancy_subcritical"
-    if (phi if on_ball else ball) is not None:
-        raise ConfigError(f"config kind {values['kind']!r} takes no "
-                          f"{'phi' if on_ball else 'ball'!r} key")
-    return ExperimentConfig(kernel=StableKernel(alpha, dim), law=lifetime,
-                            phi=ball if on_ball else phi, **values)
+def _experiment(*, alpha, dim, lifetime, **values):
+    return ExperimentConfig(kernel=StableKernel(alpha, dim), law=lifetime, **values)
+
+
+def _occupancy(*, ball, **values):
+    return _experiment(phi=ball, **values)  # the occupancy target is a ball
 
 
 def _covariance(*, alpha, dim, lifetime, phi, psi, pairs, half_side, **values):
@@ -308,8 +315,8 @@ def _run_simulate(inputs, args):
 # the built config (None for validate) and the flags to (header, records, passed)
 _COMMANDS = {
     "validate": ("run the statistical self-check suite", None, None, _run_validate),
-    "lln": ("rescaled occupation-time ladder", _EXPERIMENT, _experiment, _run_ladder),
-    "occupancy": ("ball occupancy-fraction ladder", _EXPERIMENT, _experiment, _run_ladder),
+    "lln": ("rescaled occupation-time ladder", _LLN, _experiment, _run_ladder),
+    "occupancy": ("ball occupancy-fraction ladder", _OCCUPANCY, _occupancy, _run_ladder),
     "covariance": ("analytic vs Monte Carlo covariance", _COVARIANCE, _covariance,
                    _run_covariance),
     "renewal": ("tabulate a renewal function", _RENEWAL, _renewal, _run_renewal),

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check."""
+
+import numbers
 
 
 class StableBranchError(Exception):
@@ -15,3 +17,12 @@ class RegimeError(StableBranchError):
 
 class ConfigError(StableBranchError):
     """A config file or CLI invocation is malformed."""
+
+
+def check_count(value, name: str, least: int) -> int:
+    """A count: ``value`` as an int if it is an integer (not a bool)
+    >= ``least``, else ValueError naming it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

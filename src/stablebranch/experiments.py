@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError
+from .errors import ConfigError, RegimeError, check_count
 from .fastsim import (
     field_batch,
     field_plan,
@@ -88,16 +87,13 @@ class ExperimentConfig:
             raise ConfigError("horizons must be a nonempty list of positive times")
         if any(a >= b for a, b in zip(horizons, horizons[1:])):
             raise ConfigError(f"horizons must be strictly increasing, got {horizons}")
-        for key, least in (("replicates", 2), ("seed", 0)):
-            value = getattr(self, key)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < least):
-                raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
-        for h in horizons:
-            try:
+        try:
+            check_count(self.replicates, "replicates", 2)
+            check_count(self.seed, "seed", 0)
+            for h in horizons:
                 obs_grid(h, self.obs_step)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         # the occupancy target is a ball, and the CLI reads it as `ball`
         name = "ball" if self.kind == "occupancy_subcritical" else "phi"
         if self.phi is None:
@@ -307,17 +303,16 @@ def run_covariance_comparison(kernel: StableKernel, law: LifetimeLaw,
     Returns one dict per pair with keys s, t, analytic, mc_estimate,
     mc_se, z, passed (|z| <= 3).  The analytic side is the covariance
     on the simulated torus, so phi and psi must lie inside the window.
-    The batch observes on `pair_grid(pairs)`.  Both checks raise
-    ValueError, and every analytic value is computed (a QuadratureError
-    raises), before anything is simulated.
+    The batch observes on `pair_grid(pairs)`.  Every analytic value is
+    computed before anything is simulated, so a pair with s < 0 or s > t
+    (ValueError, from `field_covariance`) and a QuadratureError raise
+    first.
     """
     pairs = [(float(s), float(t)) for s, t in pairs]
-    if not all(0 <= s <= t for s, t in pairs):
-        raise ValueError("pairs must satisfy 0 <= s <= t")
     check_inside_window(half_side, phi, psi)
     obs = pair_grid(pairs)
     step = obs[1]
-    table = default_renewal_table(law, max(t for _, t in pairs))
+    table = default_renewal_table(law, max(map(max, pairs)))  # covers an s > t, refused below
     analytic = [field_covariance(kernel, table, s, t, phi, psi,
                                  torus_half_side=half_side) for s, t in pairs]
     # psi is phi for an autocovariance: one series serves both columns
@@ -353,11 +348,11 @@ def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
                                seed: int, stream_key: int = 220,
                                threads: int = 1) -> dict:
     """MC single-tree product moment E[<phi,Z_s><psi,Z_t>] vs analytic
-    (`tree_second_moment` on its default grids)."""
-    if not 0 <= s <= t:
-        raise ValueError("need 0 <= s <= t")
+    (`tree_second_moment` on its default grids), which is computed, and
+    refuses s < 0 or s > t, before anything is simulated."""
     table = default_renewal_table(law, max(s, 1e-3))
     x0 = np.asarray(x0, dtype=float)
+    analytic = tree_second_moment(kernel, table, x0, s, t, phi, psi)
     batch = tree_batch(
         kernel, law, np.tile(x0, (replicates, 1)), obs_times=np.unique([s, t]),
         seed=seed, weights={"phi": phi.evaluate, "psi": psi.evaluate},
@@ -365,7 +360,6 @@ def run_tree_moment_comparison(kernel: StableKernel, law: LifetimeLaw, x0,
     )
     # the grid is s alone, or s and t: phi's column first, psi's last
     prod = batch.ok("phi")[:, 0] * batch.ok("psi")[:, -1]
-    analytic = tree_second_moment(kernel, table, x0, s, t, phi, psi)
     mc, se, z = _mean_se_z(prod, analytic)
     return {
         "s": s, "t": t, "analytic": analytic, "mc_estimate": mc, "mc_se": se,

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_count
 from .stable_motion import StableKernel, sample_increments
 
 DEFAULT_POPULATION_CAP = 10**7
@@ -139,13 +140,6 @@ def _wrap(pos: np.ndarray, half_side: float, out=None) -> np.ndarray:
         flat[off] = np.where(r == side, 0.0, r)
     y -= half_side
     return y
-
-
-def _check_int(name: str, value, low: int) -> None:
-    """ValueError unless `value` is an integer (not a bool) >= low."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _start_points(x0s, dim: int) -> np.ndarray:
@@ -400,10 +394,10 @@ def _plan(kernel, law, ancestors, *, replicates, mean_n0, obs_times,
     step = _grid_step(obs)
     horizon = float(obs[-1])
     weights = weights or {}
-    _check_int("replicates", replicates, 1)
-    _check_int("seed", seed, 0)
-    _check_int("stream_key", stream_key, 0)
-    _check_int("population_cap", population_cap, 1)
+    check_count(replicates, "replicates", 1)
+    check_count(seed, "seed", 0)
+    check_count(stream_key, "stream_key", 0)
+    check_count(population_cap, "population_cap", 1)
     if not 0.0 <= p_two <= 1.0:  # NaN fails this too
         raise ValueError(f"p_two must be in [0, 1], got {p_two}")
     if stream_key >= _KEY_WORD:
@@ -438,7 +432,7 @@ def run_plans(plans: list[BatchPlan], threads: int = 1) -> list[BatchResult]:
     whatever the order or the thread count.  A `threads` that is not an
     integer >= 1 raises ValueError before any chunk runs.
     """
-    _check_int("threads", threads, 1)
+    check_count(threads, "threads", 1)
     tasks = sorted(((plan.cost * reps, bi, ci) for bi, plan in enumerate(plans)
                     for ci, reps in enumerate(plan.sizes)), key=lambda t: -t[0])
     results = [plan.empty_result() for plan in plans]

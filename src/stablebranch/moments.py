@@ -27,11 +27,9 @@ functions sit inside the window.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .errors import QuadratureError, RegimeError
+from .errors import QuadratureError, RegimeError, check_count
 from .occupation import TestFunction, check_inside_window, lebesgue_integral
 from .renewal import RenewalTable
 from .specfun import sphere_area
@@ -58,14 +56,6 @@ _SERIES_MAX_TERMS = 1 << 20
 # Entries of one exp(-u x) block in `_lag_sums`.  Larger blocks gain
 # little time and can raise the process's peak memory.
 _LAG_BLOCK = 1 << 15
-
-
-def _check_count(value, name: str, least: int) -> int:
-    """A grid size: an integer >= ``least``, else ValueError naming it."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def _overlap_integral(phi: TestFunction, psi: TestFunction, delta: float,
@@ -262,14 +252,15 @@ def pair_correlation_realspace(kernel: StableKernel, phi: TestFunction,
     Cross-check route for `pair_correlation`: only the outer integral is
     real-space; S_u psi comes from `semigroup_apply`, a radial Fourier
     inversion at each node, instead of the product of the two transforms.
-    ``nodes_per_dim`` (default `_default_nodes`) must be an integer >= 3.
+    ``nodes_per_dim`` (default `_default_nodes`) must be an odd integer
+    >= 3.
     """
     d = kernel.dim
     n = (_default_nodes(d) if nodes_per_dim is None
-         else _check_count(nodes_per_dim, "nodes_per_dim", 3))
+         else check_count(nodes_per_dim, "nodes_per_dim", 3))
+    pts, w = support_quadrature(phi.center, phi.radius, d, n)
     if not 0.0 < u < np.inf:  # the exact overlap at u = 0; other lags raise there
         return pair_correlation(kernel, phi, psi, u)
-    pts, w = support_quadrature(phi.center, phi.radius, d, n)
     return float(w @ (phi.evaluate(pts) * semigroup_apply(kernel, psi, u, pts)))
 
 
@@ -283,16 +274,15 @@ def field_covariance(kernel: StableKernel, table: RenewalTable, s: float,
     by a trapezoidal Stieltjes rule on 129 nodes with U interpolated
     from the table.  G at all 130 lags is one `pair_correlation` table
     (on the torus [-L, L)^d when ``torus_half_side`` L is given).  Needs
-    0 <= s <= t with t within the table's horizon (ValueError).
+    0 <= s <= t with t inside the table (ValueError before G is built).
     """
     if not 0.0 <= s <= t:
         raise ValueError("need 0 <= s <= t")
-    if t > table.horizon + 1e-12:
-        raise ValueError(f"t={t} exceeds the renewal table horizon {table.horizon}")
+    table.value(t)  # refuses a t past the table
     rs = np.linspace(0.0, s, 129 if s > 0.0 else 0)
+    du = np.diff(table.value(rs))
     g = pair_correlation(kernel, phi, psi, np.concatenate([[t - s], s + t - 2.0 * rs]),
                          torus_half_side=torus_half_side)
-    du = np.diff(table.value(rs))
     return float(g[0] + np.sum(0.5 * (g[2:] + g[1:-1]) * du))
 
 
@@ -312,24 +302,24 @@ def tree_second_moment(kernel: StableKernel, table: RenewalTable, x0, s: float,
     p_r at |z - x0|, built from one angular matrix per radius set (phi
     and psi share theirs when their centres coincide).  ``r_points`` must
     be an integer >= 2 and ``nodes_per_dim`` (default `_default_nodes`,
-    per axis of both grids) one >= 3; anything else raises ValueError
-    before any inversion.
+    per axis of both grids) an odd one >= 3; anything else, and an s past
+    the table, raises ValueError before any inversion.
     """
     d = kernel.dim
-    _check_count(r_points, "r_points", 2)
+    check_count(r_points, "r_points", 2)
     n = (_default_nodes(d) if nodes_per_dim is None
-         else _check_count(nodes_per_dim, "nodes_per_dim", 3))
+         else check_count(nodes_per_dim, "nodes_per_dim", 3))
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
         raise ValueError(f"x0 must have shape ({d},)")
     if not 0.0 <= s <= t:
         raise ValueError("need 0 <= s <= t")
-    if s > table.horizon + 1e-12:
-        raise ValueError(f"s={s} exceeds the renewal table horizon {table.horizon}")
+    rs = np.linspace(0.0, s, r_points)
+    uvals = table.value(rs)
+    pts, w = support_quadrature(phi.center, phi.radius, d, n)
     if s == 0.0:
         return float(phi.evaluate(x0[None, :])[0] * semigroup_apply(kernel, psi, t, x0))
 
-    pts, w = support_quadrature(phi.center, phi.radius, d, n)
     fy = phi.evaluate(pts) * semigroup_apply(kernel, psi, t - s, pts) * w
     rad = np.linalg.norm(pts - x0[None, :], axis=1)
     out = float(transition_density_radial(kernel, s, rad) @ fy)
@@ -339,7 +329,6 @@ def tree_second_moment(kernel: StableKernel, table: RenewalTable, x0, s: float,
                  + 4.0 * t ** (1.0 / kernel.alpha))
     zpts, zw = support_quadrature(mid, half, d, n)
     zrad = np.linalg.norm(zpts - x0[None, :], axis=1)
-    rs = np.linspace(0.0, s, r_points)
     ladder = [(phi, s - r) for r in rs[1:]] + [(psi, t - r) for r in rs[1:]]
     sphi, spsi = np.hsplit(semigroup_columns(kernel, ladder, zpts), 2)
     fvals = np.empty(r_points)
@@ -348,7 +337,6 @@ def tree_second_moment(kernel: StableKernel, table: RenewalTable, x0, s: float,
     )
     dens = transition_density_radial(kernel, rs[1:], zrad)
     fvals[1:] = zw @ (dens * sphi * spsi)
-    uvals = table.value(rs)
     out += float(np.sum(0.5 * (fvals[1:] + fvals[:-1]) * np.diff(uvals)))
     return out
 
@@ -360,32 +348,30 @@ def occupation_variance(kernel: StableKernel, table: RenewalTable,
     """Var<phi, J_T> of the stationary field's occupation time.
 
     Double trapezoid of the covariance kernel C(u, v) over [0, T]^2 on a
-    uniform grid of ``grid_points`` points, a required integer >= 2
-    (ValueError otherwise).  Each C entry is G at the lag plus the renewal
-    integral of `field_covariance`, itself a trapezoid in dU on the same
-    grid, so every entry needs G only at integer multiples of the step:
-    one `pair_correlation` table of 2m + 1 lags, summed with one weight
-    per lag (`_lag_weights`, in closed form, O(m)) and no covariance
-    matrix.  This is a quadrature of the continuous-time variance, not
-    the exact variance of a discretized occupation estimator: the renewal
-    integral keeps the coarse grid's error, with no error control
-    (alpha = 2, d = 3, Exp(1), T = 200, step 1 gives 239.80, about 20%
-    above a per-Fourier-mode evaluation on the same grid).
+    uniform grid of ``grid_points`` points, a required integer >= 2; any
+    other count, and a ``horizon`` that is not finite, nonnegative and
+    inside the table, raise ValueError before G is built.  Each C entry is
+    G at the lag plus the renewal integral of `field_covariance`, itself a
+    trapezoid in dU on the same grid, so every entry needs G only at
+    integer multiples of the step: one `pair_correlation` table of 2m + 1
+    lags, summed with one weight per lag (`_lag_weights`, in closed form,
+    O(m)) and no covariance matrix.  This is a quadrature of the
+    continuous-time variance, not the exact variance of a discretized
+    occupation estimator: the renewal integral keeps the coarse grid's
+    error, with no error control (alpha = 2, d = 3, Exp(1), T = 200, step
+    1 gives 239.80, about 20% above a per-Fourier-mode evaluation on the
+    same grid).
     """
-    _check_count(grid_points, "grid_points", 2)
-    if not horizon >= 0.0:  # an infinite horizon exceeds the table's
-        raise ValueError("horizon must be nonnegative")
+    check_count(grid_points, "grid_points", 2)
+    if not 0.0 <= horizon < np.inf:  # NaN fails this too, ahead of the grid
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
     if horizon == 0.0:
         return 0.0
-    if horizon > table.horizon + 1e-12:
-        raise ValueError(
-            f"horizon {horizon} exceeds the renewal table horizon {table.horizon}"
-        )
     m = grid_points - 1
     delta = horizon / m
+    du = np.diff(table.value(np.arange(m + 1) * delta))
     gd = pair_correlation(kernel, phi, phi, np.arange(2 * m + 1) * delta,
                           torus_half_side=torus_half_side)
-    du = np.diff(table.value(np.arange(m + 1) * delta))
     return float(_lag_weights(du, delta) @ gd)
 
 

@@ -54,10 +54,13 @@ class RenewalTable:
         return float(self.grid[-1])
 
     def value(self, r):
-        """U(r) by linear interpolation; r may be an array."""
+        """U(r) by linear interpolation; r may be an array.  A query
+        outside [0, horizon], or NaN, raises ValueError: the one rule for
+        what the moment formulas may ask of a table."""
         r = np.asarray(r, dtype=float)
         if not np.all((r >= 0.0) & (r <= self.horizon * (1.0 + 1e-12))):
-            raise ValueError("query outside the tabulated range")
+            raise ValueError(f"query outside the tabulated range: the table's "
+                             f"horizon is {self.horizon}")
         return np.interp(r, self.grid, self.values)
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, check_count
 from .specfun import scaled_bessel_j, sphere_area
 
 _LOG_TRUNC = math.log(1e12)  # integrand cut where exp(-t k^alpha) < 1e-12
@@ -41,9 +41,7 @@ class StableKernel:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if (isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer))
-                or self.dim < 1):
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        check_count(self.dim, "dim", 1)
 
 
 def _sin_double(h, scale: float = 1.0, out=None) -> np.ndarray:
@@ -321,9 +319,10 @@ def transition_density_radial(kernel: StableKernel, t, radii) -> np.ndarray:
 
 
 def _simpson_grid(lo, hi, n):
-    """Simpson nodes and weights on [lo, hi] with n (odd) points."""
+    """Simpson nodes and weights on [lo, hi] with n points; an even n
+    raises ValueError naming `nodes_per_dim`."""
     if n % 2 == 0:
-        n += 1
+        raise ValueError(f"nodes_per_dim must be odd, got {n}")
     xs = np.linspace(lo, hi, n)
     h = (hi - lo) / (n - 1)
     w = np.ones(n)
@@ -333,7 +332,8 @@ def _simpson_grid(lo, hi, n):
 
 
 def support_quadrature(center, radius: float, dim: int, nodes_per_dim: int):
-    """Tensor Simpson rule over the cube circumscribing a support ball."""
+    """Tensor Simpson rule over the cube circumscribing a support ball,
+    ``nodes_per_dim`` (odd) nodes per axis."""
     axes, wts = zip(*(_simpson_grid(c - radius, c + radius, nodes_per_dim)
                       for c in np.asarray(center, dtype=float)[:dim]))
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)

@@ -53,6 +53,8 @@ from stablebranch.experiments import (
     run_tree_moment_comparison,
 )
 
+pytestmark = pytest.mark.acceptance  # pytest -m "not acceptance" skips this module
+
 EXP1 = Exponential(rate=1.0)
 
 

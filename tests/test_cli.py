@@ -461,6 +461,17 @@ BAD_VALUE_CASES = [
     ("renewal", {**RENEWAL_CONFIG, "horizon": 1000.0}, ("grid_step",), 1e-9,
      "renewal-grid_step-too-many-steps"),
     ("density", DENSITY_CONFIG, ("points",), 10**12, "density-points-too-many"),
+    # each ladder reads its own kinds: occupancy ran every lln config, and
+    # lln the occupancy one, each writing the other's CSV
+    *[("occupancy", {**LLN_CONFIG, **system}, ("kind",), kind, f"occupancy-kind-{kind}")
+      for kind, system in [
+          ("mean_identity", {}),
+          ("lln_heavy_intermediate", {"lifetime": {"type": "pareto", "gamma": 0.3}}),
+          ("lln_heavy_large_d", {"alpha": 0.5,
+                                 "lifetime": {"type": "pareto", "gamma": 0.5}}),
+          ("lln_finite_mean", {"alpha": 0.5})]],
+    ("lln", OCCUPANCY_CONFIG, ("kind",), "occupancy_subcritical",
+     "lln-kind-occupancy_subcritical"),
 ]
 
 
@@ -535,7 +546,8 @@ def test_density_oversized_node_set_exit_2(tmp_path):
 
 
 def _exit_2_error(tmp_path, argv, env=None):
-    """Run the CLI as a process; assert exit 2, one error line, no traceback."""
+    """Run the CLI as a process; assert exit 2, one error line, no
+    traceback and no CSV."""
     src = str(Path(stablebranch.__file__).resolve().parents[1])
     env = {**os.environ, **(env or {}), "PYTHONPATH": src}
     proc = subprocess.run(
@@ -547,6 +559,7 @@ def _exit_2_error(tmp_path, argv, env=None):
     assert "Traceback" not in proc.stderr
     errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
     assert len(errors) == 1, proc.stderr
+    assert not (tmp_path / "out.csv").exists()
     return errors[0]
 
 

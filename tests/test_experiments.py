@@ -350,10 +350,11 @@ def test_covariance_comparison_smoke():
     assert set(row) == {"s", "t", "analytic", "mc_estimate", "mc_se", "z",
                         "passed"}
     assert row["mc_se"] > 0 and np.isfinite(row["z"])
-    with pytest.raises(ValueError, match="0 <= s <= t"):
-        run_covariance_comparison(kernel(2.0, 1), EXP1, BUMP_1D, BUMP_1D,
-                                  [(2.0, 1.0)], half_side=4.0,
-                                  replicates=100, seed=7)
+    for s_after_t in ((2.0, 1.0), (1.0, 0.0)):  # a table sized by t alone ends at 0
+        with pytest.raises(ValueError, match="0 <= s <= t"):
+            run_covariance_comparison(kernel(2.0, 1), EXP1, BUMP_1D, BUMP_1D,
+                                      [s_after_t], half_side=4.0,
+                                      replicates=100, seed=7)
 
 
 def test_pair_grid_steps_from_zero_on_the_common_step():
@@ -383,6 +384,22 @@ def test_covariance_comparison_refuses_psi_outside_the_window(monkeypatch):
         run_covariance_comparison(kernel(2.0, 1), EXP1, BUMP_1D, spilling,
                                   [(0.5, 1.0)], half_side=4.0,
                                   replicates=100, seed=7)
+
+
+@pytest.mark.parametrize("s,t,x0,match", [
+    (2.0, 1.0, [0.0], "0 <= s <= t"),
+    (0.5, 1.0, [0.0, 0.0], "x0"),  # used to reach the batch
+], ids=["s-after-t", "x0-of-another-dim"])
+def test_tree_moment_comparison_refuses_before_simulating(monkeypatch, s, t, x0,
+                                                         match):
+    """The analytic value, which refuses these, comes before the batch."""
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the analytic value")
+
+    monkeypatch.setattr(experiments, "tree_batch", no_simulation)
+    with pytest.raises(ValueError, match=match):
+        run_tree_moment_comparison(kernel(2.0, 1), EXP1, x0, s, t, BUMP_1D, BUMP_1D,
+                                   replicates=100, seed=8)
 
 
 def test_tree_moment_comparison_smoke():

@@ -656,13 +656,14 @@ def test_tree_second_moment_validation(exp_table):
 
 @pytest.mark.parametrize("knob,bad", [
     ("nodes_per_dim", 0), ("nodes_per_dim", 1), ("nodes_per_dim", 2),
-    ("nodes_per_dim", 65.0), ("r_points", 0), ("r_points", 1), ("r_points", 5.0),
+    ("nodes_per_dim", 65.0), ("nodes_per_dim", 64), ("r_points", 0), ("r_points", 1),
+    ("r_points", 5.0),
 ])
 def test_tree_moment_grid_sizes_refused_before_any_inversion(exp_table, monkeypatch,
                                                              knob, bad):
-    """A grid size that is not an integer >= 3 nodes or >= 2 r-points is
-    refused by name; nodes_per_dim = 0 used to mean the default grid and
-    1 gave nan."""
+    """A grid size that is not an odd integer >= 3 nodes or an integer >= 2
+    r-points is refused by name; nodes_per_dim = 0 used to mean the
+    default grid, 1 gave nan and 64 ran as 65."""
     def no_inversion(*args, **kwargs):
         raise AssertionError("inverted before refusing the grid")
 
@@ -858,6 +859,7 @@ def test_occupation_variance_edge_cases(exp_table):
     assert occupation_variance(kernel, exp_table, phi, 2.0, grid_points=2) > 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_occupation_variance_refuses_non_finite_horizon(exp_table, monkeypatch):
     """horizon = nan used to return nan; nan and inf raise before G is built."""
     def no_table(*args, **kwargs):
