@@ -8,21 +8,28 @@ uniform grid with trapezoidal Stieltjes weights,
     U_n = 1 + sum_{j=1..n} (U_{n-j} + U_{n-j+1})/2 * (F_j - F_{j-1}).
 
 With U_0 = 1 moved to the right this is a lower-triangular Toeplitz
-system in U_1..U_N,
+system in U_1..U_N, a power-series division u = rhs / a whose
+coefficients are U_1..U_N.  With E = sum_{j>=0} dF_{j+1} x^j,
 
-    (1 - dF_1/2) U_n - sum_{m=1..n-1} c_{n-m} U_m = 1 + dF_n/2,
-    c_j = (dF_j + dF_{j+1})/2,
+    a = 1 - (1 + x) E/2:  a_0 = 1 - dF_1/2,  a_j = -(F_{j+1} - F_{j-1})/2,
+    rhs = 1/(1 - x) + E/2 = 1/(1 - x) + (1 - a)/(1 + x),
+    u = v/(1 - x) + (v - 1)/(1 + x),  v = 1/a:
 
-a power-series division: with a = (1 - dF_1/2) - sum_j c_j x^j and rhs
-the series of right sides, the coefficients of u = rhs / a are U_1..U_N.
-Newton's iteration for the reciprocal (Kung 1974; Brent & Kung 1978)
-at most doubles the order of g = 1/a with two FFT products a step, up
-to k = ceil(N/2) terms; the orders are chosen from the top down
-(ceil(N/2), then halved and rounded up), so no step overshoots.  Then
-u = g rhs to order k is one more product, and the remaining
-coefficients of u are g times the residual rhs - a u, two more.  The
-solve costs O(N log N); each FFT width is the smallest 5-smooth
-integer (2^a 3^b 5^c) that holds the product's unwrapped coefficients.
+one reciprocal, then a running sum of v and an alternating one of v - 1.
+Newton's iteration (Kung 1974; Brent & Kung 1978) raises v from order k
+to k2 <= 2k, as 1/a = v - x^k v h when a v = 1 + x^k h, through the
+orders N, ceil(N/2), ... down to 1, so no step overshoots.  Its two
+products are FFTs at the smallest 5-smooth width (2^a 3^b 5^c) >= k2,
+where wrap-around reaches only coefficients below k, which are not
+read.  O(N log N) in all.
+
+The running sum of v is compensated.  For F nondecreasing from F_0 = 0,
+a_0 >= 1/2, a_j <= 0 and sum_{j>=1} -a_j <= a_0, so 0 <= v_j <= v_0:
+each term is at most the sum s before it, so each step's rounding error
+is exactly v_j - (s_j - s_{j-1}) (Fast2Sum), and the running sum of
+those errors restores s; a plain sum drifts ~1e-11 relative in 10^6
+steps.  The alternating sum is left plain; the tests check it on rough
+CDFs with atoms.
 
 Integrals against the renewal measure, taken by the moment formulas from
 differences of tabulated values, exclude the atom at zero; that keeps
@@ -78,32 +85,31 @@ def _fast_width(m: int) -> int:
 
 
 def _solve_renewal(cdf_vals: np.ndarray) -> np.ndarray:
-    """U on the grid of `cdf_vals`: the power series rhs / a above."""
-    dF = np.diff(cdf_vals)
-    n = len(dF)
-    a = np.concatenate(([1.0 - dF[0] / 2.0], -(dF[:-1] + dF[1:]) / 2.0))
-    rhs = 1.0 + dF / 2.0
-    rfft, irfft = np.fft.rfft, np.fft.irfft
-    orders = [-(-n // 2)]  # top down: ceil(n/2), then halved, rounding up, to 1
+    """U on the grid of `cdf_vals`: the two running sums of v = 1/a above."""
+    a = np.concatenate(([1.0 - (cdf_vals[1] - cdf_vals[0]) / 2.0],
+                        (cdf_vals[:-2] - cdf_vals[2:]) / 2.0))
+    orders = [len(a)]  # top down: n, then halved, rounding up, to 1
     while orders[-1] > 1:
         orders.append(-(-orders[-1] // 2))
-    # g = 1/a to order k, raised to k2 <= 2k: if a g = 1 + x^k h, then
-    # 1/a = g - x^k g h to order k2, and at width w >= k2 both products
-    # wrap only onto coefficients below k, which are not read
-    g = np.array([1.0 / a[0]])
+    v = np.empty(len(a))
+    v[0], k = 1.0 / a[0], 1
     for k2 in reversed(orders[:-1]):
-        k, w = len(g), _fast_width(k2)
-        g_hat = rfft(g, w)
-        h = irfft(rfft(a[:k2], w) * g_hat, w)[k:k2]
-        g = np.concatenate((g, -irfft(rfft(h, w) * g_hat, w)[: k2 - k]))
-    # u = g rhs to order k; its last n - k <= k coefficients are g times the
-    # residual rhs - a u of the first k, and at width w >= n every product
-    # again wraps only onto coefficients below k
-    k, w = len(g), _fast_width(n)
-    g_hat = rfft(g, w)
-    u = irfft(rfft(rhs[:k], w) * g_hat, w)[:k]
-    resid = rhs[k:] - irfft(rfft(a, w) * rfft(u, w), w)[k:n]
-    return np.concatenate(([1.0], u, irfft(rfft(resid, w) * g_hat, w)[: n - k]))
+        w = _fast_width(k2)
+        v_hat = np.fft.rfft(v[:k], w)
+        h = np.fft.irfft(np.fft.rfft(a[:k2], w) * v_hat, w)[k:k2]
+        v[k:k2] = -np.fft.irfft(np.fft.rfft(h, w) * v_hat, w)[: k2 - k]
+        k = k2
+    u = np.ones(len(a) + 1)
+    s = np.cumsum(v, out=u[1:])
+    err = np.diff(s)
+    np.subtract(v[1:], err, out=err)  # each step's exact rounding error (above)
+    s[1:] += np.cumsum(err, out=err)
+    v[0] -= 1.0  # (v - 1)/(1 + x): a running sum of the sign-flipped terms
+    v[1::2] *= -1.0
+    np.cumsum(v, out=v)
+    v[1::2] *= -1.0
+    s += v
+    return u
 
 
 def build_renewal(law, horizon: float, grid_step: float) -> RenewalTable:
